@@ -31,6 +31,7 @@ from .states import (
     target_pure,
     target_werner,
     werner,
+    werner_ensemble,
 )
 from .measures import (
     bures_distance,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, graphs, io, svgplot
+from . import experiments, graphs, io, measures, svgplot
 from .experiments import GraphSpec, StateSpec, TimeGrid
 
 WORKERS_ENV = "CHIRALWALK_WORKERS"
@@ -90,13 +90,15 @@ def parse_state(text: str) -> StateSpec:
     )
 
 
-def validate_measure(text: str) -> str:
+def validate_measure(text: str, n: int) -> str:
+    """Check a measure spec, and a concurrence pair against the n sites."""
     kind, _, arg = str(text).partition(":")
     if kind == "concurrence":
         if arg:
             pair = arg.split(",")
             if len(pair) != 2 or not all(p.strip().lstrip("-").isdigit() for p in pair):
                 raise ValueError(f"concurrence pair must be I,J, got {arg!r}")
+            measures._site_pair_indices(n, int(pair[0]), int(pair[1]))
     elif kind == "occupation":
         if not arg.strip().lstrip("-").isdigit():
             raise ValueError(f"occupation needs a site index, got {arg!r}")
@@ -153,6 +155,19 @@ def parse_float_list(text: str) -> list[float]:
     if not vals:
         raise ValueError("empty list")
     return vals
+
+
+def check_name(name) -> str:
+    """An output basename: non-empty, not '.' or '..', without path separators."""
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValueError(
+            f"output name must be a plain file name without '/' or '\\', got {name!r}"
+        )
+    return name
+
+
+def _name(args: argparse.Namespace, default: str) -> str:
+    return check_name(default if args.name is None else args.name)
 
 
 def _workers() -> int:
@@ -490,10 +505,10 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
             return {
                 "graph": _graph_dict(gspec),
                 "state": _state_dict(sspec),
-                "measure": validate_measure(args.measure),
+                "measure": validate_measure(args.measure, gspec.n),
                 "grid": _grid_dict(grid),
                 "svg": bool(args.svg),
-                "name": args.name or "trace",
+                "name": _name(args, "trace"),
             }
         if cmd == "table":
             return {
@@ -506,7 +521,7 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
                     [0.0] if args.mode == "ctqw"
                     else parse_theta_candidates(args.theta_candidates)
                 ),
-                "name": args.name or f"table-{args.mode}",
+                "name": _name(args, f"table-{args.mode}"),
             }
         if cmd == "scaling":
             return {
@@ -515,7 +530,7 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
                 "state": _state_dict(parse_state(args.state)),
                 "grid": _grid_dict(parse_grid(args.grid)),
                 "svg": bool(args.svg),
-                "name": args.name or "scaling",
+                "name": _name(args, "scaling"),
             }
         if cmd == "snapshots":
             theta = parse_phase(args.theta)
@@ -524,13 +539,13 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
                 "state": _state_dict(parse_state(args.state)),
                 "times": parse_float_list(args.times),
                 "svg": bool(args.svg),
-                "name": args.name or "snapshots",
+                "name": _name(args, "snapshots"),
             }
         if cmd == "graph-export":
             theta = parse_phase(args.theta)
             return {
                 "graph": _graph_dict(parse_graph(args.graph, theta, args.magnitude)),
-                "name": args.name or "graph",
+                "name": _name(args, "graph"),
             }
         raise AssertionError(cmd)
     except (ValueError, IndexError, KeyError) as exc:
@@ -548,7 +563,10 @@ def main(argv=None) -> int:
             command = manifest["subcommand"]
             params = manifest["parameters"]
             runner = _RUNNERS[command]
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+            check_name(params["name"])
+        except KeyError as exc:
+            parser.error(f"cannot load manifest {args.manifest!r}: missing key {exc}")
+        except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
             parser.error(f"cannot load manifest {args.manifest!r}: {exc}")
     else:
         command = args.command
@@ -557,6 +575,12 @@ def main(argv=None) -> int:
 
     try:
         outputs = runner(params, out_dir, _workers())
+    except (KeyError, TypeError) as exc:
+        # Flags always resolve to complete, well-typed parameters; a manifest may not.
+        if args.command != "rerun":
+            raise
+        problem = "lacks parameter" if isinstance(exc, KeyError) else "has a malformed parameter:"
+        parser.error(f"manifest {args.manifest!r} {problem} {exc}")
     except (ValueError, IndexError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"chiralwalk: error: {exc}", file=sys.stderr)
         return 1

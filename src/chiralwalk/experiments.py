@@ -17,6 +17,7 @@ from . import graphs, measures, states
 from .dynamics import (
     SpectralDecomposition,
     evolve_density,
+    occupation,
     site_amplitudes,
     spectral_decompose,
 )
@@ -25,6 +26,7 @@ MAX_GRID_POINTS = 10**7
 PEAK_NOISE_FLOOR = 0.01
 LONG_TIME_DT = 0.02
 THETA_CANDIDATES = (-np.pi / 2, np.pi / 2)
+CROSS_CHECK_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +41,14 @@ class GraphSpec:
     n: int
     theta: float = 0.0
     magnitude: float = 1.0
+
+    def __post_init__(self):
+        # Only the triangular chain has a hopping magnitude; elsewhere it would
+        # be recorded in outputs without having been used.
+        if self.kind != "tri" and self.magnitude != 1.0:
+            raise ValueError(
+                f"magnitude applies to tri graphs only, got {self.magnitude} for {self.kind!r}"
+            )
 
     def build(self) -> graphs.WeightedGraph:
         if self.kind == "tri":
@@ -73,6 +83,12 @@ class StateSpec:
         if self.kind == "werner":
             return None
         raise ValueError(f"unknown state kind {self.kind!r}")
+
+    def ensemble(self, n: int) -> tuple[tuple[float, np.ndarray], ...]:
+        """Weights and pure members {w_m, psi_m}; a pure state is ((1.0, psi),)."""
+        if self.kind == "werner":
+            return states.werner_ensemble(n, self.b)
+        return ((1.0, self.build_pure(n)),)
 
     def build_density(self, n: int) -> np.ndarray:
         psi = self.build_pure(n)
@@ -161,31 +177,54 @@ class ScalingResult:
 # traces
 
 
+def _ensemble_amplitudes(d: SpectralDecomposition, ensemble, times: np.ndarray) -> list:
+    """(w_m, a_m) per member, a_m the n x T amplitudes of psi_m over the grid."""
+    return [(w, site_amplitudes(d, psi, times)) for w, psi in ensemble]
+
+
+def _coherence(members, a: int, b: int) -> np.ndarray:
+    """rho_ab(t) = sum_m w_m a_m,a(t) conj(a_m,b(t)), 0-based site indices."""
+    return sum(w * (amp[a] * np.conj(amp[b])) for w, amp in members)
+
+
+def _populations(members, rows) -> np.ndarray:
+    """rho_ss(t) = sum_m w_m |a_m,s(t)|^2 for the site rows ``rows`` (0-based)."""
+    return sum(w * np.abs(amp[rows]) ** 2 for w, amp in members)
+
+
+def _cross_check(values: np.ndarray, reference: float, label: str) -> None:
+    # Numerical-health check of a mixed trace: its last sample must agree with
+    # the density-matrix definition evaluated at the same time.
+    if not abs(values[-1] - reference) <= CROSS_CHECK_TOL:
+        raise ArithmeticError(
+            f"{label}: ensemble value {values[-1]!r} at the last time differs from "
+            f"the density-matrix value {reference!r} by more than {CROSS_CHECK_TOL:g}"
+        )
+
+
 def concurrence_trace(
     graph_spec: GraphSpec,
     state_spec: StateSpec,
     grid: TimeGrid,
     pair: tuple[int, int] | None = None,
 ) -> TraceSeries:
-    """Pairwise concurrence C_{i,j}(t) over the grid; default pair (n-1, n)."""
+    """Pairwise concurrence C_{i,j}(t) = 2|rho_ij(t)| over the grid; default pair (n-1, n)."""
     n = graph_spec.n
     i, j = pair if pair is not None else (n - 1, n)
+    a, b = measures._site_pair_indices(n, i, j)
     d = graph_spec.decompose()
     times = grid.times()
-    psi0 = state_spec.build_pure(n)
-    if psi0 is not None:
-        amp = site_amplitudes(d, psi0, times)
-        values = 2.0 * np.abs(amp[i - 1] * np.conj(amp[j - 1]))
-        values = np.clip(values, 0.0, 1.0)
-    else:
-        rho0 = state_spec.build_density(n)
-        values = np.array(
-            [measures.concurrence_pair_fast(evolve_density(d, rho0, t), i, j) for t in times]
-        )
+    ensemble = state_spec.ensemble(n)
+    members = _ensemble_amplitudes(d, ensemble, times)
+    values = np.clip(2.0 * np.abs(_coherence(members, a, b)), 0.0, 1.0)
+    label = f"concurrence:{i},{j}"
+    if len(ensemble) > 1:
+        rho_t = evolve_density(d, state_spec.build_density(n), times[-1])
+        _cross_check(values, measures.concurrence_pair_fast(rho_t, i, j), label)
     return TraceSeries(
         times,
         values,
-        label=f"concurrence:{i},{j}",
+        label=label,
         params={"graph": graph_spec, "state": state_spec},
     )
 
@@ -193,24 +232,23 @@ def concurrence_trace(
 def occupation_trace(
     graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid, site: int
 ) -> TraceSeries:
-    """Occupation probability P_site(t) over the grid."""
+    """Occupation probability P_site(t) = rho_ss(t) over the grid."""
     n = graph_spec.n
     if not 1 <= site <= n:
         raise IndexError(f"site index {site} out of range 1..{n}")
     d = graph_spec.decompose()
     times = grid.times()
-    psi0 = state_spec.build_pure(n)
-    if psi0 is not None:
-        values = np.abs(site_amplitudes(d, psi0, times)[site - 1]) ** 2
-    else:
-        rho0 = state_spec.build_density(n)
-        values = np.array(
-            [np.real(evolve_density(d, rho0, t)[site - 1, site - 1]) for t in times]
-        )
+    ensemble = state_spec.ensemble(n)
+    members = _ensemble_amplitudes(d, ensemble, times)
+    values = np.clip(_populations(members, site - 1), 0.0, 1.0)
+    label = f"occupation:{site}"
+    if len(ensemble) > 1:
+        rho_t = evolve_density(d, state_spec.build_density(n), times[-1])
+        _cross_check(values, occupation(rho_t, site), label)
     return TraceSeries(
         times,
-        np.clip(values, 0.0, 1.0),
-        label=f"occupation:{site}",
+        values,
+        label=label,
         params={"graph": graph_spec, "state": state_spec},
     )
 
@@ -238,18 +276,18 @@ def transfer_fidelity_trace(
 
 
 def bures_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) -> TraceSeries:
-    """Diagonal-only Bures distance between rho(t) and rho(-t) over the grid."""
+    """Diagonal-only Bures distance ||sqrt(diag rho(t)) - sqrt(diag rho(-t))|| over the grid."""
     n = graph_spec.n
     d = graph_spec.decompose()
     times = grid.times()
-    psi0 = state_spec.build_pure(n)
-    if psi0 is not None:
-        fwd = np.abs(site_amplitudes(d, psi0, times))
-        bwd = np.abs(site_amplitudes(d, psi0, -times))
-        values = np.linalg.norm(fwd - bwd, axis=0)
-    else:
+    ensemble = state_spec.ensemble(n)
+    fwd = np.sqrt(_populations(_ensemble_amplitudes(d, ensemble, times), slice(None)))
+    bwd = np.sqrt(_populations(_ensemble_amplitudes(d, ensemble, -times), slice(None)))
+    values = np.linalg.norm(fwd - bwd, axis=0)
+    if len(ensemble) > 1:
+        # The distance is even in t, and pts_bures takes t >= 0 only.
         rho0 = state_spec.build_density(n)
-        values = np.array([measures.pts_bures(d, rho0, t) for t in times])
+        _cross_check(values, measures.pts_bures(d, rho0, abs(times[-1])), "pts-bures")
     return TraceSeries(
         times,
         values,
@@ -259,17 +297,32 @@ def bures_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) ->
 
 
 def werner_trace(n: int, b: float, theta: float, grid: TimeGrid) -> TraceSeries:
-    """Fidelity of an evolving Werner state against its transferred target."""
+    """Fidelity of an evolving Werner state against its transferred target.
+
+    The target sigma lives on the 2x2 block of sites (n-1, n), so only that
+    block rho_B(t) of the evolved state enters, and for 2x2 blocks
+    F = tr(sigma_B rho_B) + 2 sqrt(det sigma_B det rho_B).  With ensemble
+    weights w+- = (1 +- b)/2, det sigma_B = w+ w- and, by Cauchy-Binet,
+    det rho_B = w+ w- |a+_{n-1} a-_n - a+_n a-_{n-1}|^2, so the square root
+    is taken of nothing but a product of weights.
+    """
     spec = GraphSpec("tri", n, theta)
     d = spec.decompose()
-    rho0 = states.werner(n, b)
-    target = states.target_werner(n, b)
     times = grid.times()
-    values = np.array([measures.fidelity(evolve_density(d, rho0, t), target) for t in times])
+    members = _ensemble_amplitudes(d, states.werner_ensemble(n, b), times)
+    (w_plus, plus), (w_minus, minus) = members
+    p, q = n - 2, n - 1  # 0-based rows of the target sites n-1, n
+    overlap = 0.5 * _populations(members, [p, q]).sum(axis=0)
+    overlap += b * np.real(_coherence(members, p, q))
+    det_term = 2.0 * w_plus * w_minus * np.abs(plus[p] * minus[q] - plus[q] * minus[p])
+    values = np.clip(overlap + det_term, 0.0, 1.0)
+    label = f"werner-fidelity:b={b}"
+    rho_t = evolve_density(d, states.werner(n, b), times[-1])
+    _cross_check(values, measures.fidelity(rho_t, states.target_werner(n, b)), label)
     return TraceSeries(
         times,
         values,
-        label=f"werner-fidelity:b={b}",
+        label=label,
         params={"graph": spec, "b": b},
     )
 

@@ -77,6 +77,22 @@ def werner(n: int, b) -> np.ndarray:
     return rho
 
 
+def werner_ensemble(n: int, b) -> tuple[tuple[float, np.ndarray], ...]:
+    """Pure-state ensemble ((1 + b)/2, psi+), ((1 - b)/2, psi-) of ``werner(n, b)``.
+
+    psi+- = (|1> +- |2>)/sqrt(2) are the eigenvectors of the occupied 2x2
+    block, written in closed form.  Both members are kept even when one
+    weight is zero, so the ensemble always has the same two rows.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2 sites, got {n}")
+    spec = b if isinstance(b, WernerSpec) else WernerSpec(float(b))
+    return (
+        ((1.0 + spec.b) / 2.0, spatial_pair(n, 1, 2, np.pi)),
+        ((1.0 - spec.b) / 2.0, spatial_pair(n, 1, 2, 0.0)),
+    )
+
+
 def target_pure(n: int, phi: float) -> np.ndarray:
     """Transfer target (|n-1> - e^{i phi} |n>)/sqrt(2) at the right end."""
     if n < 2:

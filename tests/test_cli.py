@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from chiralwalk import cli, graphs
+from chiralwalk import cli, experiments, graphs
 from chiralwalk.experiments import GraphSpec, StateSpec, TimeGrid, concurrence_trace
 from chiralwalk.io import format_number
 
@@ -220,6 +220,80 @@ class TestExitCodes:
             "--measure", "occupation:7", "--t", "0:1:0.5", "--out", str(tmp_path),
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("measure", ["concurrence:0,5", "concurrence:5,5",
+                                         "concurrence:4,9"])
+    def test_bad_concurrence_pair_is_2(self, tmp_path, measure, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main([
+                "trace", "--graph", "tri:5", "--state", "pair:1,2:pi",
+                "--measure", measure, "--t", "0:1:0.5", "--out", str(tmp_path),
+            ])
+        assert err.value.code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 2  # usage + message
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("graph", ["cycle:5", "complete:5", "pentagram:5"])
+    def test_magnitude_off_tri_is_2(self, tmp_path, graph):
+        with pytest.raises(SystemExit) as err:
+            cli.main([
+                "trace", "--graph", graph, "--magnitude", "2", "--state", "pair:1,2:pi",
+                "--measure", "concurrence", "--t", "0:1:0.5", "--out", str(tmp_path),
+            ])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("name", ["../escape", "", ".", "..", "a/b", "a\\b"])
+    def test_name_outside_out_is_2(self, tmp_path, name):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            cli.main([
+                "trace", "--graph", "tri:5", "--state", "pair:1,2:pi", "--measure",
+                "concurrence", "--t", "0:1:0.5", "--out", str(out), "--name", name,
+            ])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def _manifest(self, tmp_path, **changes):
+        cli.main([
+            "trace", "--graph", "tri:5", "--state", "pair:1,2:pi", "--measure",
+            "concurrence", "--t", "0:1:0.5", "--out", str(tmp_path / "first"),
+        ])
+        manifest = json.loads((tmp_path / "first" / "trace.manifest.json").read_text())
+        manifest["parameters"].update(changes)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        return path
+
+    def test_manifest_name_outside_out_is_2(self, tmp_path):
+        path = self._manifest(tmp_path, name="../escape")
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["rerun", str(path), "--out", str(tmp_path / "out" / "inner")])
+        assert err.value.code == 2
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("changes", [
+        {"graph": {"kind": "tri"}}, {"grid": {"t_start": 0}}, {"graph": "tri:5"},
+    ])
+    def test_manifest_missing_parameter_is_2(self, tmp_path, capsys, changes):
+        path = self._manifest(tmp_path, **changes)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            cli.main(["rerun", str(path), "--out", str(tmp_path / "again")])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr and "manifest" in stderr.splitlines()[-1]
+
+    def test_failed_cross_check_is_1(self, tmp_path, monkeypatch, capsys):
+        real = experiments.site_amplitudes
+        monkeypatch.setattr(experiments, "site_amplitudes",
+                            lambda d, psi, times: real(d, psi, times) * (1 + 1e-6))
+        rc = cli.main([
+            "trace", "--graph", "tri:5", "--theta", "0.5pi", "--state", "werner:0.5",
+            "--measure", "werner-fidelity", "--t", "0:1:0.5", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "density-matrix value" in capsys.readouterr().err
 
     def test_missing_manifest_is_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

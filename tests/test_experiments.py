@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from chiralwalk import measures, states
+from chiralwalk import experiments, measures, states
+from chiralwalk.dynamics import evolve_density
 from chiralwalk.experiments import (
     GraphSpec,
     StateSpec,
@@ -92,6 +93,12 @@ class TestConcurrenceTrace:
         )
         assert series.values.shape == (5,)
         assert series.values[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_bad_pairs(self):
+        gspec, grid = GraphSpec("tri", 5, PI / 2), TimeGrid(0, 1, 0.5)
+        for pair, error in (((0, 5), IndexError), ((5, 5), ValueError), ((4, 9), IndexError)):
+            with pytest.raises(error):
+                concurrence_trace(gspec, BELL, grid, pair)
 
 
 class TestOccupationTrace:
@@ -422,3 +429,59 @@ class TestStateSpec:
 
     def test_werner_has_no_pure_form(self):
         assert StateSpec("werner", b=0.3).build_pure(5) is None
+
+
+class TestEnsembleOracle:
+    """Mixed traces from the ensemble's amplitude rows against the per-time
+    evolve_density + measures definitions, sample by sample."""
+
+    GRID = TimeGrid(0.0, 2.0, 0.25)
+
+    @staticmethod
+    def _graph(n, theta):
+        # The triangular chain needs 3 sites; n = 2 runs on the complete graph.
+        return GraphSpec("tri" if n >= 3 else "pentagram", n, theta)
+
+    @given(st.floats(-1.0, 1.0), st.floats(-PI, PI), st.integers(3, 9))
+    @example(-1.0, PI / 2, 5)
+    @example(0.0, 0.3, 3)
+    @example(1.0, -PI / 2, 9)
+    @settings(max_examples=25, deadline=None)
+    def test_werner_fidelity(self, b, theta, n):
+        series = werner_trace(n, b, theta, self.GRID)
+        d = GraphSpec("tri", n, theta).decompose()
+        rho0, target = states.werner(n, b), states.target_werner(n, b)
+        for t, value in zip(series.times, series.values):
+            expected = measures.fidelity(evolve_density(d, rho0, t), target)
+            assert abs(value - expected) < 1e-10
+
+    @given(st.floats(-1.0, 1.0), st.floats(-PI, PI), st.integers(2, 9))
+    @example(-1.0, PI / 2, 2)
+    @example(0.0, 0.3, 5)
+    @example(1.0, -PI / 2, 9)
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_bures_concurrence_occupation(self, b, theta, n):
+        gspec, sspec = self._graph(n, theta), StateSpec("werner", b=b)
+        d = gspec.decompose()
+        rho0 = states.werner(n, b)
+        bures = bures_trace(gspec, sspec, self.GRID)
+        conc = concurrence_trace(gspec, sspec, self.GRID)
+        occ = occupation_trace(gspec, sspec, self.GRID, site=n)
+        for k, t in enumerate(self.GRID.times()):
+            rho_t = evolve_density(d, rho0, t)
+            assert abs(bures.values[k] - measures.pts_bures(d, rho0, t)) < 1e-10
+            assert abs(conc.values[k] - measures.concurrence_pair_fast(rho_t, n - 1, n)) < 1e-10
+            assert abs(occ.values[k] - rho_t[n - 1, n - 1].real) < 1e-10
+
+    @pytest.mark.parametrize("trace", [
+        lambda g, s, grid: werner_trace(5, s.b, g.theta, grid),
+        bures_trace,
+        concurrence_trace,
+        lambda g, s, grid: occupation_trace(g, s, grid, site=4),
+    ], ids=["werner", "bures", "concurrence", "occupation"])
+    def test_cross_check_catches_corrupted_values(self, trace, monkeypatch):
+        real = experiments.site_amplitudes
+        monkeypatch.setattr(experiments, "site_amplitudes",
+                            lambda d, psi, times: real(d, psi, times) * (1 + 1e-6))
+        with pytest.raises(ArithmeticError, match="density-matrix value"):
+            trace(GraphSpec("tri", 5, PI / 2), StateSpec("werner", b=0.5), TimeGrid(0, 1, 0.5))

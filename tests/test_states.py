@@ -95,6 +95,19 @@ class TestWerner:
         assert measures.concurrence_wootters(pd) == pytest.approx(abs(b), abs=1e-9)
         assert measures.concurrence_pair_fast(rho, 1, 2) == pytest.approx(abs(b), abs=1e-12)
 
+    @pytest.mark.parametrize("b", [-1.0, -0.25, 0.0, 0.5, 1.0])
+    def test_ensemble_sums_to_density(self, b):
+        ensemble = states.werner_ensemble(5, b)
+        rho = sum(w * np.outer(psi, psi.conj()) for w, psi in ensemble)
+        assert [w for w, _ in ensemble] == [(1 + b) / 2, (1 - b) / 2]
+        assert np.abs(rho - states.werner(5, b)).max() < 1e-15
+
+    def test_ensemble_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            states.werner_ensemble(5, 1.5)
+        with pytest.raises(ValueError):
+            states.werner_ensemble(1, 0.5)
+
 
 class TestTargets:
     def test_target_pure_plus_combination(self):
