@@ -91,7 +91,7 @@ def parse_state(text: str) -> StateSpec:
 
 
 def validate_measure(text: str, n: int) -> str:
-    """Check a measure spec, and a concurrence pair against the n sites."""
+    """Check a measure spec, and its concurrence pair or occupation site against n."""
     kind, _, arg = str(text).partition(":")
     if kind == "concurrence":
         if arg:
@@ -102,6 +102,8 @@ def validate_measure(text: str, n: int) -> str:
     elif kind == "occupation":
         if not arg.strip().lstrip("-").isdigit():
             raise ValueError(f"occupation needs a site index, got {arg!r}")
+        if not 1 <= int(arg) <= n:
+            raise IndexError(f"occupation site {int(arg)} out of range 1..{n}")
     elif kind == "transfer-fidelity":
         if arg:
             parse_phase(arg)
@@ -212,6 +214,16 @@ def _grid_dict(g: TimeGrid) -> dict:
 
 def _grid_from_dict(d: dict) -> TimeGrid:
     return TimeGrid(float(d["t_start"]), float(d["t_end"]), float(d["dt"]))
+
+
+def _check_manifest_parameters(command: str, params: dict) -> None:
+    # Build every spec a manifest holds, so that a bad value is caught while
+    # loading (a usage error) rather than while running.
+    check_name(params["name"])
+    from_dict = {"graph": _graph_from_dict, "state": _state_from_dict, "grid": _grid_from_dict}
+    specs = {key: build(params[key]) for key, build in from_dict.items() if key in params}
+    if command == "trace":
+        validate_measure(params["measure"], specs["graph"].n)
 
 
 def _state_comment(s: StateSpec) -> str:
@@ -563,10 +575,10 @@ def main(argv=None) -> int:
             command = manifest["subcommand"]
             params = manifest["parameters"]
             runner = _RUNNERS[command]
-            check_name(params["name"])
+            _check_manifest_parameters(command, params)
         except KeyError as exc:
             parser.error(f"cannot load manifest {args.manifest!r}: missing key {exc}")
-        except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, TypeError, ValueError, IndexError) as exc:
             parser.error(f"cannot load manifest {args.manifest!r}: {exc}")
     else:
         command = args.command

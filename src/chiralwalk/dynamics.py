@@ -15,6 +15,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
+AMPLITUDE_CHUNK = 4096  # grid columns per phase block in site_amplitudes
 
 
 def check_hermitian(H) -> np.ndarray:
@@ -126,10 +127,15 @@ def evolve_density(d: SpectralDecomposition, rho0, t: float) -> np.ndarray:
     return U @ rho0 @ U.conj().T
 
 
-def site_amplitudes(d: SpectralDecomposition, psi0, times) -> np.ndarray:
-    """Amplitudes of a pure state on a whole time grid, shape (n, len(times)).
+def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
+    """Amplitudes of a pure state on a whole time grid, shape (r, len(times)).
 
-    Column j holds psi(times[j]); equivalent to stacking evolve_pure calls.
+    Row k holds site ``rows[k]`` (0-based; default all n sites) and column j
+    holds it at times[j]; equivalent to stacking evolve_pure calls and
+    keeping those rows.  The readout is folded into W = V[rows] diag(c), and
+    the grid is walked in blocks of AMPLITUDE_CHUNK columns, so memory is
+    the r x T output plus one n x AMPLITUDE_CHUNK phase block.  Each column
+    depends on its own time only.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -137,9 +143,27 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times) -> np.ndarray:
     if times.size and not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     psi0 = check_pure_state(psi0, d.n)
-    c = d.eigenvectors.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(d.eigenvalues, times))
-    return d.eigenvectors @ (c[:, None] * phases)
+    V = d.eigenvectors
+    if rows is not None:
+        rows = np.asarray(rows, dtype=int)
+        if rows.ndim != 1 or np.any((rows < 0) | (rows >= d.n)):
+            raise IndexError(f"rows must be a 1-d list of site indices in 0..{d.n - 1}")
+        V = V[rows]
+    W = V * (d.eigenvectors.conj().T @ psi0)
+    out = np.empty((W.shape[0], times.size), dtype=complex)
+    width = min(AMPLITUDE_CHUNK, times.size)
+    angles = np.empty((d.n, width))
+    phases = np.empty((d.n, width), dtype=complex)
+    for start in range(0, times.size, AMPLITUDE_CHUNK):
+        block = times[start:start + AMPLITUDE_CHUNK]
+        arg, ph = angles[:, :block.size], phases[:, :block.size]
+        # e^{-i lam t} as cos - i sin: the same bits as np.exp(-1j * lam t).
+        np.multiply.outer(d.eigenvalues, block, out=arg)
+        np.cos(arg, out=ph.real)
+        np.sin(arg, out=ph.imag)
+        np.negative(ph.imag, out=ph.imag)
+        np.matmul(W, ph, out=out[:, start:start + block.size])
+    return out
 
 
 def occupation(rho, i: int) -> float:

@@ -22,6 +22,9 @@ from .dynamics import (
     spectral_decompose,
 )
 
+# Bounds what a trace holds whole, which grows with the grid: the r x T
+# complex readout rows (160 MB per row at the bound) and the CSV text (about
+# 24 bytes per row).  The phase block of site_amplitudes does not grow with T.
 MAX_GRID_POINTS = 10**7
 PEAK_NOISE_FLOOR = 0.01
 LONG_TIME_DT = 0.02
@@ -177,18 +180,24 @@ class ScalingResult:
 # traces
 
 
-def _ensemble_amplitudes(d: SpectralDecomposition, ensemble, times: np.ndarray) -> list:
-    """(w_m, a_m) per member, a_m the n x T amplitudes of psi_m over the grid."""
-    return [(w, site_amplitudes(d, psi, times)) for w, psi in ensemble]
+def _ensemble_amplitudes(
+    d: SpectralDecomposition, ensemble, times: np.ndarray, rows=None
+) -> list:
+    """(w_m, a_m) per member, a_m the amplitudes of psi_m over the grid.
+
+    a_m holds only the site rows ``rows`` (0-based, default all n), in that
+    order, so the helpers below index it by position in ``rows``.
+    """
+    return [(w, site_amplitudes(d, psi, times, rows)) for w, psi in ensemble]
 
 
 def _coherence(members, a: int, b: int) -> np.ndarray:
-    """rho_ab(t) = sum_m w_m a_m,a(t) conj(a_m,b(t)), 0-based site indices."""
+    """rho_ab(t) = sum_m w_m a_m,a(t) conj(a_m,b(t)), a and b rows of a_m."""
     return sum(w * (amp[a] * np.conj(amp[b])) for w, amp in members)
 
 
 def _populations(members, rows) -> np.ndarray:
-    """rho_ss(t) = sum_m w_m |a_m,s(t)|^2 for the site rows ``rows`` (0-based)."""
+    """rho_ss(t) = sum_m w_m |a_m,s(t)|^2 for the rows ``rows`` of a_m."""
     return sum(w * np.abs(amp[rows]) ** 2 for w, amp in members)
 
 
@@ -215,8 +224,8 @@ def concurrence_trace(
     d = graph_spec.decompose()
     times = grid.times()
     ensemble = state_spec.ensemble(n)
-    members = _ensemble_amplitudes(d, ensemble, times)
-    values = np.clip(2.0 * np.abs(_coherence(members, a, b)), 0.0, 1.0)
+    members = _ensemble_amplitudes(d, ensemble, times, [a, b])
+    values = np.clip(2.0 * np.abs(_coherence(members, 0, 1)), 0.0, 1.0)
     label = f"concurrence:{i},{j}"
     if len(ensemble) > 1:
         rho_t = evolve_density(d, state_spec.build_density(n), times[-1])
@@ -239,8 +248,8 @@ def occupation_trace(
     d = graph_spec.decompose()
     times = grid.times()
     ensemble = state_spec.ensemble(n)
-    members = _ensemble_amplitudes(d, ensemble, times)
-    values = np.clip(_populations(members, site - 1), 0.0, 1.0)
+    members = _ensemble_amplitudes(d, ensemble, times, [site - 1])
+    values = np.clip(_populations(members, 0), 0.0, 1.0)
     label = f"occupation:{site}"
     if len(ensemble) > 1:
         rho_t = evolve_density(d, state_spec.build_density(n), times[-1])
@@ -265,8 +274,9 @@ def transfer_fidelity_trace(
     target = states.target_pure(n, phi)
     d = graph_spec.decompose()
     times = grid.times()
-    amp = site_amplitudes(d, psi0, times)
-    values = np.abs(target.conj() @ amp) ** 2
+    support = np.flatnonzero(target)  # sites n-1 and n
+    amp = site_amplitudes(d, psi0, times, support)
+    values = np.abs(target[support].conj() @ amp) ** 2
     return TraceSeries(
         times,
         np.clip(values, 0.0, 1.0),
@@ -309,10 +319,11 @@ def werner_trace(n: int, b: float, theta: float, grid: TimeGrid) -> TraceSeries:
     spec = GraphSpec("tri", n, theta)
     d = spec.decompose()
     times = grid.times()
-    members = _ensemble_amplitudes(d, states.werner_ensemble(n, b), times)
+    # Rows p = 0 and q = 1 of each member are the target sites n-1 and n.
+    members = _ensemble_amplitudes(d, states.werner_ensemble(n, b), times, [n - 2, n - 1])
     (w_plus, plus), (w_minus, minus) = members
-    p, q = n - 2, n - 1  # 0-based rows of the target sites n-1, n
-    overlap = 0.5 * _populations(members, [p, q]).sum(axis=0)
+    p, q = 0, 1
+    overlap = 0.5 * _populations(members, slice(None)).sum(axis=0)
     overlap += b * np.real(_coherence(members, p, q))
     det_term = 2.0 * w_plus * w_minus * np.abs(plus[p] * minus[q] - plus[q] * minus[p])
     values = np.clip(overlap + det_term, 0.0, 1.0)
@@ -354,16 +365,22 @@ def _refine(times: np.ndarray, values: np.ndarray, k: int) -> tuple[float, float
     return float(times[k] + shift * dt), float(y2 - 0.25 * (y1 - y3) * shift)
 
 
+def _interior_maxima(v: np.ndarray) -> np.ndarray:
+    # Mask over v[1:-1]: samples >= both neighbours (plateaus count).
+    mid = v[1:-1]
+    return (mid >= v[:-2]) & (mid >= v[2:])
+
+
 def first_peak(series: TraceSeries, noise_floor: float = PEAK_NOISE_FLOOR) -> PeakResult:
     """Earliest local maximum above the noise floor, parabolically refined."""
     v = series.values
     if len(v) < 3:
         raise ValueError(f"need at least 3 samples, got {len(v)}")
-    for k in range(1, len(v) - 1):
-        if v[k] >= v[k - 1] and v[k] >= v[k + 1] and v[k] > noise_floor:
-            t, val = _refine(series.times, v, k)
-            return PeakResult(t, val, "first-local-max")
-    return PeakResult(math.nan, math.nan, "no-peak", found=False)
+    hits = np.flatnonzero(_interior_maxima(v) & (v[1:-1] > noise_floor))
+    if not hits.size:
+        return PeakResult(math.nan, math.nan, "no-peak", found=False)
+    t, val = _refine(series.times, v, int(hits[0]) + 1)
+    return PeakResult(t, val, "first-local-max")
 
 
 def global_max(series: TraceSeries) -> PeakResult:
@@ -374,15 +391,22 @@ def global_max(series: TraceSeries) -> PeakResult:
 
 
 def top_peaks(series: TraceSeries, count: int = 3) -> tuple[PeakResult, ...]:
-    """The ``count`` highest interior local maxima, best first."""
-    v = series.values
-    found = []
-    for k in range(1, len(v) - 1):
-        if v[k] >= v[k - 1] and v[k] >= v[k + 1]:
-            t, val = _refine(series.times, v, k)
-            found.append(PeakResult(t, val, "local-max"))
-    found.sort(key=lambda p: (-p.value, p.t_peak))
-    return tuple(found[:count])
+    """The ``count`` highest interior local maxima, best first.
+
+    Every maximum is refined with _refine's arithmetic, element-wise and in
+    the same operation order, so the values match it bit for bit; ties in
+    value go to the earlier time.
+    """
+    times, v = series.times, series.values
+    k = np.flatnonzero(_interior_maxima(v)) + 1
+    y1, y2, y3 = v[k - 1], v[k], v[k + 1]
+    denom = y1 - 2.0 * y2 + y3
+    flat = np.abs(denom) < 1e-300
+    shift = np.divide(0.5 * (y1 - y3), denom, out=np.zeros_like(denom), where=~flat)
+    t = np.where(flat, times[k], times[k] + shift * (times[k + 1] - times[k]))
+    val = np.where(flat, y2, y2 - 0.25 * (y1 - y3) * shift)
+    best = np.lexsort((t, -val))[:count]
+    return tuple(PeakResult(float(t[i]), float(val[i]), "local-max") for i in best)
 
 
 # ---------------------------------------------------------------------------

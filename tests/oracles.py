@@ -1,14 +1,19 @@
 """Independent brute-force reference implementations used by the tests.
 
 Nothing here shares code paths with the package: partial traces run in the
-full 2^N two-level-per-site space, propagators go through scipy's expm, and
-the concurrence uses the rho * rho~ eigenvalue route.
+full 2^N two-level-per-site space, propagators go through scipy's expm, the
+concurrence uses the rho * rho~ eigenvalue route, and the peak searches walk
+the samples one at a time.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
+
+from chiralwalk.experiments import PeakResult
 
 
 def partial_trace(rho_full: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
@@ -90,3 +95,36 @@ def random_density_matrix(rng: np.random.Generator, n: int, rank: int = 2) -> np
         psi = random_single_excitation_state(rng, n)
         rho += w * np.outer(psi, psi.conj())
     return rho
+
+
+def _parabola_peak(times, values, k: int) -> tuple[float, float]:
+    """Vertex of the parabola through samples k-1, k, k+1 (grid point if flat)."""
+    y1, y2, y3 = values[k - 1], values[k], values[k + 1]
+    denom = y1 - 2.0 * y2 + y3
+    if abs(denom) < 1e-300:
+        return float(times[k]), float(values[k])
+    shift = 0.5 * (y1 - y3) / denom
+    dt = times[k + 1] - times[k]
+    return float(times[k] + shift * dt), float(y2 - 0.25 * (y1 - y3) * shift)
+
+
+def first_peak_scan(series, noise_floor: float):
+    """Earliest interior sample >= both neighbours and above the floor, one by one."""
+    v = series.values
+    for k in range(1, len(v) - 1):
+        if v[k] >= v[k - 1] and v[k] >= v[k + 1] and v[k] > noise_floor:
+            t, val = _parabola_peak(series.times, v, k)
+            return PeakResult(t, val, "first-local-max")
+    return PeakResult(math.nan, math.nan, "no-peak", found=False)
+
+
+def top_peaks_scan(series, count: int):
+    """Every interior local maximum refined one by one, sorted by (-value, t)."""
+    v = series.values
+    found = []
+    for k in range(1, len(v) - 1):
+        if v[k] >= v[k - 1] and v[k] >= v[k + 1]:
+            t, val = _parabola_peak(series.times, v, k)
+            found.append(PeakResult(t, val, "local-max"))
+    found.sort(key=lambda p: (-p.value, p.t_peak))
+    return tuple(found[:count])

@@ -214,12 +214,14 @@ class TestExitCodes:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
-    def test_out_of_range_site_is_1(self, tmp_path, capsys):
-        rc = cli.main([
-            "trace", "--graph", "tri:5", "--theta", "0", "--state", "localized:1",
-            "--measure", "occupation:7", "--t", "0:1:0.5", "--out", str(tmp_path),
-        ])
-        assert rc == 1
+    def test_out_of_range_site_is_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main([
+                "trace", "--graph", "tri:5", "--theta", "0", "--state", "localized:1",
+                "--measure", "occupation:7", "--t", "0:1:0.5", "--out", str(tmp_path),
+            ])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("measure", ["concurrence:0,5", "concurrence:5,5",
                                          "concurrence:4,9"])
@@ -284,10 +286,27 @@ class TestExitCodes:
         stderr = capsys.readouterr().err
         assert "Traceback" not in stderr and "manifest" in stderr.splitlines()[-1]
 
+    @pytest.mark.parametrize("changes", [
+        {"graph": {"kind": "tri", "n": "abc", "theta": 0.0, "magnitude": 1.0}},
+        {"graph": {"kind": "cycle", "n": 5, "theta": 0.0, "magnitude": 3}},
+        {"graph": {"kind": "cycle", "n": 5, "theta": 0.0, "magnitude": 1.0},
+         "measure": "occupation:9"},
+    ], ids=["n-not-int", "magnitude-off-tri", "site-out-of-range"])
+    def test_manifest_bad_value_is_2(self, tmp_path, capsys, changes):
+        path = self._manifest(tmp_path, **changes)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            cli.main(["rerun", str(path), "--out", str(tmp_path / "again")])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr and "manifest" in stderr.splitlines()[-1]
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_failed_cross_check_is_1(self, tmp_path, monkeypatch, capsys):
         real = experiments.site_amplitudes
         monkeypatch.setattr(experiments, "site_amplitudes",
-                            lambda d, psi, times: real(d, psi, times) * (1 + 1e-6))
+                            lambda d, psi, times, rows=None: real(d, psi, times, rows) * (1 + 1e-6))
         rc = cli.main([
             "trace", "--graph", "tri:5", "--theta", "0.5pi", "--state", "werner:0.5",
             "--measure", "werner-fidelity", "--t", "0:1:0.5", "--out", str(tmp_path),

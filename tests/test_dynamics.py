@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from chiralwalk import dynamics, graphs, states
@@ -252,3 +254,56 @@ class TestSiteAmplitudes:
     def test_rejects_non_finite_times(self, chiral5):
         with pytest.raises(ValueError):
             dynamics.site_amplitudes(chiral5, states.localized(5, 1), [0.0, math.nan])
+
+    @given(st.data(), st.integers(2, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_full_and_evolve_pure(self, data, n, seed):
+        rng = np.random.default_rng(seed)
+        H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        d = dynamics.spectral_decompose((H + H.conj().T) / 2)
+        psi0 = oracles.random_single_excitation_state(rng, n)
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        times = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), max_size=12)))
+        part = dynamics.site_amplitudes(d, psi0, times, rows)
+        assert part.shape == (len(rows), times.size)
+        assert np.abs(part - dynamics.site_amplitudes(d, psi0, times)[rows]).max(initial=0) < 1e-12
+        for k, t in enumerate(times):
+            assert np.abs(part[:, k] - dynamics.evolve_pure(d, psi0, t)[rows]).max() < 1e-12
+
+    def test_chunk_boundaries_match_evolve_pure(self, chiral5):
+        psi0 = states.spatial_pair(5, 1, 2, 0.4)
+        chunk = dynamics.AMPLITUDE_CHUNK
+        times = -3.0 + 0.01 * np.arange(2 * chunk + 3)
+        amp = dynamics.site_amplitudes(chiral5, psi0, times)
+        part = dynamics.site_amplitudes(chiral5, psi0, times, [4, 0])
+        for k in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, times.size - 1):
+            psi = dynamics.evolve_pure(chiral5, psi0, times[k])
+            assert np.abs(amp[:, k] - psi).max() < 1e-12
+            assert np.abs(part[:, k] - psi[[4, 0]]).max() < 1e-12
+
+    @pytest.mark.parametrize("rows", [None, [3], [0, 4]])
+    def test_empty_times(self, chiral5, rows):
+        amp = dynamics.site_amplitudes(chiral5, states.localized(5, 1), [], rows)
+        assert amp.shape == (5 if rows is None else len(rows), 0)
+
+    @pytest.mark.parametrize("rows", [[5], [-1], [[0, 1]]])
+    def test_rejects_bad_rows(self, chiral5, rows):
+        with pytest.raises(IndexError):
+            dynamics.site_amplitudes(chiral5, states.localized(5, 1), [0.0], rows)
+
+    def test_peak_memory_does_not_grow_with_grid(self):
+        # Two readout rows of a 71-site chain over 200 001 times: the output
+        # alone is 6.4 MB, and the n x T phase matrix would be 227 MB.
+        d = dynamics.spectral_decompose(
+            graphs.hamiltonian(graphs.triangular_chain(71, math.pi / 2, 1.0))
+        )
+        psi0 = states.spatial_pair(71, 1, 2, math.pi)
+        times = 0.01 * np.arange(200_001)
+        tracemalloc.start()
+        try:
+            amp = dynamics.site_amplitudes(d, psi0, times, [69, 70])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert amp.shape == (2, 200_001)
+        assert peak < 32e6

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from chiralwalk import experiments, measures, states
 from chiralwalk.dynamics import evolve_density
 from chiralwalk.experiments import (
@@ -28,6 +29,23 @@ from chiralwalk.experiments import (
 
 PI = math.pi
 BELL = StateSpec("pair", i=1, j=2, phi=PI)
+PEAK_FLOOR = experiments.PEAK_NOISE_FLOOR
+
+
+def _series(values, dt=0.5):
+    values = np.asarray(values, dtype=float)
+    return TraceSeries(dt * np.arange(values.size), values)
+
+
+# A few fixed levels make plateaus, exact value ties and flat triples common.
+_SAMPLE_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _peak_series(draw, min_size=0):
+    values = draw(st.lists(_SAMPLE_VALUES, min_size=min_size, max_size=40))
+    steps = draw(st.lists(st.floats(0.01, 2.0), min_size=len(values), max_size=len(values)))
+    return TraceSeries(draw(st.floats(-10.0, 10.0)) + np.cumsum(steps), np.array(values))
 SHORT = TimeGrid(0.0, 4.0, 0.005)
 
 
@@ -186,6 +204,29 @@ class TestPeaks:
         peaks = top_peaks(TraceSeries(ts, vs), 3)
         assert len(peaks) == 3
         assert peaks[0].value >= peaks[1].value >= peaks[2].value
+
+    @given(_peak_series(), st.integers(0, 8))
+    @example(_series([0.0, 1.0, 1.0, 1.0, 0.0]), 3)  # plateau
+    @example(_series([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), 2)  # exact ties
+    @example(_series([0.5, 0.5, 0.5]), 3)  # flat triple, denom = 0
+    @example(_series([0.0, 1.0, 0.0]), 1)  # length 3
+    @example(_series([0.0, 1.0, 2.0, 3.0]), 3)  # no local maximum
+    @example(_series([0.0, 0.3, 0.1, 0.7, 0.2]), 8)  # count above the peaks
+    @settings(max_examples=200, deadline=None)
+    def test_top_peaks_matches_scan(self, series, count):
+        assert top_peaks(series, count) == oracles.top_peaks_scan(series, count)
+
+    @given(_peak_series(min_size=3), st.sampled_from([0.0, PEAK_FLOOR, 0.5, 1.0]))
+    @example(_series([0.0, 1.0, 1.0, 1.0, 0.0]), PEAK_FLOOR)
+    @example(_series([0.5, 0.5, 0.5]), 0.0)
+    @example(_series([0.0, 1.0, 0.0]), PEAK_FLOOR)
+    @example(_series([0.0, 1.0, 2.0, 3.0]), PEAK_FLOOR)
+    @example(_series([0.0, 0.005, 0.0, 0.5, 0.0]), PEAK_FLOOR)  # below-floor ripple
+    @settings(max_examples=200, deadline=None)
+    def test_first_peak_matches_scan(self, series, floor):
+        fast, ref = first_peak(series, floor), oracles.first_peak_scan(series, floor)
+        # repr is exact for floats, and also compares the NaNs of a no-peak result.
+        assert fast == ref if ref.found else repr(fast) == repr(ref)
 
     def test_grid_refinement_stability_short_peaks(self):
         for theta, state in [(PI / 2, BELL), (0.0, StateSpec("pair", i=1, j=2, phi=3 * PI / 4))]:
@@ -482,6 +523,6 @@ class TestEnsembleOracle:
     def test_cross_check_catches_corrupted_values(self, trace, monkeypatch):
         real = experiments.site_amplitudes
         monkeypatch.setattr(experiments, "site_amplitudes",
-                            lambda d, psi, times: real(d, psi, times) * (1 + 1e-6))
+                            lambda d, psi, times, rows=None: real(d, psi, times, rows) * (1 + 1e-6))
         with pytest.raises(ArithmeticError, match="density-matrix value"):
             trace(GraphSpec("tri", 5, PI / 2), StateSpec("werner", b=0.5), TimeGrid(0, 1, 0.5))
