@@ -1,15 +1,11 @@
 """Entanglement transfer via chiral and continuous-time quantum walks."""
 
 from .graphs import (
-    ChiralPhase,
     WeightedGraph,
-    adjacency_matrix,
     complete_graph,
     cycle_graph,
-    degree_matrix,
     graph_json_dict,
     hamiltonian,
-    laplacian,
     reduce_phase,
     triangular_chain,
 )
@@ -66,12 +62,5 @@ from .experiments import (
     transfer_fidelity_trace,
     werner_trace,
 )
-
-try:
-    from importlib.metadata import version as _version
-
-    __version__ = _version("chiralwalk")
-except Exception:  # pragma: no cover
-    __version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

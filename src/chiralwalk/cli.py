@@ -2,7 +2,8 @@
 
 Every run writes the requested CSV output plus a JSON manifest that captures
 the resolved parameters; ``chiralwalk rerun MANIFEST`` replays a manifest and
-reproduces the CSV byte for byte.  Exit codes: 0 success, 1 numerical or
+reproduces the CSV byte for byte.  Flags and manifests pass the same load step
+(``load``) before anything runs.  Exit codes: 0 success, 1 numerical or
 runtime failure, 2 usage error.
 """
 
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, graphs, io, measures, svgplot
-from .experiments import GraphSpec, StateSpec, TimeGrid
+from .experiments import GraphSpec, StateSpec, TimeGrid, as_number, parse_phase
 
 WORKERS_ENV = "CHIRALWALK_WORKERS"
 
@@ -28,26 +29,6 @@ GRAPH_KINDS = ("tri", "cycle", "pentagram", "complete")
 
 # ---------------------------------------------------------------------------
 # flag parsing
-
-
-def parse_phase(text: str) -> float:
-    """Parse an angle given in radians ('1.64') or as 'Npi' shorthand ('0.5pi')."""
-    s = str(text).strip().lower().replace(" ", "")
-    factor = 1.0
-    if s.endswith("pi"):
-        s = s[:-2]
-        factor = math.pi
-        if s in ("", "+"):
-            s = "1"
-        elif s == "-":
-            s = "-1"
-    try:
-        value = float(s) * factor
-    except ValueError:
-        raise ValueError(f"cannot parse phase {text!r}; use radians or e.g. '0.75pi'")
-    if not math.isfinite(value):
-        raise ValueError(f"phase must be finite, got {text!r}")
-    return value
 
 
 def parse_graph(text: str, theta: float, magnitude: float) -> GraphSpec:
@@ -63,17 +44,7 @@ def parse_graph(text: str, theta: float, magnitude: float) -> GraphSpec:
 def parse_state(text: str) -> StateSpec:
     s = str(text).strip()
     if s.startswith("{"):
-        d = json.loads(s)
-        kind = d.get("kind")
-        if kind == "localized":
-            return StateSpec("localized", site=int(d["site"]))
-        if kind == "pair":
-            phi = d.get("phi", "pi")
-            phi = parse_phase(phi) if isinstance(phi, str) else float(phi)
-            return StateSpec("pair", i=int(d.get("i", 1)), j=int(d.get("j", 2)), phi=phi)
-        if kind == "werner":
-            return StateSpec("werner", b=float(d["b"]))
-        raise ValueError(f"unknown state kind {kind!r}")
+        return StateSpec.from_dict(json.loads(s))
     parts = s.split(":")
     if parts[0] == "localized" and len(parts) == 2:
         return StateSpec("localized", site=int(parts[1]))
@@ -88,31 +59,6 @@ def parse_state(text: str) -> StateSpec:
     raise ValueError(
         f"cannot parse state {text!r}; expected localized:I, pair:I,J[:PHI], werner:B, or JSON"
     )
-
-
-def validate_measure(text: str, n: int) -> str:
-    """Check a measure spec, and its concurrence pair or occupation site against n."""
-    kind, _, arg = str(text).partition(":")
-    if kind == "concurrence":
-        if arg:
-            pair = arg.split(",")
-            if len(pair) != 2 or not all(p.strip().lstrip("-").isdigit() for p in pair):
-                raise ValueError(f"concurrence pair must be I,J, got {arg!r}")
-            measures._site_pair_indices(n, int(pair[0]), int(pair[1]))
-    elif kind == "occupation":
-        if not arg.strip().lstrip("-").isdigit():
-            raise ValueError(f"occupation needs a site index, got {arg!r}")
-        if not 1 <= int(arg) <= n:
-            raise IndexError(f"occupation site {int(arg)} out of range 1..{n}")
-    elif kind == "transfer-fidelity":
-        if arg:
-            parse_phase(arg)
-    elif kind in ("pts-bures", "werner-fidelity"):
-        if arg:
-            raise ValueError(f"measure {kind!r} takes no argument")
-    else:
-        raise ValueError(f"unknown measure {text!r}")
-    return str(text)
 
 
 def parse_grid(text: str) -> TimeGrid:
@@ -152,13 +98,6 @@ def parse_int_list(text: str) -> list[int]:
     return [int(x) for x in s.split(",") if x != ""]
 
 
-def parse_float_list(text: str) -> list[float]:
-    vals = [float(x) for x in str(text).split(",") if x != ""]
-    if not vals:
-        raise ValueError("empty list")
-    return vals
-
-
 def check_name(name) -> str:
     """An output basename: non-empty, not '.' or '..', without path separators."""
     if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
@@ -166,10 +105,6 @@ def check_name(name) -> str:
             f"output name must be a plain file name without '/' or '\\', got {name!r}"
         )
     return name
-
-
-def _name(args: argparse.Namespace, default: str) -> str:
-    return check_name(default if args.name is None else args.name)
 
 
 def _workers() -> int:
@@ -181,135 +116,220 @@ def _workers() -> int:
 
 
 # ---------------------------------------------------------------------------
-# serializable parameter dicts (stored in manifests)
+# measures: the check of a measure's argument, and its trace function
 
 
-def _graph_dict(g: GraphSpec) -> dict:
-    return {"kind": g.kind, "n": g.n, "theta": g.theta, "magnitude": g.magnitude}
+def _is_int(text: str) -> bool:
+    return text.strip().lstrip("-").isdigit()
 
 
-def _graph_from_dict(d: dict) -> GraphSpec:
-    return GraphSpec(d["kind"], int(d["n"]), float(d["theta"]), float(d.get("magnitude", 1.0)))
+def _no_arg(arg: str, n: int, state: StateSpec) -> tuple:
+    if arg:
+        raise ValueError(f"measure takes no argument, got {arg!r}")
+    return ()
 
 
-def _state_dict(s: StateSpec) -> dict:
-    if s.kind == "localized":
-        return {"kind": "localized", "site": s.site}
-    if s.kind == "pair":
-        return {"kind": "pair", "i": s.i, "j": s.j, "phi": s.phi}
-    return {"kind": "werner", "b": s.b}
+def _concurrence_arg(arg: str, n: int, state: StateSpec) -> tuple:
+    if not arg:
+        return (None,)
+    pair = arg.split(",")
+    if len(pair) != 2 or not all(_is_int(p) for p in pair):
+        raise ValueError(f"concurrence pair must be I,J, got {arg!r}")
+    i, j = int(pair[0]), int(pair[1])
+    measures._site_pair_indices(n, i, j)
+    return ((i, j),)
 
 
-def _state_from_dict(d: dict) -> StateSpec:
-    if d["kind"] == "localized":
-        return StateSpec("localized", site=int(d["site"]))
-    if d["kind"] == "pair":
-        return StateSpec("pair", i=int(d["i"]), j=int(d["j"]), phi=float(d["phi"]))
-    return StateSpec("werner", b=float(d["b"]))
+def _occupation_arg(arg: str, n: int, state: StateSpec) -> tuple:
+    if not _is_int(arg):
+        raise ValueError(f"occupation needs a site index, got {arg!r}")
+    if not 1 <= int(arg) <= n:
+        raise IndexError(f"occupation site {int(arg)} out of range 1..{n}")
+    return (int(arg),)
 
 
-def _grid_dict(g: TimeGrid) -> dict:
-    return {"t_start": g.t_start, "t_end": g.t_end, "dt": g.dt}
+def _werner_arg(arg: str, n: int, state: StateSpec) -> tuple:
+    if state.kind != "werner":
+        raise ValueError(f"werner-fidelity needs a werner state, got {state.kind!r}")
+    return _no_arg(arg, n, state)
 
 
-def _grid_from_dict(d: dict) -> TimeGrid:
-    return TimeGrid(float(d["t_start"]), float(d["t_end"]), float(d["dt"]))
+def _transfer_arg(arg: str, n: int, state: StateSpec) -> tuple:
+    if state.kind == "werner":
+        raise ValueError("transfer-fidelity needs a pure state, got 'werner'")
+    return (parse_phase(arg) if arg else None,)
 
 
-def _check_manifest_parameters(command: str, params: dict) -> None:
-    # Build every spec a manifest holds, so that a bad value is caught while
-    # loading (a usage error) rather than while running.
-    check_name(params["name"])
-    from_dict = {"graph": _graph_from_dict, "state": _state_from_dict, "grid": _grid_from_dict}
-    specs = {key: build(params[key]) for key, build in from_dict.items() if key in params}
-    if command == "trace":
-        validate_measure(params["measure"], specs["graph"].n)
-
-
-def _state_comment(s: StateSpec) -> str:
-    d = _state_dict(s)
-    return " ".join([d.pop("kind")] + [f"{k}={io.format_number(v)}" for k, v in d.items()])
-
-
-def _write_manifest(out_dir: Path, name: str, subcommand: str, params: dict,
-                    outputs: list[str], started: float) -> Path:
-    manifest = {
-        "tool": "chiralwalk",
-        "version": io.version_string(),
-        "subcommand": subcommand,
-        "parameters": params,
-        "outputs": outputs,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-    path = out_dir / f"{name}.manifest.json"
-    io.write_json(path, manifest)
-    return path
+# Measure kind -> (check, trace).  A check takes the argument after the colon,
+# the graph's n and the initial state, and returns the trace's arguments after
+# (graph, state, grid).  Traces are named rather than bound, so the function
+# called is the one experiments holds when a run is loaded.
+MEASURES = {
+    "concurrence": (_concurrence_arg, "concurrence_trace"),
+    "occupation": (_occupation_arg, "occupation_trace"),
+    "pts-bures": (_no_arg, "bures_trace"),
+    "werner-fidelity": (_werner_arg, "werner_trace"),
+    "transfer-fidelity": (_transfer_arg, "transfer_fidelity_trace"),
+}
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations (operate on resolved parameter dicts)
+# the load step: manifest parameters -> checked specs and values
 
 
-def run_trace(params: dict, out_dir: Path) -> list[str]:
-    started = time.perf_counter()
-    gspec = _graph_from_dict(params["graph"])
-    sspec = _state_from_dict(params["state"])
-    grid = _grid_from_dict(params["grid"])
-    measure = params["measure"]
-    name = params["name"]
+def _list(params: dict, key: str) -> list:
+    values = params[key]
+    if not isinstance(values, list):
+        raise TypeError(f"{key} must be a list, got {values!r}")
+    return values
 
+
+def _svg(params: dict) -> bool:
+    svg = params.get("svg", False)
+    if not isinstance(svg, bool):
+        raise TypeError(f"svg must be true or false, got {svg!r}")
+    return svg
+
+
+def _peak_grid(grid: TimeGrid) -> TimeGrid:
+    # A peak search needs a sample on each side of a maximum.
+    if len(grid) < 3:
+        raise ValueError(f"a peak search needs at least 3 grid points, got {len(grid)}")
+    return grid
+
+
+def _graph_and_state(params: dict) -> tuple[GraphSpec, StateSpec]:
+    graph = GraphSpec.from_dict(params["graph"])
+    state = StateSpec.from_dict(params["state"])
+    graph.build()
+    state.ensemble(graph.n)
+    return graph, state
+
+
+def _load_trace(params: dict) -> dict:
+    graph, state = _graph_and_state(params)
+    measure = str(params["measure"])
     kind, _, arg = measure.partition(":")
-    if kind == "concurrence":
-        pair = tuple(int(x) for x in arg.split(",")) if arg else None
-        series = experiments.concurrence_trace(gspec, sspec, grid, pair)
-    elif kind == "pts-bures":
-        series = experiments.bures_trace(gspec, sspec, grid)
-    elif kind == "occupation":
-        series = experiments.occupation_trace(gspec, sspec, grid, int(arg))
-    elif kind == "werner-fidelity":
-        if sspec.kind != "werner":
-            raise ValueError("werner-fidelity needs a werner state")
-        series = experiments.werner_trace(gspec.n, sspec.b, gspec.theta, grid)
-    elif kind == "transfer-fidelity":
-        phi = parse_phase(arg) if arg else None
-        series = experiments.transfer_fidelity_trace(gspec, sspec, grid, phi)
-    else:
+    if kind not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
+    check, trace = MEASURES[kind]
+    return {
+        "graph": graph,
+        "state": state,
+        "grid": TimeGrid.from_dict(params["grid"]),
+        "measure": measure,
+        "trace": getattr(experiments, trace),
+        "trace_args": check(arg, graph.n, state),
+        "svg": _svg(params),
+    }
+
+
+def _load_table(params: dict) -> dict:
+    mode = params["mode"]
+    if mode not in ("cqw", "ctqw"):
+        raise ValueError(f"table mode must be 'cqw' or 'ctqw', got {mode!r}")
+    n_values = [as_number(n, "n_values", int) for n in _list(params, "n_values")]
+    for n in n_values:
+        GraphSpec("tri", n).build()
+    grid = _peak_grid(
+        TimeGrid(0.0, as_number(params["horizon"], "horizon"), as_number(params["dt"], "dt"))
+    )
+    candidates = [parse_phase(t) for t in _list(params, "theta_candidates")]
+    if not candidates:
+        raise ValueError("need at least one theta candidate")
+    return {
+        "mode": mode,
+        "n_values": n_values,
+        "phi": parse_phase(params["phi"]),
+        "horizon": grid.t_end,
+        "dt": grid.dt,
+        "theta_candidates": candidates,
+    }
+
+
+def _load_scaling(params: dict) -> dict:
+    theta = parse_phase(params["theta"])
+    state = StateSpec.from_dict(params["state"])
+    n_values = [as_number(n, "n_values", int) for n in _list(params, "n_values")]
+    for n in n_values:
+        GraphSpec("tri", n, theta).build()
+        state.ensemble(n)
+    grid = _peak_grid(TimeGrid.from_dict(params["grid"]))
+    return {"theta": theta, "n_values": n_values, "state": state, "grid": grid,
+            "svg": _svg(params)}
+
+
+def _load_snapshots(params: dict) -> dict:
+    graph, state = _graph_and_state(params)
+    times = [as_number(t, "times") for t in _list(params, "times")]
+    if not times:
+        raise ValueError("need at least one snapshot time")
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"snapshot times must be finite, got {times}")
+    return {"graph": graph, "state": state, "times": times, "svg": _svg(params)}
+
+
+def _load_graph_export(params: dict) -> dict:
+    graph = GraphSpec.from_dict(params["graph"])
+    graph.build()
+    return {"graph": graph}
+
+
+def load(command, params: dict) -> dict:
+    """Check a subcommand's parameters, in their manifest form.
+
+    Returns the checked specs and values its runner takes.  A bad parameter
+    raises ValueError, IndexError, KeyError or TypeError (a usage error); a
+    runner never sees a value this did not accept.
+    """
+    if command not in COMMANDS:
+        raise ValueError(f"unknown subcommand {command!r}")
+    name = check_name(params["name"])
+    return {**COMMANDS[command][0](params), "name": name}
+
+
+# ---------------------------------------------------------------------------
+# subcommand implementations (operate on loaded specs)
+
+
+def _state_comment(s: StateSpec) -> str:
+    d = s.to_dict()
+    return " ".join([d.pop("kind")] + [f"{k}={io.format_number(v)}" for k, v in d.items()])
+
+
+def run_trace(spec: dict, out_dir: Path, workers: int) -> list[str]:
+    gspec, sspec, grid, name = spec["graph"], spec["state"], spec["grid"], spec["name"]
+    series = spec["trace"](gspec, sspec, grid, *spec["trace_args"])
 
     comments = [
         "chiralwalk trace",
         f"graph: {gspec.kind}:{gspec.n} theta={io.format_number(gspec.theta)} "
         f"magnitude={io.format_number(gspec.magnitude)}",
         f"state: {_state_comment(sspec)}",
-        f"measure: {measure}",
+        f"measure: {spec['measure']}",
         f"grid: start={io.format_number(grid.t_start)} end={io.format_number(grid.t_end)} "
         f"dt={io.format_number(grid.dt)}",
     ]
     outputs = [f"{name}.csv"]
     io.write_csv(out_dir / outputs[0], comments, ["t", "value"],
                  zip(series.times, series.values))
-    if params.get("svg"):
+    if spec["svg"]:
         svg = svgplot.line_plot(
             [(series.label, list(series.times), list(series.values))],
             title=f"{gspec.kind}:{gspec.n}", xlabel="t", ylabel=series.label,
         )
         outputs.append(f"{name}.svg")
         io.atomic_write_text(out_dir / outputs[-1], svg)
-    _write_manifest(out_dir, name, "trace", params, outputs, started)
     return outputs
 
 
-def run_table(params: dict, out_dir: Path, workers: int = 1) -> list[str]:
-    started = time.perf_counter()
-    mode = params["mode"]
-    n_values = [int(n) for n in params["n_values"]]
-    phi = float(params["phi"])
-    horizon = float(params["horizon"])
-    dt = float(params["dt"])
-    candidates = tuple(float(t) for t in params["theta_candidates"])
-    name = params["name"]
+def run_table(spec: dict, out_dir: Path, workers: int) -> list[str]:
+    mode, phi, horizon, dt = spec["mode"], spec["phi"], spec["horizon"], spec["dt"]
+    candidates = spec["theta_candidates"]
+    name = spec["name"]
 
-    records = experiments.sweep_table(mode, n_values, phi, horizon, dt, candidates, workers)
+    records = experiments.sweep_table(mode, spec["n_values"], phi, horizon, dt, candidates,
+                                      workers)
     rows = []
     for rec in records:
         extra = list(rec.top_peaks[1:3]) + [None, None]
@@ -328,19 +348,13 @@ def run_table(params: dict, out_dir: Path, workers: int = 1) -> list[str]:
     outputs = [f"{name}.csv"]
     io.write_csv(out_dir / outputs[0], comments,
                  ["n", "t", "concurrence", "theta", "t2", "c2", "t3", "c3", "note"], rows)
-    _write_manifest(out_dir, name, "table", params, outputs, started)
     return outputs
 
 
-def run_scaling(params: dict, out_dir: Path, workers: int = 1) -> list[str]:
-    started = time.perf_counter()
-    theta = float(params["theta"])
-    n_values = [int(n) for n in params["n_values"]]
-    sspec = _state_from_dict(params["state"])
-    grid = _grid_from_dict(params["grid"])
-    name = params["name"]
+def run_scaling(spec: dict, out_dir: Path, workers: int) -> list[str]:
+    theta, sspec, grid, name = spec["theta"], spec["state"], spec["grid"], spec["name"]
 
-    result = experiments.scaling_sweep(n_values, theta, sspec, grid, workers)
+    result = experiments.scaling_sweep(spec["n_values"], theta, sspec, grid, workers)
     comments = [
         "chiralwalk scaling",
         f"theta={io.format_number(theta)} state: {_state_comment(sspec)}",
@@ -353,7 +367,7 @@ def run_scaling(params: dict, out_dir: Path, workers: int = 1) -> list[str]:
     outputs = [f"{name}.csv"]
     io.write_csv(out_dir / outputs[0], comments, ["n", "t_peak", "concurrence"],
                  result.entries)
-    if params.get("svg"):
+    if spec["svg"]:
         ns = [e[0] for e in result.entries]
         svg = svgplot.line_plot(
             [("t_peak", ns, [e[1] for e in result.entries]),
@@ -362,18 +376,11 @@ def run_scaling(params: dict, out_dir: Path, workers: int = 1) -> list[str]:
         )
         outputs.append(f"{name}.svg")
         io.atomic_write_text(out_dir / outputs[-1], svg)
-    _write_manifest(out_dir, name, "scaling", params, outputs, started)
     return outputs
 
 
-def run_snapshots(params: dict, out_dir: Path) -> list[str]:
-    started = time.perf_counter()
-    gspec = _graph_from_dict(params["graph"])
-    sspec = _state_from_dict(params["state"])
-    times = [float(t) for t in params["times"]]
-    name = params["name"]
-    if not times:
-        raise ValueError("need at least one snapshot time")
+def run_snapshots(spec: dict, out_dir: Path, workers: int) -> list[str]:
+    gspec, sspec, times, name = spec["graph"], spec["state"], spec["times"], spec["name"]
 
     mats = experiments.concurrence_matrix_snapshots(gspec, sspec, times)
     outputs = []
@@ -388,7 +395,7 @@ def run_snapshots(params: dict, out_dir: Path) -> list[str]:
         io.write_csv(out_dir / fname, comments,
                      [f"c{j + 1}" for j in range(gspec.n)], mat)
         outputs.append(fname)
-    if params.get("svg"):
+    if spec["svg"]:
         svg = svgplot.heatmap_grid(
             [m.tolist() for m in mats],
             [f"t={io.format_number(t)}" for t in times],
@@ -396,14 +403,11 @@ def run_snapshots(params: dict, out_dir: Path) -> list[str]:
         )
         outputs.append(f"{name}.svg")
         io.atomic_write_text(out_dir / outputs[-1], svg)
-    _write_manifest(out_dir, name, "snapshots", params, outputs, started)
     return outputs
 
 
-def run_graph_export(params: dict, out_dir: Path) -> list[str]:
-    started = time.perf_counter()
-    gspec = _graph_from_dict(params["graph"])
-    name = params["name"]
+def run_graph_export(spec: dict, out_dir: Path, workers: int) -> list[str]:
+    gspec, name = spec["graph"], spec["name"]
     g = gspec.build()
     H = graphs.hamiltonian(g)
 
@@ -425,16 +429,16 @@ def run_graph_export(params: dict, out_dir: Path) -> list[str]:
         "columns interleave re,im per vertex",
     ]
     io.write_csv(out_dir / outputs[1], comments, header, rows)
-    _write_manifest(out_dir, name, "graph-export", params, outputs, started)
     return outputs
 
 
-_RUNNERS = {
-    "trace": lambda p, out, workers: run_trace(p, out),
-    "table": run_table,
-    "scaling": run_scaling,
-    "snapshots": lambda p, out, workers: run_snapshots(p, out),
-    "graph-export": lambda p, out, workers: run_graph_export(p, out),
+# Subcommand -> (load step, runner).
+COMMANDS = {
+    "trace": (_load_trace, run_trace),
+    "table": (_load_table, run_table),
+    "scaling": (_load_scaling, run_scaling),
+    "snapshots": (_load_snapshots, run_snapshots),
+    "graph-export": (_load_graph_export, run_graph_export),
 }
 
 
@@ -449,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, name):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--name", default=None, help="output basename")
+        p.add_argument("--name", default=name, help="output basename")
 
     p = sub.add_parser("trace", help="sample a measure over a time grid")
     p.add_argument("--graph", required=True, help="KIND:N, e.g. tri:5")
@@ -463,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "werner-fidelity | transfer-fidelity[:PHI]")
     p.add_argument("--t", required=True, dest="grid", help="START:END:DT")
     p.add_argument("--svg", action="store_true")
-    add_common(p)
+    add_common(p, "trace")
 
     p = sub.add_parser("table", help="long-time optimum concurrence per chain size")
     p.add_argument("--mode", choices=("cqw", "ctqw"), required=True)
@@ -474,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-candidates", default="-0.5pi,0.5pi",
                    help="comma list of phases, or grid:K for K points over (-pi, pi] "
                         "(cqw mode)")
-    add_common(p)
+    add_common(p, None)
 
     p = sub.add_parser("scaling", help="first-peak transfer time vs chain size")
     p.add_argument("--theta", default="0.5pi")
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="pair:1,2:pi")
     p.add_argument("--t", default="0:40:0.005", dest="grid")
     p.add_argument("--svg", action="store_true")
-    add_common(p)
+    add_common(p, "scaling")
 
     p = sub.add_parser("snapshots", help="pairwise concurrence matrices at fixed times")
     p.add_argument("--graph", default="tri:5")
@@ -490,13 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="pair:1,2:pi")
     p.add_argument("--times", required=True, help="comma list of times")
     p.add_argument("--svg", action="store_true")
-    add_common(p)
+    add_common(p, "snapshots")
 
     p = sub.add_parser("graph-export", help="write a graph and its matrix")
     p.add_argument("--graph", required=True)
     p.add_argument("--theta", default="0")
     p.add_argument("--magnitude", type=float, default=1.0)
-    add_common(p)
+    add_common(p, "graph")
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
     p.add_argument("manifest", help="path to a *.manifest.json file")
@@ -505,97 +509,89 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    # Turn raw flags into the manifest parameter dict; bad flags exit 2.
-    try:
-        cmd = args.command
-        if cmd == "trace":
-            theta = parse_phase(args.theta)
-            gspec = parse_graph(args.graph, theta, args.magnitude)
-            sspec = parse_state(args.state)
-            grid = parse_grid(args.grid)
-            return {
-                "graph": _graph_dict(gspec),
-                "state": _state_dict(sspec),
-                "measure": validate_measure(args.measure, gspec.n),
-                "grid": _grid_dict(grid),
-                "svg": bool(args.svg),
-                "name": _name(args, "trace"),
-            }
-        if cmd == "table":
-            return {
-                "mode": args.mode,
-                "n_values": parse_int_list(args.n_values),
-                "phi": parse_phase(args.phi),
-                "horizon": float(args.horizon),
-                "dt": float(args.dt),
-                "theta_candidates": (
-                    [0.0] if args.mode == "ctqw"
-                    else parse_theta_candidates(args.theta_candidates)
-                ),
-                "name": _name(args, f"table-{args.mode}"),
-            }
-        if cmd == "scaling":
-            return {
-                "theta": parse_phase(args.theta),
-                "n_values": parse_int_list(args.n_values),
-                "state": _state_dict(parse_state(args.state)),
-                "grid": _grid_dict(parse_grid(args.grid)),
-                "svg": bool(args.svg),
-                "name": _name(args, "scaling"),
-            }
-        if cmd == "snapshots":
-            theta = parse_phase(args.theta)
-            return {
-                "graph": _graph_dict(parse_graph(args.graph, theta, 1.0)),
-                "state": _state_dict(parse_state(args.state)),
-                "times": parse_float_list(args.times),
-                "svg": bool(args.svg),
-                "name": _name(args, "snapshots"),
-            }
-        if cmd == "graph-export":
-            theta = parse_phase(args.theta)
-            return {
-                "graph": _graph_dict(parse_graph(args.graph, theta, args.magnitude)),
-                "name": _name(args, "graph"),
-            }
-        raise AssertionError(cmd)
-    except (ValueError, IndexError, KeyError) as exc:
-        parser.error(str(exc))
+def _resolve(args: argparse.Namespace) -> dict:
+    # Turn raw flags into the manifest parameter dict; load() checks it.
+    cmd = args.command
+    if cmd == "trace":
+        return {
+            "graph": parse_graph(args.graph, parse_phase(args.theta), args.magnitude).to_dict(),
+            "state": parse_state(args.state).to_dict(),
+            "measure": args.measure,
+            "grid": parse_grid(args.grid).to_dict(),
+            "svg": args.svg,
+            "name": args.name,
+        }
+    if cmd == "table":
+        return {
+            "mode": args.mode,
+            "n_values": parse_int_list(args.n_values),
+            "phi": parse_phase(args.phi),
+            "horizon": args.horizon,
+            "dt": args.dt,
+            "theta_candidates": (
+                [0.0] if args.mode == "ctqw"
+                else parse_theta_candidates(args.theta_candidates)
+            ),
+            "name": f"table-{args.mode}" if args.name is None else args.name,
+        }
+    if cmd == "scaling":
+        return {
+            "theta": parse_phase(args.theta),
+            "n_values": parse_int_list(args.n_values),
+            "state": parse_state(args.state).to_dict(),
+            "grid": parse_grid(args.grid).to_dict(),
+            "svg": args.svg,
+            "name": args.name,
+        }
+    if cmd == "snapshots":
+        return {
+            "graph": parse_graph(args.graph, parse_phase(args.theta), 1.0).to_dict(),
+            "state": parse_state(args.state).to_dict(),
+            "times": [float(x) for x in args.times.split(",") if x != ""],
+            "svg": args.svg,
+            "name": args.name,
+        }
+    if cmd == "graph-export":
+        return {
+            "graph": parse_graph(args.graph, parse_phase(args.theta), args.magnitude).to_dict(),
+            "name": args.name,
+        }
+    raise AssertionError(cmd)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
-
-    if args.command == "rerun":
-        try:
-            manifest = json.loads(Path(args.manifest).read_text())
-            command = manifest["subcommand"]
-            params = manifest["parameters"]
-            runner = _RUNNERS[command]
-            _check_manifest_parameters(command, params)
-        except KeyError as exc:
-            parser.error(f"cannot load manifest {args.manifest!r}: missing key {exc}")
-        except (OSError, json.JSONDecodeError, TypeError, ValueError, IndexError) as exc:
-            parser.error(f"cannot load manifest {args.manifest!r}: {exc}")
-    else:
-        command = args.command
-        params = _resolve(args, parser)
-        runner = _RUNNERS[command]
+    rerun = args.command == "rerun"
+    context = f"cannot load manifest {args.manifest!r}: " if rerun else ""
 
     try:
-        outputs = runner(params, out_dir, _workers())
-    except (KeyError, TypeError) as exc:
-        # Flags always resolve to complete, well-typed parameters; a manifest may not.
-        if args.command != "rerun":
-            raise
-        problem = "lacks parameter" if isinstance(exc, KeyError) else "has a malformed parameter:"
-        parser.error(f"manifest {args.manifest!r} {problem} {exc}")
+        if rerun:
+            manifest = json.loads(Path(args.manifest).read_text())
+            command, params = manifest["subcommand"], manifest["parameters"]
+        else:
+            command, params = args.command, _resolve(args)
+        spec = load(command, params)
+    except KeyError as exc:
+        parser.error(f"{context}missing key {exc}")
+    except (OSError, TypeError, ValueError, IndexError) as exc:
+        parser.error(f"{context}{exc}")
+
+    started = time.perf_counter()
+    try:
+        outputs = COMMANDS[command][1](spec, out_dir, _workers())
     except (ValueError, IndexError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"chiralwalk: error: {exc}", file=sys.stderr)
         return 1
+    io.write_json(out_dir / f"{spec['name']}.manifest.json", {
+        "tool": "chiralwalk",
+        "version": io.version_string(),
+        "subcommand": command,
+        "parameters": params,
+        "outputs": outputs,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+    })
     for fname in outputs:
         print(out_dir / fname)
     return 0

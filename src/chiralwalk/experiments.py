@@ -8,8 +8,7 @@ order so they match sequential runs exactly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,7 +32,37 @@ CROSS_CHECK_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# parameter specs
+# parameter specs and their manifest form
+
+
+def parse_phase(text) -> float:
+    """Parse an angle given in radians ('1.64', or a number) or as 'Npi' shorthand ('0.5pi')."""
+    s = str(text).strip().lower().replace(" ", "")
+    factor = 1.0
+    if s.endswith("pi"):
+        s = s[:-2]
+        factor = math.pi
+        if s in ("", "+"):
+            s = "1"
+        elif s == "-":
+            s = "-1"
+    try:
+        value = float(s) * factor
+    except ValueError:
+        raise ValueError(f"cannot parse phase {text!r}; use radians or e.g. '0.75pi'")
+    if not math.isfinite(value):
+        raise ValueError(f"phase must be finite, got {text!r}")
+    return value
+
+
+def as_number(value, what: str, kind: type = float):
+    """A manifest value as ``kind`` (int or float); TypeError for text, bools, or a
+    float where an int is due, so that no value is silently converted."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = "an integer" if kind is int else "a number"
+        raise TypeError(f"{what} must be {expected}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -64,6 +93,15 @@ class GraphSpec:
 
     def decompose(self) -> SpectralDecomposition:
         return spectral_decompose(graphs.hamiltonian(self.build()))
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> GraphSpec:
+        # Manifests written before magnitudes existed have no "magnitude" key.
+        return cls(d["kind"], as_number(d["n"], "n", int), parse_phase(d["theta"]),
+                   as_number(d.get("magnitude", 1.0), "magnitude"))
 
 
 @dataclass(frozen=True)
@@ -99,6 +137,25 @@ class StateSpec:
             return states.density_from_pure(psi)
         return states.werner(n, self.b)
 
+    def to_dict(self) -> dict:
+        if self.kind == "localized":
+            return {"kind": "localized", "site": self.site}
+        if self.kind == "pair":
+            return {"kind": "pair", "i": self.i, "j": self.j, "phi": self.phi}
+        return {"kind": "werner", "b": self.b}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> StateSpec:
+        kind = d["kind"]
+        if kind == "localized":
+            return cls(kind, site=as_number(d["site"], "site", int))
+        if kind == "pair":
+            return cls(kind, i=as_number(d["i"], "i", int), j=as_number(d["j"], "j", int),
+                       phi=parse_phase(d["phi"]))
+        if kind == "werner":
+            return cls(kind, b=as_number(d["b"], "b"))
+        raise ValueError(f"unknown state kind {kind!r}")
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -118,19 +175,27 @@ class TimeGrid:
         if (self.t_end - self.t_start) / self.dt > MAX_GRID_POINTS:
             raise ValueError("grid would exceed the point-count guard")
 
+    def __len__(self) -> int:
+        return int(math.floor((self.t_end - self.t_start) / self.dt + 1e-9)) + 1
+
     def times(self) -> np.ndarray:
-        count = int(math.floor((self.t_end - self.t_start) / self.dt + 1e-9))
-        return self.t_start + self.dt * np.arange(count + 1)
+        return self.t_start + self.dt * np.arange(len(self))
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> TimeGrid:
+        return cls(*(as_number(d[key], key) for key in ("t_start", "t_end", "dt")))
 
 
 @dataclass(frozen=True)
 class TraceSeries:
-    """A scalar measure sampled over a time grid, with labeling metadata."""
+    """A scalar measure sampled over a time grid, with its label."""
 
     times: np.ndarray
     values: np.ndarray
     label: str = ""
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -230,12 +295,7 @@ def concurrence_trace(
     if len(ensemble) > 1:
         rho_t = evolve_density(d, state_spec.build_density(n), times[-1])
         _cross_check(values, measures.concurrence_pair_fast(rho_t, i, j), label)
-    return TraceSeries(
-        times,
-        values,
-        label=label,
-        params={"graph": graph_spec, "state": state_spec},
-    )
+    return TraceSeries(times, values, label=label)
 
 
 def occupation_trace(
@@ -254,12 +314,7 @@ def occupation_trace(
     if len(ensemble) > 1:
         rho_t = evolve_density(d, state_spec.build_density(n), times[-1])
         _cross_check(values, occupation(rho_t, site), label)
-    return TraceSeries(
-        times,
-        values,
-        label=label,
-        params={"graph": graph_spec, "state": state_spec},
-    )
+    return TraceSeries(times, values, label=label)
 
 
 def transfer_fidelity_trace(
@@ -277,12 +332,7 @@ def transfer_fidelity_trace(
     support = np.flatnonzero(target)  # sites n-1 and n
     amp = site_amplitudes(d, psi0, times, support)
     values = np.abs(target[support].conj() @ amp) ** 2
-    return TraceSeries(
-        times,
-        np.clip(values, 0.0, 1.0),
-        label="transfer-fidelity",
-        params={"graph": graph_spec, "state": state_spec, "target_phi": phi},
-    )
+    return TraceSeries(times, np.clip(values, 0.0, 1.0), label="transfer-fidelity")
 
 
 def bures_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) -> TraceSeries:
@@ -298,15 +348,10 @@ def bures_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) ->
         # The distance is even in t, and pts_bures takes t >= 0 only.
         rho0 = state_spec.build_density(n)
         _cross_check(values, measures.pts_bures(d, rho0, abs(times[-1])), "pts-bures")
-    return TraceSeries(
-        times,
-        values,
-        label="pts-bures",
-        params={"graph": graph_spec, "state": state_spec},
-    )
+    return TraceSeries(times, values, label="pts-bures")
 
 
-def werner_trace(n: int, b: float, theta: float, grid: TimeGrid) -> TraceSeries:
+def werner_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) -> TraceSeries:
     """Fidelity of an evolving Werner state against its transferred target.
 
     The target sigma lives on the 2x2 block of sites (n-1, n), so only that
@@ -316,11 +361,13 @@ def werner_trace(n: int, b: float, theta: float, grid: TimeGrid) -> TraceSeries:
     det rho_B = w+ w- |a+_{n-1} a-_n - a+_n a-_{n-1}|^2, so the square root
     is taken of nothing but a product of weights.
     """
-    spec = GraphSpec("tri", n, theta)
-    d = spec.decompose()
+    if state_spec.kind != "werner":
+        raise ValueError(f"werner fidelity needs a werner state, got {state_spec.kind!r}")
+    n, b = graph_spec.n, state_spec.b
+    d = graph_spec.decompose()
     times = grid.times()
     # Rows p = 0 and q = 1 of each member are the target sites n-1 and n.
-    members = _ensemble_amplitudes(d, states.werner_ensemble(n, b), times, [n - 2, n - 1])
+    members = _ensemble_amplitudes(d, state_spec.ensemble(n), times, [n - 2, n - 1])
     (w_plus, plus), (w_minus, minus) = members
     p, q = 0, 1
     overlap = 0.5 * _populations(members, slice(None)).sum(axis=0)
@@ -328,14 +375,9 @@ def werner_trace(n: int, b: float, theta: float, grid: TimeGrid) -> TraceSeries:
     det_term = 2.0 * w_plus * w_minus * np.abs(plus[p] * minus[q] - plus[q] * minus[p])
     values = np.clip(overlap + det_term, 0.0, 1.0)
     label = f"werner-fidelity:b={b}"
-    rho_t = evolve_density(d, states.werner(n, b), times[-1])
+    rho_t = evolve_density(d, state_spec.build_density(n), times[-1])
     _cross_check(values, measures.fidelity(rho_t, states.target_werner(n, b)), label)
-    return TraceSeries(
-        times,
-        values,
-        label=label,
-        params={"graph": spec, "b": b},
-    )
+    return TraceSeries(times, values, label=label)
 
 
 def concurrence_matrix_snapshots(
@@ -452,6 +494,17 @@ def ctqw_long_time(
     return optimize_theta(n, phi, (0.0,), horizon, dt)
 
 
+def _map(task, tasks: list, workers: int) -> list:
+    """``task`` over ``tasks`` in order, in a process pool when workers > 1."""
+    if workers > 1 and len(tasks) > 1:
+        # Imported here, because the import costs every start of the CLI.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, tasks))
+    return [task(t) for t in tasks]
+
+
 def _table_task(args) -> SweepRecord:
     mode, n, phi, horizon, dt, candidates = args
     if mode == "cqw":
@@ -472,10 +525,7 @@ def sweep_table(
 ) -> list[SweepRecord]:
     """One SweepRecord per chain size, in the order given."""
     tasks = [(mode, int(n), phi, horizon, dt, tuple(theta_candidates)) for n in n_values]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_table_task, tasks))
-    return [_table_task(t) for t in tasks]
+    return _map(_table_task, tasks, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +554,7 @@ def scaling_sweep(
     if grid is None:
         grid = TimeGrid(0.0, 40.0, 0.005)
     tasks = [(int(n), theta, state_spec, grid) for n in n_values]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_scaling_task, tasks))
-    else:
-        entries = [_scaling_task(t) for t in tasks]
+    entries = _map(_scaling_task, tasks, workers)
     ns = np.array([e[0] for e in entries], dtype=float)
     tmax = np.array([e[1] for e in entries])
     if len(entries) >= 2:

@@ -22,22 +22,6 @@ def reduce_phase(theta: float) -> float:
 
 
 @dataclass(frozen=True)
-class ChiralPhase:
-    """Uniform hopping phase theta, stored reduced to (-pi, pi]."""
-
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", reduce_phase(self.theta))
-
-
-def _phase_value(theta) -> float:
-    if isinstance(theta, ChiralPhase):
-        return theta.theta
-    return reduce_phase(theta)
-
-
-@dataclass(frozen=True)
 class WeightedGraph:
     """Vertex count plus a directed-edge weight table.
 
@@ -83,9 +67,9 @@ def triangular_chain(n: int, theta, magnitude: float = 1.0) -> WeightedGraph:
     """
     if n < 3:
         raise ValueError(f"triangular chain needs n >= 3, got {n}")
-    if not magnitude > 0:
-        raise ValueError(f"magnitude must be positive, got {magnitude}")
-    w = magnitude * np.exp(1j * _phase_value(theta))
+    if not 0 < magnitude < math.inf:
+        raise ValueError(f"magnitude must be positive and finite, got {magnitude}")
+    w = magnitude * np.exp(1j * reduce_phase(theta))
     edges = [(i, i + 1, w) for i in range(1, n)]
     edges += [(i, i + 2, w) for i in range(1, n - 1)]
     return WeightedGraph(n, tuple(edges))
@@ -95,7 +79,7 @@ def cycle_graph(n: int, theta) -> WeightedGraph:
     """Ring with nearest-neighbor edges (i, i+1) plus the wrap edge (1, n)."""
     if n < 3:
         raise ValueError(f"cycle graph needs n >= 3, got {n}")
-    w = np.exp(1j * _phase_value(theta))
+    w = np.exp(1j * reduce_phase(theta))
     edges = [(i, i + 1, w) for i in range(1, n)] + [(1, n, w)]
     return WeightedGraph(n, tuple(edges))
 
@@ -104,7 +88,7 @@ def complete_graph(n: int, theta) -> WeightedGraph:
     """All-to-all graph; for n = 5 this is the pentagram."""
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
-    w = np.exp(1j * _phase_value(theta))
+    w = np.exp(1j * reduce_phase(theta))
     edges = [(m, k, w) for m in range(1, n + 1) for k in range(m + 1, n + 1)]
     return WeightedGraph(n, tuple(edges))
 
@@ -116,26 +100,6 @@ def hamiltonian(g: WeightedGraph) -> np.ndarray:
         H[n - 1, m - 1] = w
         H[m - 1, n - 1] = np.conj(w)
     return H
-
-
-def adjacency_matrix(g: WeightedGraph) -> np.ndarray:
-    """Unweighted 0/1 adjacency pattern of the graph."""
-    A = np.zeros((g.n_vertices, g.n_vertices))
-    for m, n, _ in g.edges:
-        A[n - 1, m - 1] = 1.0
-        A[m - 1, n - 1] = 1.0
-    return A
-
-
-def degree_matrix(g: WeightedGraph) -> np.ndarray:
-    """Diagonal matrix of edge counts incident to each vertex."""
-    return np.diag(adjacency_matrix(g).sum(axis=1))
-
-
-def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Graph Laplacian D - A on the unweighted adjacency pattern."""
-    A = adjacency_matrix(g)
-    return np.diag(A.sum(axis=1)) - A
 
 
 def graph_json_dict(g: WeightedGraph) -> dict:

@@ -274,7 +274,8 @@ def test_c11_first_peak_scaling(scaling_results):
 
 def test_c12_werner_mixing_ordering():
     grid = TimeGrid(0.0, 5.0, 0.01)
-    traces = {b: werner_trace(5, b, PI / 2, grid) for b in (1.0, 0.5, 0.0, -0.25)}
+    traces = {b: werner_trace(GraphSpec("tri", 5, PI / 2), StateSpec("werner", b=b), grid)
+              for b in (1.0, 0.5, 0.0, -0.25)}
     k = int(np.argmax(traces[1.0].values))
     at_peak = {b: float(tr.values[k]) for b, tr in traces.items()}
     ok = at_peak[1.0] > at_peak[0.5] > at_peak[0.0] >= at_peak[-0.25]

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chiralwalk import cli, experiments, graphs
+from chiralwalk import cli, experiments, graphs, measures, states
+from chiralwalk.dynamics import evolve_density
 from chiralwalk.experiments import GraphSpec, StateSpec, TimeGrid, concurrence_trace
 from chiralwalk.io import format_number
 
@@ -207,12 +214,10 @@ class TestExitCodes:
         assert err.value.code == 2
 
     def test_runtime_failure_is_1(self, tmp_path, capsys):
-        rc = cli.main([
-            "trace", "--graph", "tri:5", "--theta", "0", "--state", "pair:1,2:pi",
-            "--measure", "werner-fidelity", "--t", "0:1:0.5", "--out", str(tmp_path),
-        ])
+        # Three samples hold no transfer peak: a numerical failure, not bad usage.
+        rc = cli.main(["scaling", "--n", "5", "--t", "0:0.01:0.005", "--out", str(tmp_path)])
         assert rc == 1
-        assert "error" in capsys.readouterr().err
+        assert "no transfer peak" in capsys.readouterr().err
 
     def test_out_of_range_site_is_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -434,3 +439,232 @@ class TestGraphExportCommand:
         assert doc["n"] == 4
         assert len(doc["edges"]) == 5
         assert all(len(e) == 4 for e in doc["edges"])
+
+
+# ---------------------------------------------------------------------------
+# usage errors as flags and as rerun manifests, and a fuzz test of both
+
+BASE_RUNS = {
+    "trace": ["trace", "--graph", "tri:5", "--state", "pair:1,2:pi", "--measure",
+              "concurrence", "--t", "0:1:0.5"],
+    "table": ["table", "--mode", "cqw", "--n", "5", "--horizon", "4", "--dt", "0.5"],
+    "scaling": ["scaling", "--n", "5", "--t", "0:2:0.05"],
+    "snapshots": ["snapshots", "--times", "0.5"],
+    "graph-export": ["graph-export", "--graph", "tri:3"],
+}
+
+
+@pytest.fixture(scope="module")
+def base_manifests(tmp_path_factory):
+    """A valid manifest of each subcommand, written by a run of BASE_RUNS."""
+    out = tmp_path_factory.mktemp("base")
+    manifests = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command, argv in BASE_RUNS.items():
+            assert cli.main(argv + ["--out", str(out), "--name", command]) == 0
+            manifests[command] = json.loads((out / f"{command}.manifest.json").read_text())
+    return manifests
+
+
+def run_cli(argv):
+    """Exit code and stderr of cli.main; any other exception escapes as a failure."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def files_under(root: Path) -> set:
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+TRI2 = {"kind": "tri", "n": 2, "theta": 0.0, "magnitude": 1.0}
+
+# (subcommand, flags replacing or adding to BASE_RUNS, manifest parameter edits);
+# None where a case has no flag form.
+USAGE_ERRORS = {
+    "pair-site-9": ("trace", ["--state", "pair:1,9"],
+                    {"state": {"kind": "pair", "i": 1, "j": 9, "phi": math.pi}}),
+    "localized-9": ("trace", ["--state", "localized:9"],
+                    {"state": {"kind": "localized", "site": 9}}),
+    "werner-b-5": ("trace", ["--state", "werner:5"], {"state": {"kind": "werner", "b": 5}}),
+    "trace-tri-2": ("trace", ["--graph", "tri:2"], {"graph": TRI2}),
+    "magnitude-inf": ("trace", ["--magnitude", "inf"],
+                      {"graph": {**TRI2, "n": 5, "magnitude": math.inf}}),
+    "werner-fidelity-of-pair": ("trace", ["--measure", "werner-fidelity"],
+                                {"measure": "werner-fidelity"}),
+    "transfer-fidelity-of-werner": (
+        "trace", ["--state", "werner:0.5", "--measure", "transfer-fidelity"],
+        {"state": {"kind": "werner", "b": 0.5}, "measure": "transfer-fidelity"}),
+    "table-n-1-2": ("table", ["--n", "1,2"], {"n_values": [1, 2]}),
+    "table-dt-negative": ("table", ["--dt=-1"], {"dt": -1.0}),
+    "table-horizon-0": ("table", ["--horizon", "0"], {"horizon": 0.0}),
+    "table-horizon-1e9": ("table", ["--horizon", "1e9"], {"horizon": 1e9}),
+    "table-grid-2-points": ("table", ["--horizon", "0.5"], {"horizon": 0.5}),
+    "table-horizon-text": ("table", ["--horizon", "abc"], {"horizon": "abc"}),
+    "table-mode-xyz": ("table", ["--mode", "xyz"], {"mode": "xyz"}),
+    "table-no-candidates": ("table", ["--theta-candidates="], {"theta_candidates": []}),
+    "table-n-values-text": ("table", None, {"n_values": "57"}),
+    "scaling-n-1-3": ("scaling", ["--n", "1,3"], {"n_values": [1, 3]}),
+    "scaling-grid-2-points": ("scaling", ["--t", "0:0.05:0.05"],
+                              {"grid": {"t_start": 0.0, "t_end": 0.05, "dt": 0.05}}),
+    "snapshots-time-nan": ("snapshots", ["--times", "nan"], {"times": [math.nan]}),
+    "snapshots-tri-2": ("snapshots", ["--graph", "tri:2"], {"graph": TRI2}),
+    "graph-export-tri-2": ("graph-export", ["--graph", "tri:2"], {"graph": TRI2}),
+}
+
+
+@pytest.mark.parametrize("case,form", [
+    (case, form) for case, (_, flags, _) in USAGE_ERRORS.items()
+    for form in (["flags"] if flags else []) + ["manifest"]
+])
+def test_usage_error_exits_2(case, form, tmp_path, base_manifests):
+    command, flags, edits = USAGE_ERRORS[case]
+    out = tmp_path / "out"
+    if form == "flags":
+        argv = BASE_RUNS[command] + flags + ["--out", str(out)]
+    else:
+        manifest = json.loads(json.dumps(base_manifests[command]))
+        manifest["parameters"].update(edits)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        argv = ["rerun", str(path), "--out", str(out)]
+    before = files_under(tmp_path)
+    code, stderr = run_cli(argv)
+    assert code == 2
+    assert "Traceback" not in stderr
+    *usage, message = stderr.splitlines()
+    assert re.match(r"chiralwalk( [\w-]+)?: error: ", message)
+    assert all(line.startswith(("usage: ", " ")) for line in usage)
+    assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("graph,magnitude", [("cycle:5", "1"), ("tri:5", "2")])
+def test_werner_fidelity_uses_the_given_graph(tmp_path, graph, magnitude):
+    # The trace runs on the graph it names, not on the magnitude-1 tri chain.
+    def values(graph, magnitude):
+        assert cli.main([
+            "trace", "--graph", graph, "--magnitude", magnitude, "--theta", "0.3",
+            "--state", "werner:0.5", "--measure", "werner-fidelity", "--t", "0:3:0.25",
+            "--out", str(tmp_path), "--name", "w",
+        ]) == 0
+        return np.loadtxt(tmp_path / "w.csv", delimiter=",", comments="#", skiprows=6)[:, 1]
+
+    gspec = cli.parse_graph(graph, 0.3, float(magnitude))
+    d = gspec.decompose()
+    rho0, target = states.werner(5, 0.5), states.target_werner(5, 0.5)
+    expected = [measures.fidelity(evolve_density(d, rho0, t), target)
+                for t in TimeGrid(0.0, 3.0, 0.25).times()]
+    got = values(graph, magnitude)
+    assert np.abs(got - expected).max() < 1e-10
+    assert np.abs(got - values("tri:5", "1")).max() > 1e-3
+
+
+# Flag -> (values that parse, values that do not); a drawn run mixes both.
+FUZZ_FLAGS = {
+    "--graph": (["tri:5", "tri:9", "cycle:5", "complete:4", "pentagram:5", "tri:3"],
+                ["tri:2", "tri:x", "blob:3", "tri", "tri:-1"]),
+    "--theta": (["0", "0.5pi", "-pi", "1.3"], ["x", "nan", "inf"]),
+    "--magnitude": (["1", "2"], ["0", "-1", "inf", "nan", "x"]),
+    "--state": (["pair:1,2:pi", "pair:2,3", "localized:3", "werner:0.5", "werner:-1",
+                 '{"kind": "werner", "b": 0.5}',
+                 '{"kind": "pair", "i": 1, "j": 2, "phi": "0.5pi"}'],
+                ["pair:1,9", "pair:2,2", "localized:0", "werner:5", "werner:nan",
+                 '{"kind": "pair"}', '{"kind": "localized", "site": 2.5}', "{", "ghz"]),
+    "--measure": (["concurrence", "concurrence:1,3", "occupation:2", "pts-bures",
+                   "werner-fidelity", "transfer-fidelity", "transfer-fidelity:0.5pi"],
+                  ["concurrence:1,1", "concurrence:a,b", "occupation:9", "occupation",
+                   "pts-bures:1", "transfer-fidelity:x", "entropy", ""]),
+    "--t": (["0:2:0.05", "0:1:0.5", "-1:1:0.1", "0:1:5"],
+            ["0:0:0.1", "1:0:0.1", "0:1:-0.1", "0:1:0", "0:1e9:0.1", "nan:1:0.1", "0:2",
+             "a:b:c"]),
+    "--mode": (["cqw", "ctqw"], ["xyz"]),
+    "--n": (["5", "3,4", "5:9:2", "3:5"], ["1,2", "9:5", "", "x", "5:9:2:1"]),
+    "--phi": (["pi", "0"], ["x"]),
+    "--horizon": (["10", "2"], ["0", "-1", "1e9", "nan", "x"]),
+    "--dt": (["0.5", "1"], ["0", "-1", "nan"]),
+    "--theta-candidates": (["-0.5pi,0.5pi", "grid:4"], ["grid:0", "", "x", "grid:x"]),
+    "--times": (["0.5", "0,1", "-1"], ["nan", "", "x", "inf"]),
+    "--name": (["run"], ["../x", "", ".", "a/b", "a\\b"]),
+}
+FUZZ_COMMANDS = {
+    "trace": ["--graph", "--theta", "--magnitude", "--state", "--measure", "--t"],
+    "table": ["--mode", "--n", "--phi", "--horizon", "--dt", "--theta-candidates"],
+    "scaling": ["--theta", "--n", "--state", "--t"],
+    "snapshots": ["--graph", "--theta", "--state", "--times"],
+    "graph-export": ["--graph", "--theta", "--magnitude"],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = [command]
+    for flag in FUZZ_COMMANDS[command] + ["--name"]:
+        valid, invalid = FUZZ_FLAGS[flag]
+        pick = draw(st.integers(0, 19))  # 1 in 20 omitted, 3 in 20 invalid
+        if pick:
+            argv.append(f"{flag}={draw(st.sampled_from(invalid if pick < 4 else valid))}")
+    if command in ("trace", "scaling", "snapshots") and draw(st.booleans()):
+        argv.append("--svg")
+    return argv
+
+
+FUZZ_VALUES = [None, True, 0, 1, 3, 5, 9, -1, 0.5, -0.5, 1e9, math.nan, math.inf, "", "abc",
+               "57", "0.5pi", "../x", [], [1, 2], [5], [0.5], ["a"], {}, {"kind": "tri"},
+               "cqw", "ctqw", "werner-fidelity", "occupation:9", "concurrence:1,2"]
+
+
+@st.composite
+def fuzz_manifest(draw, base):
+    """A valid manifest with a few keys, top-level or nested, replaced or deleted."""
+    manifest = json.loads(json.dumps(base[draw(st.sampled_from(sorted(base)))]))
+    for _ in range(draw(st.integers(1, 3))):
+        target = manifest["parameters"]
+        nested = [k for k, v in target.items() if isinstance(v, dict)]
+        if nested and draw(st.booleans()):
+            target = target[draw(st.sampled_from(nested))]
+        elif draw(st.integers(0, 9)) == 0:
+            target = manifest
+        if not target:
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.integers(0, 5)) == 0:
+            del target[key]
+        else:
+            target[key] = draw(st.sampled_from(FUZZ_VALUES))
+        if not isinstance(manifest.get("parameters"), dict):
+            break
+    return manifest
+
+
+def check_fuzz_run(root: Path, argv, allowed: set):
+    code, stderr = run_cli(argv + ["--out", str(root / "out")])
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr
+    outside = {p for p in files_under(root) if root / "out" not in p.parents}
+    assert outside == allowed, argv
+
+
+FUZZ_SETTINGS = settings(max_examples=60, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ_SETTINGS
+@given(fuzz_argv())
+def test_fuzz_flags(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_fuzz_run(Path(tmp), argv, set())
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzz_manifests(base_manifests, data):
+    manifest = data.draw(fuzz_manifest(base_manifests))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.json"
+        path.write_text(json.dumps(manifest))
+        check_fuzz_run(Path(tmp), ["rerun", str(path)], {path})

@@ -363,13 +363,15 @@ class TestScaling:
 class TestWernerTrace:
     def test_t0_matches_direct_fidelity(self):
         for b in (-0.25, 0.0, 0.5, 1.0):
-            series = werner_trace(5, b, PI / 2, TimeGrid(0, 1, 0.5))
+            series = werner_trace(GraphSpec("tri", 5, PI / 2), StateSpec("werner", b=b),
+                                  TimeGrid(0, 1, 0.5))
             direct = measures.fidelity(states.werner(5, b), states.target_werner(5, b))
             assert series.values[0] == pytest.approx(direct, abs=1e-10)
 
     def test_pure_state_transfers_best(self):
         grid = TimeGrid(0, 2, 0.01)
-        peaks = {b: global_max(werner_trace(5, b, PI / 2, grid)).value
+        peaks = {b: global_max(werner_trace(GraphSpec("tri", 5, PI / 2),
+                                            StateSpec("werner", b=b), grid)).value
                  for b in (-0.25, 0.0, 0.5, 1.0)}
         assert peaks[1.0] > peaks[0.5] > peaks[0.0]
         assert peaks[1.0] > peaks[-0.25]
@@ -489,7 +491,7 @@ class TestEnsembleOracle:
     @example(1.0, -PI / 2, 9)
     @settings(max_examples=25, deadline=None)
     def test_werner_fidelity(self, b, theta, n):
-        series = werner_trace(n, b, theta, self.GRID)
+        series = werner_trace(GraphSpec("tri", n, theta), StateSpec("werner", b=b), self.GRID)
         d = GraphSpec("tri", n, theta).decompose()
         rho0, target = states.werner(n, b), states.target_werner(n, b)
         for t, value in zip(series.times, series.values):
@@ -515,7 +517,7 @@ class TestEnsembleOracle:
             assert abs(occ.values[k] - rho_t[n - 1, n - 1].real) < 1e-10
 
     @pytest.mark.parametrize("trace", [
-        lambda g, s, grid: werner_trace(5, s.b, g.theta, grid),
+        werner_trace,
         bures_trace,
         concurrence_trace,
         lambda g, s, grid: occupation_trace(g, s, grid, site=4),
