@@ -19,8 +19,6 @@ from .dynamics import (
     spectral_decompose,
 )
 from .states import (
-    SpatialPairSpec,
-    WernerSpec,
     density_from_pure,
     localized,
     spatial_pair,
@@ -30,15 +28,10 @@ from .states import (
     werner_ensemble,
 )
 from .measures import (
-    bures_distance,
     concurrence_matrix,
     concurrence_pair_fast,
-    concurrence_wootters,
-    diagonal_bures,
     fidelity,
     pts_bures,
-    reduced_pair,
-    transfer_fidelity_pure,
 )
 from .experiments import (
     GraphSpec,

@@ -292,6 +292,11 @@ def load(command, params: dict) -> dict:
 # subcommand implementations (operate on loaded specs)
 
 
+def _graph_comment(g: GraphSpec) -> str:
+    return (f"graph: {g.kind}:{g.n} theta={io.format_number(g.theta)} "
+            f"magnitude={io.format_number(g.magnitude)}")
+
+
 def _state_comment(s: StateSpec) -> str:
     d = s.to_dict()
     return " ".join([d.pop("kind")] + [f"{k}={io.format_number(v)}" for k, v in d.items()])
@@ -303,8 +308,7 @@ def run_trace(spec: dict, out_dir: Path, workers: int) -> list[str]:
 
     comments = [
         "chiralwalk trace",
-        f"graph: {gspec.kind}:{gspec.n} theta={io.format_number(gspec.theta)} "
-        f"magnitude={io.format_number(gspec.magnitude)}",
+        _graph_comment(gspec),
         f"state: {_state_comment(sspec)}",
         f"measure: {spec['measure']}",
         f"grid: start={io.format_number(grid.t_start)} end={io.format_number(grid.t_end)} "
@@ -387,7 +391,7 @@ def run_snapshots(spec: dict, out_dir: Path, workers: int) -> list[str]:
     for k, (t, mat) in enumerate(zip(times, mats)):
         comments = [
             "chiralwalk snapshots",
-            f"graph: {gspec.kind}:{gspec.n} theta={io.format_number(gspec.theta)}",
+            _graph_comment(gspec),
             f"state: {_state_comment(sspec)}",
             f"t={io.format_number(t)}",
         ]
@@ -424,8 +428,7 @@ def run_graph_export(spec: dict, out_dir: Path, workers: int) -> list[str]:
         rows.append(row)
     comments = [
         "chiralwalk graph-export",
-        f"graph: {gspec.kind}:{gspec.n} theta={io.format_number(gspec.theta)} "
-        f"magnitude={io.format_number(gspec.magnitude)}",
+        _graph_comment(gspec),
         "columns interleave re,im per vertex",
     ]
     io.write_csv(out_dir / outputs[1], comments, header, rows)

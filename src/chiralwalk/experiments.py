@@ -115,27 +115,21 @@ class StateSpec:
     phi: float = math.pi
     b: float = 1.0
 
-    def build_pure(self, n: int) -> np.ndarray | None:
-        """Amplitude vector, or None when the state is mixed."""
-        if self.kind == "localized":
-            return states.localized(n, self.site)
-        if self.kind == "pair":
-            return states.spatial_pair(n, self.i, self.j, self.phi)
-        if self.kind == "werner":
-            return None
-        raise ValueError(f"unknown state kind {self.kind!r}")
-
     def ensemble(self, n: int) -> tuple[tuple[float, np.ndarray], ...]:
         """Weights and pure members {w_m, psi_m}; a pure state is ((1.0, psi),)."""
+        if self.kind == "localized":
+            return ((1.0, states.localized(n, self.site)),)
+        if self.kind == "pair":
+            return ((1.0, states.spatial_pair(n, self.i, self.j, self.phi)),)
         if self.kind == "werner":
             return states.werner_ensemble(n, self.b)
-        return ((1.0, self.build_pure(n)),)
+        raise ValueError(f"unknown state kind {self.kind!r}")
 
     def build_density(self, n: int) -> np.ndarray:
-        psi = self.build_pure(n)
-        if psi is not None:
-            return states.density_from_pure(psi)
-        return states.werner(n, self.b)
+        if self.kind == "werner":
+            return states.werner(n, self.b)
+        ((_, psi),) = self.ensemble(n)
+        return states.density_from_pure(psi)
 
     def to_dict(self) -> dict:
         if self.kind == "localized":
@@ -172,6 +166,9 @@ class TimeGrid:
             raise ValueError(f"empty grid: t_start {self.t_start} >= t_end {self.t_end}")
         if not self.dt > 0:
             raise ValueError(f"grid step must be positive, got {self.dt}")
+        # With the point-count guard, this keeps the rounded times strictly increasing.
+        if not self.dt > 2 * np.spacing(max(abs(self.t_start), abs(self.t_end))):
+            raise ValueError(f"grid step {self.dt} is below the float resolution of the endpoints")
         if (self.t_end - self.t_start) / self.dt > MAX_GRID_POINTS:
             raise ValueError("grid would exceed the point-count guard")
 
@@ -266,13 +263,25 @@ def _populations(members, rows) -> np.ndarray:
     return sum(w * np.abs(amp[rows]) ** 2 for w, amp in members)
 
 
-def _cross_check(values: np.ndarray, reference: float, label: str) -> None:
-    # Numerical-health check of a mixed trace: its last sample must agree with
-    # the density-matrix definition evaluated at the same time.
-    if not abs(values[-1] - reference) <= CROSS_CHECK_TOL:
+def _density(members, k: int) -> np.ndarray:
+    """rho(t_k) = sum_m w_m a_m(t_k) a_m(t_k)^dag, for members with all n rows."""
+    return sum(w * np.outer(amp[:, k], amp[:, k].conj()) for w, amp in members)
+
+
+def _cross_check(values, state_spec: StateSpec, n: int, label: str, reference) -> None:
+    """Numerical-health check of the ensemble path for a mixed state.
+
+    Its last output must agree with ``reference(rho0)``, the same output
+    computed from the initial density matrix by the density-matrix
+    definition, within CROSS_CHECK_TOL; otherwise ArithmeticError.
+    """
+    if state_spec.kind != "werner" or not len(values):
+        return
+    delta = float(np.max(np.abs(values[-1] - reference(state_spec.build_density(n)))))
+    if not delta <= CROSS_CHECK_TOL:
         raise ArithmeticError(
-            f"{label}: ensemble value {values[-1]!r} at the last time differs from "
-            f"the density-matrix value {reference!r} by more than {CROSS_CHECK_TOL:g}"
+            f"{label}: the ensemble value at the last time differs from the "
+            f"density-matrix value by {delta:.3g}, more than {CROSS_CHECK_TOL:g}"
         )
 
 
@@ -288,13 +297,11 @@ def concurrence_trace(
     a, b = measures._site_pair_indices(n, i, j)
     d = graph_spec.decompose()
     times = grid.times()
-    ensemble = state_spec.ensemble(n)
-    members = _ensemble_amplitudes(d, ensemble, times, [a, b])
+    members = _ensemble_amplitudes(d, state_spec.ensemble(n), times, [a, b])
     values = np.clip(2.0 * np.abs(_coherence(members, 0, 1)), 0.0, 1.0)
     label = f"concurrence:{i},{j}"
-    if len(ensemble) > 1:
-        rho_t = evolve_density(d, state_spec.build_density(n), times[-1])
-        _cross_check(values, measures.concurrence_pair_fast(rho_t, i, j), label)
+    _cross_check(values, state_spec, n, label, lambda rho0:
+                 measures.concurrence_pair_fast(evolve_density(d, rho0, times[-1]), i, j))
     return TraceSeries(times, values, label=label)
 
 
@@ -307,13 +314,11 @@ def occupation_trace(
         raise IndexError(f"site index {site} out of range 1..{n}")
     d = graph_spec.decompose()
     times = grid.times()
-    ensemble = state_spec.ensemble(n)
-    members = _ensemble_amplitudes(d, ensemble, times, [site - 1])
+    members = _ensemble_amplitudes(d, state_spec.ensemble(n), times, [site - 1])
     values = np.clip(_populations(members, 0), 0.0, 1.0)
     label = f"occupation:{site}"
-    if len(ensemble) > 1:
-        rho_t = evolve_density(d, state_spec.build_density(n), times[-1])
-        _cross_check(values, occupation(rho_t, site), label)
+    _cross_check(values, state_spec, n, label, lambda rho0:
+                 occupation(evolve_density(d, rho0, times[-1]), site))
     return TraceSeries(times, values, label=label)
 
 
@@ -322,9 +327,9 @@ def transfer_fidelity_trace(
 ) -> TraceSeries:
     """Squared overlap with the right-end target state over the grid."""
     n = graph_spec.n
-    psi0 = state_spec.build_pure(n)
-    if psi0 is None:
+    if state_spec.kind == "werner":
         raise ValueError("transfer fidelity trace needs a pure initial state")
+    ((_, psi0),) = state_spec.ensemble(n)
     phi = state_spec.phi if target_phi is None else float(target_phi)
     target = states.target_pure(n, phi)
     d = graph_spec.decompose()
@@ -344,10 +349,9 @@ def bures_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) ->
     fwd = np.sqrt(_populations(_ensemble_amplitudes(d, ensemble, times), slice(None)))
     bwd = np.sqrt(_populations(_ensemble_amplitudes(d, ensemble, -times), slice(None)))
     values = np.linalg.norm(fwd - bwd, axis=0)
-    if len(ensemble) > 1:
-        # The distance is even in t, and pts_bures takes t >= 0 only.
-        rho0 = state_spec.build_density(n)
-        _cross_check(values, measures.pts_bures(d, rho0, abs(times[-1])), "pts-bures")
+    # The distance is even in t, and pts_bures takes t >= 0 only.
+    _cross_check(values, state_spec, n, "pts-bures", lambda rho0:
+                 measures.pts_bures(d, rho0, abs(times[-1])))
     return TraceSeries(times, values, label="pts-bures")
 
 
@@ -375,36 +379,44 @@ def werner_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) -
     det_term = 2.0 * w_plus * w_minus * np.abs(plus[p] * minus[q] - plus[q] * minus[p])
     values = np.clip(overlap + det_term, 0.0, 1.0)
     label = f"werner-fidelity:b={b}"
-    rho_t = evolve_density(d, state_spec.build_density(n), times[-1])
-    _cross_check(values, measures.fidelity(rho_t, states.target_werner(n, b)), label)
+    _cross_check(values, state_spec, n, label, lambda rho0:
+                 measures.fidelity(evolve_density(d, rho0, times[-1]), states.target_werner(n, b)))
     return TraceSeries(times, values, label=label)
 
 
 def concurrence_matrix_snapshots(
     graph_spec: GraphSpec, state_spec: StateSpec, times
 ) -> list[np.ndarray]:
-    """Full pairwise-concurrence matrix at each requested time."""
+    """Full pairwise-concurrence matrix at each requested time, from one
+    site_amplitudes call per ensemble member over all the times."""
+    n = graph_spec.n
     d = graph_spec.decompose()
-    rho0 = state_spec.build_density(graph_spec.n)
-    return [measures.concurrence_matrix(evolve_density(d, rho0, t)) for t in times]
+    times = np.asarray(times, dtype=float)
+    members = _ensemble_amplitudes(d, state_spec.ensemble(n), times)
+    mats = [measures.concurrence_matrix(_density(members, k)) for k in range(times.size)]
+    _cross_check(mats, state_spec, n, "snapshots", lambda rho0:
+                 measures.concurrence_matrix(evolve_density(d, rho0, times[-1])))
+    return mats
 
 
 # ---------------------------------------------------------------------------
 # peak detection
 
 
-def _refine(times: np.ndarray, values: np.ndarray, k: int) -> tuple[float, float]:
-    # Parabola through the three samples around index k; falls back to the
-    # grid point for boundary or degenerate (flat) neighborhoods.
-    if k <= 0 or k >= len(values) - 1:
-        return float(times[k]), float(values[k])
-    y1, y2, y3 = values[k - 1], values[k], values[k + 1]
+def _refine(times: np.ndarray, values: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Times and values of the parabolas through the samples around each index in ``k``.
+
+    An index at either end of the grid, or with a flat neighbourhood (zero
+    curvature), keeps its grid point.
+    """
+    inner = (k > 0) & (k < len(values) - 1)
+    lo, hi = np.where(inner, k - 1, k), np.where(inner, k + 1, k)
+    y1, y2, y3 = values[lo], values[k], values[hi]
     denom = y1 - 2.0 * y2 + y3
-    if abs(denom) < 1e-300:
-        return float(times[k]), float(values[k])
-    shift = 0.5 * (y1 - y3) / denom
-    dt = times[k + 1] - times[k]
-    return float(times[k] + shift * dt), float(y2 - 0.25 * (y1 - y3) * shift)
+    flat = ~inner | (np.abs(denom) < 1e-300)
+    shift = np.divide(0.5 * (y1 - y3), denom, out=np.zeros_like(denom), where=~flat)
+    t = np.where(flat, times[k], times[k] + shift * (times[hi] - times[k]))
+    return t, np.where(flat, y2, y2 - 0.25 * (y1 - y3) * shift)
 
 
 def _interior_maxima(v: np.ndarray) -> np.ndarray:
@@ -421,32 +433,20 @@ def first_peak(series: TraceSeries, noise_floor: float = PEAK_NOISE_FLOOR) -> Pe
     hits = np.flatnonzero(_interior_maxima(v) & (v[1:-1] > noise_floor))
     if not hits.size:
         return PeakResult(math.nan, math.nan, "no-peak", found=False)
-    t, val = _refine(series.times, v, int(hits[0]) + 1)
-    return PeakResult(t, val, "first-local-max")
+    t, val = _refine(series.times, v, hits[:1] + 1)
+    return PeakResult(float(t[0]), float(val[0]), "first-local-max")
 
 
 def global_max(series: TraceSeries) -> PeakResult:
     """Largest value over the grid (earliest wins ties), parabolically refined."""
-    k = int(np.argmax(series.values))
-    t, val = _refine(series.times, series.values, k)
-    return PeakResult(t, val, "global-max")
+    t, val = _refine(series.times, series.values, np.argmax(series.values, keepdims=True))
+    return PeakResult(float(t[0]), float(val[0]), "global-max")
 
 
 def top_peaks(series: TraceSeries, count: int = 3) -> tuple[PeakResult, ...]:
-    """The ``count`` highest interior local maxima, best first.
-
-    Every maximum is refined with _refine's arithmetic, element-wise and in
-    the same operation order, so the values match it bit for bit; ties in
-    value go to the earlier time.
-    """
-    times, v = series.times, series.values
-    k = np.flatnonzero(_interior_maxima(v)) + 1
-    y1, y2, y3 = v[k - 1], v[k], v[k + 1]
-    denom = y1 - 2.0 * y2 + y3
-    flat = np.abs(denom) < 1e-300
-    shift = np.divide(0.5 * (y1 - y3), denom, out=np.zeros_like(denom), where=~flat)
-    t = np.where(flat, times[k], times[k] + shift * (times[k + 1] - times[k]))
-    val = np.where(flat, y2, y2 - 0.25 * (y1 - y3) * shift)
+    """The ``count`` highest interior local maxima, best first; earlier times win ties."""
+    t, val = _refine(series.times, series.values,
+                     np.flatnonzero(_interior_maxima(series.values)) + 1)
     best = np.lexsort((t, -val))[:count]
     return tuple(PeakResult(float(t[i]), float(val[i]), "local-max") for i in best)
 

@@ -1,31 +1,17 @@
-"""Entanglement and state-transfer measures.
+"""Entanglement and state-transfer measures on density matrices.
 
-Covers the two-site reduced density matrix of a single-excitation state, the
-Wootters concurrence (general and the 2|rho_ij| fast path valid in the
-single-excitation sector), Uhlmann fidelity, Bures distance, and the
-diagonal-only Bures diagnostic for probability time-symmetry breaking.
+Covers the pairwise concurrence 2|rho_ij| (exact in the single-excitation
+sector), the Uhlmann fidelity and the diagonal-only Bures diagnostic for
+probability time-symmetry breaking.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import (
-    NORM_TOL,
-    SpectralDecomposition,
-    check_density_matrix,
-    evolve_density,
-    evolve_pure,
-    check_pure_state,
-)
+from .dynamics import SpectralDecomposition, check_density_matrix, evolve_density
 
 PSD_TOL = 1e-10
-
-# Pauli-Y spin flip on two qubits, (Y (x) Y).
-_YY = np.kron(
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-)
 
 
 def _clamp01(x: float) -> float:
@@ -40,68 +26,12 @@ def _site_pair_indices(n: int, i: int, j: int) -> tuple[int, int]:
     return i - 1, j - 1
 
 
-def reduced_pair(rho, i: int, j: int) -> np.ndarray:
-    """Two-qubit reduced density matrix of sites (i, j).
-
-    For a single-excitation state the partial trace over the remaining sites
-    gives a 4x4 matrix with one occupied 2x2 block::
-
-        [[1 - rho_ii - rho_jj, 0,      0,      0],
-         [0,                   rho_ii, rho_ij, 0],
-         [0,                   rho_ji, rho_jj, 0],
-         [0,                   0,      0,      0]]
-
-    The doubly-excited row and column vanish identically because the sector
-    holds exactly one excitation.
-    """
-    rho = check_density_matrix(rho)
-    a, b = _site_pair_indices(rho.shape[0], i, j)
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = 1.0 - rho[a, a].real - rho[b, b].real
-    out[1, 1] = rho[a, a]
-    out[1, 2] = rho[a, b]
-    out[2, 1] = rho[b, a]
-    out[2, 2] = rho[b, b]
-    return out
-
-
-def check_pair_density(pd) -> np.ndarray:
-    """Validate a 4x4 two-qubit density matrix (Hermitian, unit trace, PSD)."""
-    pd = np.asarray(pd, dtype=complex)
-    if pd.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {pd.shape}")
-    if np.abs(pd - pd.conj().T).max() > 1e-10:
-        raise ValueError("pair density matrix is not Hermitian")
-    if abs(np.real(np.trace(pd)) - 1.0) > NORM_TOL:
-        raise ValueError(f"pair density matrix trace is {np.real(np.trace(pd))!r}")
-    if float(np.linalg.eigvalsh(pd).min()) < -PSD_TOL:
-        raise ValueError("pair density matrix is not positive semidefinite")
-    return pd
-
-
 def _sqrtm_psd(M: np.ndarray) -> np.ndarray:
     # Hermitian square root; eigenvalues inside the roundoff band [-tol, tol]
     # are clamped to 0 so exact null modes do not pick up sqrt(eps) noise.
     w, U = np.linalg.eigh(M)
     w = np.where(w < PSD_TOL * 0.01, 0.0, w)
     return (U * np.sqrt(w)) @ U.conj().T
-
-
-def concurrence_wootters(pd) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
-
-    Computes C = max(0, l1 - l2 - l3 - l4) where the l's are the eigenvalues,
-    in non-increasing order, of R = sqrt(sqrt(rho) rho~ sqrt(rho)) and
-    rho~ = (Y (x) Y) conj(rho) (Y (x) Y) is the spin-flipped state.  The l's
-    are evaluated as the singular values of sqrt(rho) sqrt(rho~), whose Gram
-    matrix is R^2; unlike an eigensolve of R^2 this keeps the exact-zero l's
-    of singular states free of sqrt(eps) noise.
-    """
-    pd = check_pair_density(pd)
-    s = _sqrtm_psd(pd)
-    s_flipped = _YY @ s.conj() @ _YY  # sqrt commutes with the antiunitary flip
-    lams = np.linalg.svd(s @ s_flipped, compute_uv=False)
-    return _clamp01(lams[0] - lams[1] - lams[2] - lams[3])
 
 
 def concurrence_pair_fast(rho, i: int, j: int) -> float:
@@ -132,59 +62,25 @@ def fidelity(rho, sigma) -> float:
     return _clamp01(np.linalg.svd(product, compute_uv=False).sum() ** 2)
 
 
-def bures_distance(rho, sigma) -> float:
-    """Bures distance D_B = sqrt(2 (1 - sqrt(F(rho, sigma)))), in [0, sqrt(2)]."""
-    f = fidelity(rho, sigma)
-    return float(np.sqrt(max(2.0 * (1.0 - np.sqrt(f)), 0.0)))
-
-
-def diagonal_bures(p, q) -> float:
-    """Bures distance between two classical probability vectors.
-
-    For commuting (diagonal) states the fidelity closes to
-    F = (sum_i sqrt(p_i q_i))^2, so D_B^2 = 2 (1 - sum_i sqrt(p_i q_i)),
-    which for normalized p, q equals sum_i (sqrt(p_i) - sqrt(q_i))^2.  The
-    latter form is used because it stays accurate when the distance is tiny.
-    """
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    q = np.clip(np.asarray(q, dtype=float), 0.0, None)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError(f"probability vectors must match, got {p.shape} vs {q.shape}")
-    return float(np.linalg.norm(np.sqrt(p) - np.sqrt(q)))
-
-
-def _sqrt_diagonal_at(d: SpectralDecomposition, state: np.ndarray, t: float) -> np.ndarray:
-    # sqrt of site occupation probabilities at time t; the pure path takes
-    # |amplitude| directly, which avoids cancellation near zero probabilities.
-    if state.ndim == 1:
-        return np.abs(evolve_pure(d, state, t))
-    rho_t = evolve_density(d, state, t)
+def _sqrt_diagonal_at(d: SpectralDecomposition, rho0, t: float) -> np.ndarray:
+    # sqrt of the site occupation probabilities at time t.
+    rho_t = evolve_density(d, rho0, t)
     return np.sqrt(np.clip(np.real(np.diag(rho_t)), 0.0, None))
 
 
-def pts_bures(d: SpectralDecomposition, state0, t: float) -> float:
+def pts_bures(d: SpectralDecomposition, rho0, t: float) -> float:
     """Diagonal-only Bures distance between forward and backward evolution.
 
-    Evolves ``state0`` (an amplitude vector or a density matrix) to +t and -t
-    and compares only the site occupation probabilities.  The result vanishes
-    identically when probability time symmetry is unbroken, e.g. for a real
-    Hamiltonian with a real initial state.
+    Evolves the density matrix ``rho0`` to +t and -t and compares only the
+    site occupation probabilities.  The result vanishes identically when
+    probability time symmetry is unbroken, e.g. for a real Hamiltonian with a
+    real initial state.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    state0 = np.asarray(state0, dtype=complex)
-    r = _sqrt_diagonal_at(d, state0, t)
-    s = _sqrt_diagonal_at(d, state0, -t)
+    r = _sqrt_diagonal_at(d, rho0, t)
+    s = _sqrt_diagonal_at(d, rho0, -t)
     return float(np.linalg.norm(r - s))
-
-
-def transfer_fidelity_pure(psi_t, target) -> float:
-    """Squared overlap |<target|psi>|^2 of two amplitude vectors."""
-    psi_t = check_pure_state(psi_t)
-    target = check_pure_state(target)
-    if psi_t.shape != target.shape:
-        raise ValueError(f"dimension mismatch: {psi_t.shape} vs {target.shape}")
-    return _clamp01(abs(np.vdot(target, psi_t)) ** 2)
 
 
 def concurrence_matrix(rho) -> np.ndarray:

@@ -2,38 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import check_pure_state
 
 
-@dataclass(frozen=True)
-class SpatialPairSpec:
-    """Two-site superposition (|i> - e^{i phi} |j>)/sqrt(2) on an n-site chain."""
-
-    n: int
-    i: int
-    j: int
-    phi: float
-
-    def __post_init__(self):
-        if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise IndexError(f"sites ({self.i}, {self.j}) out of range 1..{self.n}")
-        if self.i == self.j:
-            raise ValueError(f"pair sites must differ, got i = j = {self.i}")
-
-
-@dataclass(frozen=True)
-class WernerSpec:
-    """Mixing weight b of a Werner-like state; b in [-1, 1] keeps it positive."""
-
-    b: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.b <= 1.0:
-            raise ValueError(f"mixing weight b must lie in [-1, 1], got {self.b}")
+def _mixing_weight(n: int, b) -> float:
+    """b as a float, for a Werner-like state on n >= 2 sites; b in [-1, 1] keeps it positive."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 sites, got {n}")
+    b = float(b)
+    if not -1.0 <= b <= 1.0:
+        raise ValueError(f"mixing weight b must lie in [-1, 1], got {b}")
+    return b
 
 
 def localized(n: int, i: int) -> np.ndarray:
@@ -47,10 +28,13 @@ def localized(n: int, i: int) -> np.ndarray:
 
 def spatial_pair(n: int, i: int, j: int, phi: float) -> np.ndarray:
     """State (|i> - e^{i phi} |j>)/sqrt(2); phi = pi gives (|i> + |j>)/sqrt(2)."""
-    spec = SpatialPairSpec(n, i, j, float(phi))
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise IndexError(f"sites ({i}, {j}) out of range 1..{n}")
+    if i == j:
+        raise ValueError(f"pair sites must differ, got i = j = {i}")
     psi = np.zeros(n, dtype=complex)
-    psi[spec.i - 1] = 1.0 / np.sqrt(2.0)
-    psi[spec.j - 1] = -np.exp(1j * spec.phi) / np.sqrt(2.0)
+    psi[i - 1] = 1.0 / np.sqrt(2.0)
+    psi[j - 1] = -np.exp(1j * float(phi)) / np.sqrt(2.0)
     return psi
 
 
@@ -68,12 +52,10 @@ def werner(n: int, b) -> np.ndarray:
     maximally mixed state of the two-site manifold; the occupied 2x2 block
     has eigenvalues (1 +- b)/2.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 sites, got {n}")
-    spec = b if isinstance(b, WernerSpec) else WernerSpec(float(b))
-    rho = spec.b * density_from_pure(spatial_pair(n, 1, 2, np.pi))
-    rho[0, 0] += (1.0 - spec.b) / 2.0
-    rho[1, 1] += (1.0 - spec.b) / 2.0
+    b = _mixing_weight(n, b)
+    rho = b * density_from_pure(spatial_pair(n, 1, 2, np.pi))
+    rho[0, 0] += (1.0 - b) / 2.0
+    rho[1, 1] += (1.0 - b) / 2.0
     return rho
 
 
@@ -84,12 +66,10 @@ def werner_ensemble(n: int, b) -> tuple[tuple[float, np.ndarray], ...]:
     block, written in closed form.  Both members are kept even when one
     weight is zero, so the ensemble always has the same two rows.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 sites, got {n}")
-    spec = b if isinstance(b, WernerSpec) else WernerSpec(float(b))
+    b = _mixing_weight(n, b)
     return (
-        ((1.0 + spec.b) / 2.0, spatial_pair(n, 1, 2, np.pi)),
-        ((1.0 - spec.b) / 2.0, spatial_pair(n, 1, 2, 0.0)),
+        ((1.0 + b) / 2.0, spatial_pair(n, 1, 2, np.pi)),
+        ((1.0 - b) / 2.0, spatial_pair(n, 1, 2, 0.0)),
     )
 
 
@@ -102,10 +82,8 @@ def target_pure(n: int, phi: float) -> np.ndarray:
 
 def target_werner(n: int, b) -> np.ndarray:
     """Ideally transferred Werner state on the rightmost pair (n-1, n)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 sites, got {n}")
-    spec = b if isinstance(b, WernerSpec) else WernerSpec(float(b))
+    b = _mixing_weight(n, b)
     rho = np.zeros((n, n), dtype=complex)
     rho[n - 2, n - 2] = rho[n - 1, n - 1] = 0.5
-    rho[n - 2, n - 1] = rho[n - 1, n - 2] = spec.b / 2.0
+    rho[n - 2, n - 1] = rho[n - 1, n - 2] = b / 2.0
     return rho

@@ -1,9 +1,16 @@
-"""Independent brute-force reference implementations used by the tests.
+"""Reference implementations used by the tests.
 
-Nothing here shares code paths with the package: partial traces run in the
-full 2^N two-level-per-site space, propagators go through scipy's expm, the
-concurrence uses the rho * rho~ eigenvalue route, and the peak searches walk
-the samples one at a time.
+Brute-force references share no code path with the package: partial traces
+run in the full 2^N two-level-per-site space, propagators go through scipy's
+expm, the concurrence uses the rho * rho~ eigenvalue route, and the peak
+searches walk the samples one at a time.
+
+The general measures below the brute-force ones (``reduced_pair``,
+``check_pair_density``, ``concurrence_wootters`` with its spin flip ``_YY``,
+``bures_distance``, ``diagonal_bures`` and ``transfer_fidelity_pure``) were
+part of the package; nothing in the CLI or the experiments called them.  They
+stay as references for the fast paths the package keeps, and build on its
+validators, ``measures.fidelity`` and its Hermitian square root.
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ import math
 import numpy as np
 import scipy.linalg
 
+from chiralwalk.dynamics import NORM_TOL, check_density_matrix, check_pure_state
 from chiralwalk.experiments import PeakResult
+from chiralwalk.measures import PSD_TOL, _clamp01, _site_pair_indices, _sqrtm_psd, fidelity
 
 
 def partial_trace(rho_full: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
@@ -97,6 +106,107 @@ def random_density_matrix(rng: np.random.Generator, n: int, rank: int = 2) -> np
     return rho
 
 
+# ---------------------------------------------------------------------------
+# general measures
+
+
+def reduced_pair(rho, i: int, j: int) -> np.ndarray:
+    """Two-qubit reduced density matrix of sites (i, j).
+
+    For a single-excitation state the partial trace over the remaining sites
+    gives a 4x4 matrix with one occupied 2x2 block::
+
+        [[1 - rho_ii - rho_jj, 0,      0,      0],
+         [0,                   rho_ii, rho_ij, 0],
+         [0,                   rho_ji, rho_jj, 0],
+         [0,                   0,      0,      0]]
+
+    The doubly-excited row and column vanish identically because the sector
+    holds exactly one excitation.
+    """
+    rho = check_density_matrix(rho)
+    a, b = _site_pair_indices(rho.shape[0], i, j)
+    out = np.zeros((4, 4), dtype=complex)
+    out[0, 0] = 1.0 - rho[a, a].real - rho[b, b].real
+    out[1, 1] = rho[a, a]
+    out[1, 2] = rho[a, b]
+    out[2, 1] = rho[b, a]
+    out[2, 2] = rho[b, b]
+    return out
+
+
+def check_pair_density(pd) -> np.ndarray:
+    """Validate a 4x4 two-qubit density matrix (Hermitian, unit trace, PSD)."""
+    pd = np.asarray(pd, dtype=complex)
+    if pd.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {pd.shape}")
+    if np.abs(pd - pd.conj().T).max() > 1e-10:
+        raise ValueError("pair density matrix is not Hermitian")
+    if abs(np.real(np.trace(pd)) - 1.0) > NORM_TOL:
+        raise ValueError(f"pair density matrix trace is {np.real(np.trace(pd))!r}")
+    if float(np.linalg.eigvalsh(pd).min()) < -PSD_TOL:
+        raise ValueError("pair density matrix is not positive semidefinite")
+    return pd
+
+
+# Pauli-Y spin flip on two qubits, (Y (x) Y).
+_YY = np.kron(
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+)
+
+
+def concurrence_wootters(pd) -> float:
+    """Wootters concurrence of a two-qubit density matrix.
+
+    Computes C = max(0, l1 - l2 - l3 - l4) where the l's are the eigenvalues,
+    in non-increasing order, of R = sqrt(sqrt(rho) rho~ sqrt(rho)) and
+    rho~ = (Y (x) Y) conj(rho) (Y (x) Y) is the spin-flipped state.  The l's
+    are evaluated as the singular values of sqrt(rho) sqrt(rho~), whose Gram
+    matrix is R^2; unlike an eigensolve of R^2 this keeps the exact-zero l's
+    of singular states free of sqrt(eps) noise.
+    """
+    pd = check_pair_density(pd)
+    s = _sqrtm_psd(pd)
+    s_flipped = _YY @ s.conj() @ _YY  # sqrt commutes with the antiunitary flip
+    lams = np.linalg.svd(s @ s_flipped, compute_uv=False)
+    return _clamp01(lams[0] - lams[1] - lams[2] - lams[3])
+
+
+def bures_distance(rho, sigma) -> float:
+    """Bures distance D_B = sqrt(2 (1 - sqrt(F(rho, sigma)))), in [0, sqrt(2)]."""
+    f = fidelity(rho, sigma)
+    return float(np.sqrt(max(2.0 * (1.0 - np.sqrt(f)), 0.0)))
+
+
+def diagonal_bures(p, q) -> float:
+    """Bures distance between two classical probability vectors.
+
+    For commuting (diagonal) states the fidelity closes to
+    F = (sum_i sqrt(p_i q_i))^2, so D_B^2 = 2 (1 - sum_i sqrt(p_i q_i)),
+    which for normalized p, q equals sum_i (sqrt(p_i) - sqrt(q_i))^2.  The
+    latter form is used because it stays accurate when the distance is tiny.
+    """
+    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    q = np.clip(np.asarray(q, dtype=float), 0.0, None)
+    if p.shape != q.shape or p.ndim != 1:
+        raise ValueError(f"probability vectors must match, got {p.shape} vs {q.shape}")
+    return float(np.linalg.norm(np.sqrt(p) - np.sqrt(q)))
+
+
+def transfer_fidelity_pure(psi_t, target) -> float:
+    """Squared overlap |<target|psi>|^2 of two amplitude vectors."""
+    psi_t = check_pure_state(psi_t)
+    target = check_pure_state(target)
+    if psi_t.shape != target.shape:
+        raise ValueError(f"dimension mismatch: {psi_t.shape} vs {target.shape}")
+    return _clamp01(abs(np.vdot(target, psi_t)) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# peak searches
+
+
 def _parabola_peak(times, values, k: int) -> tuple[float, float]:
     """Vertex of the parabola through samples k-1, k, k+1 (grid point if flat)."""
     y1, y2, y3 = values[k - 1], values[k], values[k + 1]
@@ -128,3 +238,16 @@ def top_peaks_scan(series, count: int):
             found.append(PeakResult(t, val, "local-max"))
     found.sort(key=lambda p: (-p.value, p.t_peak))
     return tuple(found[:count])
+
+
+def global_max_scan(series):
+    """Earliest largest sample, found one by one; refined unless at either end."""
+    v = series.values
+    k = 0
+    for i in range(1, len(v)):
+        if v[i] > v[k]:
+            k = i
+    if k == 0 or k == len(v) - 1:
+        return PeakResult(float(series.times[k]), float(v[k]), "global-max")
+    t, val = _parabola_peak(series.times, v, k)
+    return PeakResult(t, val, "global-max")

@@ -347,7 +347,7 @@ def test_c14c_wootters_fast_path_equivalence():
         rho = np.outer(psi, psi.conj())
         i, j = (int(x) + 1 for x in rng.choice(5, size=2, replace=False))
         fast = measures.concurrence_pair_fast(rho, i, j)
-        full = measures.concurrence_wootters(measures.reduced_pair(rho, i, j))
+        full = oracles.concurrence_wootters(oracles.reduced_pair(rho, i, j))
         worst = max(worst, abs(fast - full))
     report(worst <= 1e-9, "c14c concurrence oracle equivalence",
            f"worst |fast - wootters| over 1000 cases = {worst:.3e} (<= 1e-9)")
@@ -366,7 +366,7 @@ def test_c14d_full_space_partial_trace_oracle():
                     for j in range(1, n + 1):
                         if i == j:
                             continue
-                        ours = measures.reduced_pair(rho, i, j)
+                        ours = oracles.reduced_pair(rho, i, j)
                         ref = oracles.full_space_reduced_pair(rho, i, j)
                         worst = max(worst, float(np.abs(ours - ref).max()))
     report(worst <= 1e-10, "c14d partial-trace oracle",

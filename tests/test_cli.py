@@ -413,6 +413,17 @@ class TestSnapshotsCommand:
         root = ET.fromstring((tmp_path / "snapshots.svg").read_text())
         assert sum(1 for el in root.iter() if el.tag.endswith("rect")) > 75
 
+    def test_csv_names_the_magnitude(self, tmp_path):
+        assert cli.main(["snapshots", "--times", "0.5", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "snapshots.manifest.json").read_text())
+        manifest["parameters"]["graph"]["magnitude"] = 2.0
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        assert cli.main(["rerun", str(path), "--out", str(tmp_path / "again")]) == 0
+        for out, magnitude in ((tmp_path, "1"), (tmp_path / "again", "2")):
+            graph_line = (out / "snapshots-t0.csv").read_text().splitlines()[1]
+            assert graph_line == f"# graph: tri:5 theta=1.57079632679 magnitude={magnitude}"
+
     def test_empty_times_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["snapshots", "--times", "", "--out", str(tmp_path)])
@@ -482,6 +493,8 @@ def files_under(root: Path) -> set:
 
 
 TRI2 = {"kind": "tri", "n": 2, "theta": 0.0, "magnitude": 1.0}
+# 10^7 steps, within the point-count guard, but finer than floats near 1e10.
+FINE_GRID = {"t_start": 1e10, "t_end": 10000000001.0, "dt": 1e-7}
 
 # (subcommand, flags replacing or adding to BASE_RUNS, manifest parameter edits);
 # None where a case has no flag form.
@@ -511,6 +524,10 @@ USAGE_ERRORS = {
     "scaling-n-1-3": ("scaling", ["--n", "1,3"], {"n_values": [1, 3]}),
     "scaling-grid-2-points": ("scaling", ["--t", "0:0.05:0.05"],
                               {"grid": {"t_start": 0.0, "t_end": 0.05, "dt": 0.05}}),
+    "trace-step-below-resolution": ("trace", ["--t", "1e10:10000000001:1e-7"],
+                                    {"grid": FINE_GRID}),
+    "scaling-step-below-resolution": ("scaling", ["--t", "1e10:10000000001:1e-7"],
+                                      {"grid": FINE_GRID}),
     "snapshots-time-nan": ("snapshots", ["--times", "nan"], {"times": [math.nan]}),
     "snapshots-tri-2": ("snapshots", ["--graph", "tri:2"], {"graph": TRI2}),
     "graph-export-tri-2": ("graph-export", ["--graph", "tri:2"], {"graph": TRI2}),

@@ -66,6 +66,25 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="guard"):
             TimeGrid(0.0, 1e6, 1e-9)
 
+    def test_rejects_step_below_float_resolution(self):
+        # 10^7 steps fit the guard, but 1e-7 is below the spacing of floats near 1e10.
+        with pytest.raises(ValueError, match="resolution"):
+            TimeGrid(1e10, 10000000001.0, 1e-7)
+
+    @given(st.floats(-1e15, 1e15), st.integers(1, 200), st.floats(0.0, 8.0), st.booleans())
+    @example(1e10, 10, 1.5, True)
+    @example(-1e10, 10, 2.5, True)
+    @example(0.0, 3, 0.5, False)
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_grids_increase_strictly(self, t_start, steps, step, in_ulps):
+        # Steps of a few float spacings of t_start probe the resolution check.
+        dt = step * np.spacing(abs(t_start)) if in_ulps else step
+        try:
+            grid = TimeGrid(t_start, t_start + steps * dt, dt)
+        except ValueError:
+            return
+        assert np.all(np.diff(grid.times()) > 0)
+
 
 class TestTraceSeries:
     def test_rejects_mismatched_lengths(self):
@@ -139,9 +158,9 @@ class TestTransferFidelityTrace:
 
         target = states.target_pure(5, PI)
         for k, t in enumerate(series.times):
-            psi = evolve_pure(d, BELL.build_pure(5), t)
+            psi = evolve_pure(d, states.spatial_pair(5, 1, 2, PI), t)
             assert series.values[k] == pytest.approx(
-                measures.transfer_fidelity_pure(psi, target), abs=1e-12
+                oracles.transfer_fidelity_pure(psi, target), abs=1e-12
             )
 
     def test_rejects_mixed_state(self):
@@ -215,6 +234,17 @@ class TestPeaks:
     @settings(max_examples=200, deadline=None)
     def test_top_peaks_matches_scan(self, series, count):
         assert top_peaks(series, count) == oracles.top_peaks_scan(series, count)
+
+    @given(_peak_series(min_size=1))
+    @example(_series([1.0, 0.5, 0.0]))  # maximum at the start
+    @example(_series([0.0, 0.5, 1.0]))  # maximum at the end
+    @example(_series([0.0, 1.0, 1.0, 1.0, 0.0]))  # plateau
+    @example(_series([0.5, 0.5, 0.5]))  # flat triple, denom = 0
+    @example(_series([0.0, 1.0, 0.0, 1.0, 0.0]))  # exact tie
+    @example(_series([0.7]))  # one sample
+    @settings(max_examples=200, deadline=None)
+    def test_global_max_matches_scan(self, series):
+        assert global_max(series) == oracles.global_max_scan(series)
 
     @given(_peak_series(min_size=3), st.sampled_from([0.0, PEAK_FLOOR, 0.5, 1.0]))
     @example(_series([0.0, 1.0, 1.0, 1.0, 0.0]), PEAK_FLOOR)
@@ -424,6 +454,25 @@ class TestSnapshots:
             assert np.array_equal(C, C.T)
             assert np.abs(np.diag(C)).max() == 0.0
 
+    @given(st.sampled_from(["tri", "cycle", "complete"]), st.integers(3, 7),
+           st.floats(-PI, PI), st.sampled_from(["pair", "localized", "werner"]),
+           st.floats(-1.0, 1.0), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4))
+    @example("tri", 5, PI / 2, "werner", 0.5, [0.0, 1.0])
+    @example("cycle", 3, 0.3, "pair", -1.0, [2.5])
+    @example("complete", 4, -PI / 2, "localized", 0.0, [-3.0, 7.0])
+    @settings(max_examples=40, deadline=None)
+    def test_matches_density_matrix_path(self, kind, n, theta, state_kind, b, times):
+        gspec = GraphSpec(kind, n, theta)
+        sspec = {"pair": StateSpec("pair", i=1, j=n, phi=PI * b),
+                 "localized": StateSpec("localized", site=n // 2 + 1),
+                 "werner": StateSpec("werner", b=b)}[state_kind]
+        d, rho0 = gspec.decompose(), sspec.build_density(n)
+        mats = concurrence_matrix_snapshots(gspec, sspec, times)
+        assert len(mats) == len(times)
+        for t, C in zip(times, mats):
+            expected = measures.concurrence_matrix(evolve_density(d, rho0, t))
+            assert np.abs(C - expected).max() < 1e-12
+
 
 class TestSupplementSymmetry:
     """theta and pi - theta generate conjugate propagators, so every
@@ -468,10 +517,10 @@ class TestGraphSpec:
 class TestStateSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            StateSpec("squeezed").build_pure(5)
+            StateSpec("squeezed").ensemble(5)
 
     def test_werner_has_no_pure_form(self):
-        assert StateSpec("werner", b=0.3).build_pure(5) is None
+        assert len(StateSpec("werner", b=0.3).ensemble(5)) == 2
 
 
 class TestEnsembleOracle:
@@ -521,7 +570,8 @@ class TestEnsembleOracle:
         bures_trace,
         concurrence_trace,
         lambda g, s, grid: occupation_trace(g, s, grid, site=4),
-    ], ids=["werner", "bures", "concurrence", "occupation"])
+        lambda g, s, grid: concurrence_matrix_snapshots(g, s, grid.times()),
+    ], ids=["werner", "bures", "concurrence", "occupation", "snapshots"])
     def test_cross_check_catches_corrupted_values(self, trace, monkeypatch):
         real = experiments.site_amplitudes
         monkeypatch.setattr(experiments, "site_amplitudes",

@@ -35,18 +35,18 @@ def flat5():
 class TestReducedPair:
     def test_initial_bell_pair(self):
         rho = states.density_from_pure(states.spatial_pair(5, 1, 2, math.pi))
-        assert np.abs(measures.reduced_pair(rho, 1, 2) - BELL_BLOCK).max() < 1e-12
+        assert np.abs(oracles.reduced_pair(rho, 1, 2) - BELL_BLOCK).max() < 1e-12
 
     def test_excitation_elsewhere(self):
         rho = states.density_from_pure(states.localized(5, 3))
-        pd = measures.reduced_pair(rho, 4, 5)
+        pd = oracles.reduced_pair(rho, 4, 5)
         assert np.abs(pd - np.diag([1.0, 0, 0, 0])).max() < 1e-12
 
     def test_zero_pattern_preserved_under_evolution(self, chiral5):
         psi0 = states.spatial_pair(5, 1, 2, math.pi)
         for t in (0.2, 0.9, 4.4):
             psi = dynamics.evolve_pure(chiral5, psi0, t)
-            pd = measures.reduced_pair(np.outer(psi, psi.conj()), 4, 5)
+            pd = oracles.reduced_pair(np.outer(psi, psi.conj()), 4, 5)
             mask = np.ones((4, 4), dtype=bool)
             mask[1:3, 1:3] = False
             mask[0, 0] = False
@@ -54,7 +54,7 @@ class TestReducedPair:
 
     def test_pure_state_block_is_amplitude_products(self, chiral5):
         psi = dynamics.evolve_pure(chiral5, states.spatial_pair(5, 1, 2, math.pi), 0.8)
-        pd = measures.reduced_pair(np.outer(psi, psi.conj()), 4, 5)
+        pd = oracles.reduced_pair(np.outer(psi, psi.conj()), 4, 5)
         assert pd[1, 1] == pytest.approx(abs(psi[3]) ** 2, abs=1e-12)
         assert pd[2, 2] == pytest.approx(abs(psi[4]) ** 2, abs=1e-12)
         assert pd[1, 2] == pytest.approx(psi[3] * np.conj(psi[4]), abs=1e-12)
@@ -63,9 +63,9 @@ class TestReducedPair:
     def test_rejects_equal_or_bad_indices(self):
         rho = states.density_from_pure(states.localized(5, 1))
         with pytest.raises(ValueError):
-            measures.reduced_pair(rho, 2, 2)
+            oracles.reduced_pair(rho, 2, 2)
         with pytest.raises(IndexError):
-            measures.reduced_pair(rho, 1, 9)
+            oracles.reduced_pair(rho, 1, 9)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_full_space_partial_trace_oracle_pure(self, n):
@@ -77,7 +77,7 @@ class TestReducedPair:
                 for j in range(1, n + 1):
                     if i == j:
                         continue
-                    ours = measures.reduced_pair(rho, i, j)
+                    ours = oracles.reduced_pair(rho, i, j)
                     ref = oracles.full_space_reduced_pair(rho, i, j)
                     assert np.abs(ours - ref).max() < 1e-10
 
@@ -89,24 +89,24 @@ class TestReducedPair:
             for i, j in [(1, 2), (1, n), (n - 1, n), (2, n - 1)]:
                 if i == j:
                     continue
-                ours = measures.reduced_pair(rho, i, j)
+                ours = oracles.reduced_pair(rho, i, j)
                 ref = oracles.full_space_reduced_pair(rho, i, j)
                 assert np.abs(ours - ref).max() < 1e-10
 
 
 class TestConcurrenceWootters:
     def test_bell_block(self):
-        assert measures.concurrence_wootters(BELL_BLOCK) == pytest.approx(1.0, abs=1e-10)
+        assert oracles.concurrence_wootters(BELL_BLOCK) == pytest.approx(1.0, abs=1e-10)
 
     def test_product_state(self):
-        assert measures.concurrence_wootters(np.diag([1.0, 0, 0, 0])) == 0.0
+        assert oracles.concurrence_wootters(np.diag([1.0, 0, 0, 0])) == 0.0
 
     def test_single_excitation_form_equals_2a45(self, chiral5):
         psi0 = states.spatial_pair(5, 1, 2, math.pi)
         for t in (0.3, 1.02, 2.5):
             psi = dynamics.evolve_pure(chiral5, psi0, t)
-            pd = measures.reduced_pair(np.outer(psi, psi.conj()), 4, 5)
-            assert measures.concurrence_wootters(pd) == pytest.approx(
+            pd = oracles.reduced_pair(np.outer(psi, psi.conj()), 4, 5)
+            assert oracles.concurrence_wootters(pd) == pytest.approx(
                 2 * abs(psi[3] * np.conj(psi[4])), abs=1e-10
             )
 
@@ -116,14 +116,14 @@ class TestConcurrenceWootters:
         rng = np.random.default_rng(5)
         for _ in range(50):
             rho = oracles.random_density_matrix(rng, 4, rank=2)
-            ours = measures.concurrence_wootters(rho)
+            ours = oracles.concurrence_wootters(rho)
             ref = oracles.wootters_concurrence_product_route(rho)
             assert ours == pytest.approx(ref, abs=5e-8)
 
     def test_rejects_non_psd(self):
         bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
-            measures.concurrence_wootters(bad)
+            oracles.concurrence_wootters(bad)
 
 
 class TestConcurrencePairFast:
@@ -144,7 +144,7 @@ class TestConcurrencePairFast:
             rho = np.outer(psi, psi.conj())
             i, j = rng.choice(5, size=2, replace=False) + 1
             fast = measures.concurrence_pair_fast(rho, int(i), int(j))
-            full = measures.concurrence_wootters(measures.reduced_pair(rho, int(i), int(j)))
+            full = oracles.concurrence_wootters(oracles.reduced_pair(rho, int(i), int(j)))
             assert abs(fast - full) < 1e-9
             count += 1
 
@@ -154,7 +154,7 @@ class TestConcurrencePairFast:
             rho = oracles.random_density_matrix(rng, 5, rank=3)
             i, j = rng.choice(5, size=2, replace=False) + 1
             fast = measures.concurrence_pair_fast(rho, int(i), int(j))
-            full = measures.concurrence_wootters(measures.reduced_pair(rho, int(i), int(j)))
+            full = oracles.concurrence_wootters(oracles.reduced_pair(rho, int(i), int(j)))
             assert abs(fast - full) < 1e-9
 
 
@@ -199,12 +199,12 @@ class TestBures:
         # D = sqrt(2(1 - sqrt(F))) amplifies the ~1e-12 fidelity roundoff to
         # the 1e-6 scale, so exact zero cannot be expected from this formula.
         rho = states.werner(5, 0.5)
-        assert measures.bures_distance(rho, rho) == pytest.approx(0.0, abs=1e-5)
+        assert oracles.bures_distance(rho, rho) == pytest.approx(0.0, abs=1e-5)
 
     def test_sqrt2_for_orthogonal(self):
         a = states.density_from_pure(states.localized(4, 1))
         b = states.density_from_pure(states.localized(4, 3))
-        assert measures.bures_distance(a, b) == pytest.approx(math.sqrt(2), abs=1e-10)
+        assert oracles.bures_distance(a, b) == pytest.approx(math.sqrt(2), abs=1e-10)
 
     def test_monotone_in_fidelity(self):
         # Rotating one pure state away from another sweeps fidelity downward.
@@ -213,7 +213,7 @@ class TestBures:
             psi = np.array([math.cos(angle), math.sin(angle), 0.0], dtype=complex)
             a = states.density_from_pure(np.array([1.0, 0, 0], dtype=complex))
             b = states.density_from_pure(psi)
-            dists.append(measures.bures_distance(a, b))
+            dists.append(oracles.bures_distance(a, b))
             fids.append(measures.fidelity(a, b))
         assert all(f1 >= f2 for f1, f2 in zip(fids, fids[1:]))
         assert all(d1 <= d2 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
@@ -224,9 +224,9 @@ class TestBures:
             a = oracles.random_density_matrix(rng, 4, rank=2)
             b = oracles.random_density_matrix(rng, 4, rank=2)
             c = oracles.random_density_matrix(rng, 4, rank=2)
-            dab = measures.bures_distance(a, b)
-            dbc = measures.bures_distance(b, c)
-            dac = measures.bures_distance(a, c)
+            dab = oracles.bures_distance(a, b)
+            dbc = oracles.bures_distance(b, c)
+            dac = oracles.bures_distance(a, c)
             assert dac <= dab + dbc + 1e-9
 
     def test_diagonal_closed_form_matches_general(self):
@@ -234,17 +234,17 @@ class TestBures:
         for _ in range(20):
             p = rng.dirichlet(np.ones(5))
             q = rng.dirichlet(np.ones(5))
-            closed = measures.diagonal_bures(p, q)
-            general = measures.bures_distance(np.diag(p).astype(complex), np.diag(q).astype(complex))
+            closed = oracles.diagonal_bures(p, q)
+            general = oracles.bures_distance(np.diag(p).astype(complex), np.diag(q).astype(complex))
             assert closed == pytest.approx(general, abs=1e-9)
 
 
 class TestPtsBures:
     def test_zero_for_real_hamiltonian_real_state(self, flat5):
         for phi in (0.0, math.pi, -math.pi):
-            psi0 = states.spatial_pair(5, 1, 2, phi)
+            rho0 = states.density_from_pure(states.spatial_pair(5, 1, 2, phi))
             for t in np.arange(0.0, 10.0, 0.5):
-                assert measures.pts_bures(flat5, psi0, t) <= 1e-10
+                assert measures.pts_bures(flat5, rho0, t) <= 1e-10
 
     def test_zero_for_real_mixed_state(self, flat5):
         rho0 = states.werner(5, 0.5)
@@ -256,41 +256,33 @@ class TestPtsBures:
             d = dynamics.spectral_decompose(
                 graphs.hamiltonian(graphs.triangular_chain(5, theta, 1.0))
             )
-            psi0 = states.spatial_pair(5, 1, 2, math.pi)
+            rho0 = states.density_from_pure(states.spatial_pair(5, 1, 2, math.pi))
             for t in np.arange(0.0, 10.0, 0.5):
-                assert measures.pts_bures(d, psi0, t) <= 1e-10
+                assert measures.pts_bures(d, rho0, t) <= 1e-10
 
     def test_broken_symmetry_is_visible(self, chiral5):
-        psi0 = states.spatial_pair(5, 1, 2, math.pi)
-        assert measures.pts_bures(chiral5, psi0, 1.0) > 0.1
-
-    def test_density_and_pure_paths_agree(self, chiral5):
-        psi0 = states.spatial_pair(5, 1, 2, math.pi)
-        rho0 = states.density_from_pure(psi0)
-        for t in (0.4, 1.9, 6.0):
-            a = measures.pts_bures(chiral5, psi0, t)
-            b = measures.pts_bures(chiral5, rho0, t)
-            assert a == pytest.approx(b, abs=1e-7)
+        rho0 = states.density_from_pure(states.spatial_pair(5, 1, 2, math.pi))
+        assert measures.pts_bures(chiral5, rho0, 1.0) > 0.1
 
     def test_rejects_negative_time(self, chiral5):
         with pytest.raises(ValueError):
-            measures.pts_bures(chiral5, states.localized(5, 1), -1.0)
+            measures.pts_bures(chiral5, states.density_from_pure(states.localized(5, 1)), -1.0)
 
 
 class TestTransferFidelity:
     def test_identical(self):
         psi = states.spatial_pair(5, 1, 2, 0.2)
-        assert measures.transfer_fidelity_pure(psi, psi) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.transfer_fidelity_pure(psi, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_support(self):
-        assert measures.transfer_fidelity_pure(
+        assert oracles.transfer_fidelity_pure(
             states.spatial_pair(5, 1, 2, 0.0), states.target_pure(5, 0.0)
         ) == 0.0
 
     def test_consistent_with_density_fidelity(self, chiral5):
         psi = dynamics.evolve_pure(chiral5, states.spatial_pair(5, 1, 2, math.pi), 1.0)
         target = states.target_pure(5, math.pi)
-        direct = measures.transfer_fidelity_pure(psi, target)
+        direct = oracles.transfer_fidelity_pure(psi, target)
         via_dm = measures.fidelity(
             states.density_from_pure(psi), states.density_from_pure(target)
         )
@@ -298,7 +290,7 @@ class TestTransferFidelity:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            measures.transfer_fidelity_pure(states.localized(4, 1), states.localized(5, 1))
+            oracles.transfer_fidelity_pure(states.localized(4, 1), states.localized(5, 1))
 
 
 class TestConcurrenceMatrix:
@@ -350,7 +342,7 @@ def test_x_block_concurrence_closed_form(p, alpha):
         ],
         dtype=complex,
     )
-    assert measures.concurrence_wootters(pd) == pytest.approx(2 * abs(amp), abs=1e-9)
+    assert oracles.concurrence_wootters(pd) == pytest.approx(2 * abs(amp), abs=1e-9)
 
 
 def test_wootters_resolves_tiny_concurrence():
@@ -361,4 +353,4 @@ def test_wootters_resolves_tiny_concurrence():
     pd = np.zeros((4, 4), dtype=complex)
     pd[1, 1], pd[2, 2] = p, 1 - p
     pd[1, 2] = pd[2, 1] = amp
-    assert measures.concurrence_wootters(pd) == pytest.approx(2 * amp, abs=1e-12)
+    assert oracles.concurrence_wootters(pd) == pytest.approx(2 * amp, abs=1e-12)
