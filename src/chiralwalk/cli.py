@@ -315,11 +315,12 @@ def run_trace(spec: dict, out_dir: Path, workers: int) -> list[str]:
         f"dt={io.format_number(grid.dt)}",
     ]
     outputs = [f"{name}.csv"]
-    io.write_csv(out_dir / outputs[0], comments, ["t", "value"],
-                 zip(series.times, series.values))
+    # Python floats, not numpy scalars: the same text, formatted faster.
+    times, values = series.times.tolist(), series.values.tolist()
+    io.write_csv(out_dir / outputs[0], comments, ["t", "value"], zip(times, values))
     if spec["svg"]:
         svg = svgplot.line_plot(
-            [(series.label, list(series.times), list(series.values))],
+            [(series.label, times, values)],
             title=f"{gspec.kind}:{gspec.n}", xlabel="t", ylabel=series.label,
         )
         outputs.append(f"{name}.svg")
@@ -562,9 +563,29 @@ def _resolve(args: argparse.Namespace) -> dict:
     raise AssertionError(cmd)
 
 
+# A token with one of these starts is a negative value (-0.4pi, -1:1:0.5, -1,2).
+NEGATIVE_VALUE_STARTS = tuple(f"-{c}" for c in "0123456789.") + ("-pi",)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--flag -0.4pi`` as ``--flag=-0.4pi``.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain number, so a negative phase, grid or time list would lose its flag.
+    """
+    attached = []
+    for arg in argv:
+        flag = attached[-1] if attached else ""
+        if arg.startswith(NEGATIVE_VALUE_STARTS) and flag[:2] == "--" and flag[2:] and "=" not in flag:
+            attached[-1] = f"{flag}={arg}"
+        else:
+            attached.append(arg)
+    return attached
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     out_dir = Path(args.out)
     rerun = args.command == "rerun"
     context = f"cannot load manifest {args.manifest!r}: " if rerun else ""

@@ -15,7 +15,8 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
-AMPLITUDE_CHUNK = 4096  # grid columns per phase block in site_amplitudes
+AMPLITUDE_CHUNK = 4096  # grid columns per phase block of a non-uniform grid
+GRID_SPACINGS = 8  # float spacings of max|t| a factored grid may deviate by
 
 
 def check_hermitian(H) -> np.ndarray:
@@ -127,15 +128,58 @@ def evolve_density(d: SpectralDecomposition, rho0, t: float) -> np.ndarray:
     return U @ rho0 @ U.conj().T
 
 
+def _phases(eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{-i lam t} for every eigenvalue (rows) and time (columns), as cos - i sin:
+    the same bits as np.exp(-1j * lam t)."""
+    angles = np.multiply.outer(eigenvalues, times)
+    phases = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
+    np.negative(phases.imag, out=phases.imag)
+    return phases
+
+
+def _deviation(times: np.ndarray, block: int, lo: int, hi: int) -> np.ndarray:
+    """times[j] - (times[bB] + (times[m] - times[0])) for j = bB + m in lo:hi,
+    where B = block and lo is a multiple of B."""
+    dev = times[lo:hi] - np.repeat(times[lo:hi:block], block)[:hi - lo]
+    dev -= np.resize(times[:block] - times[0], hi - lo)
+    return dev
+
+
+def _grid_block(times: np.ndarray) -> int:
+    """Block length B = isqrt(T) if the grid factors over blocks of B, else 0.
+
+    The grid factors when every times[bB + m] equals times[bB] + (times[m] -
+    times[0]) to within GRID_SPACINGS float spacings of max|t|, which holds
+    for every uniform grid.
+    """
+    size = times.size
+    block = math.isqrt(size)
+    if block == 0:
+        return 0
+    step = block * max(1, AMPLITUDE_CHUNK // block)
+    worst = max(np.abs(_deviation(times, block, lo, min(lo + step, size))).max()
+                for lo in range(0, size, step))
+    scale = max(abs(times.max()), abs(times.min()))
+    return block if worst <= GRID_SPACINGS * np.spacing(scale) else 0
+
+
 def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
     """Amplitudes of a pure state on a whole time grid, shape (r, len(times)).
 
     Row k holds site ``rows[k]`` (0-based; default all n sites) and column j
     holds it at times[j]; equivalent to stacking evolve_pure calls and
-    keeping those rows.  The readout is folded into W = V[rows] diag(c), and
-    the grid is walked in blocks of AMPLITUDE_CHUNK columns, so memory is
-    the r x T output plus one n x AMPLITUDE_CHUNK phase block.  Each column
-    depends on its own time only.
+    keeping those rows.  The readout is folded into W = V[rows] diag(c).
+
+    A uniform grid (see _grid_block) is cut into blocks of B = isqrt(T)
+    columns and each phase is factored as e^{-i lam t_bB} e^{-i lam (t_m - t_0)}:
+    the n x T/B anchor phases and one shared n x B fine block are computed
+    directly, so n (T/B + B) sines and cosines replace n T, and products of
+    the anchor-weighted readout with the fine block write the output, a
+    group of blocks at a time.  Any other array is walked in blocks of
+    AMPLITUDE_CHUNK columns with one phase per element.  Either way memory
+    is the r x T output plus O(r n sqrt(T) + n AMPLITUDE_CHUNK).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -150,19 +194,26 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
             raise IndexError(f"rows must be a 1-d list of site indices in 0..{d.n - 1}")
         V = V[rows]
     W = V * (d.eigenvectors.conj().T @ psi0)
-    out = np.empty((W.shape[0], times.size), dtype=complex)
-    width = min(AMPLITUDE_CHUNK, times.size)
-    angles = np.empty((d.n, width))
-    phases = np.empty((d.n, width), dtype=complex)
-    for start in range(0, times.size, AMPLITUDE_CHUNK):
-        block = times[start:start + AMPLITUDE_CHUNK]
-        arg, ph = angles[:, :block.size], phases[:, :block.size]
-        # e^{-i lam t} as cos - i sin: the same bits as np.exp(-1j * lam t).
-        np.multiply.outer(d.eigenvalues, block, out=arg)
-        np.cos(arg, out=ph.real)
-        np.sin(arg, out=ph.imag)
-        np.negative(ph.imag, out=ph.imag)
-        np.matmul(W, ph, out=out[:, start:start + block.size])
+    r, size = W.shape[0], times.size
+    out = np.empty((r, size), dtype=complex)
+    block = _grid_block(times)
+    if block:
+        fine = _phases(d.eigenvalues, times[:block] - times[0])
+        anchors = _phases(d.eigenvalues, times[::block])
+        # Rows r.. are the time derivative of rows ..r; they correct each column
+        # to first order for the deviation of its time from anchor + offset.
+        readout = np.concatenate([W, -1j * W * d.eigenvalues])
+        per = max(1, AMPLITUDE_CHUNK // block)
+        for first in range(0, anchors.shape[1], per):
+            lo, hi = first * block, min((first + per) * block, size)
+            weighted = readout[:, None, :] * anchors[:, first:first + per].T
+            blocks = (weighted.reshape(-1, d.n) @ fine).reshape(2 * r, -1)[:, :hi - lo]
+            np.multiply(blocks[r:], _deviation(times, block, lo, hi), out=blocks[r:])
+            np.add(blocks[:r], blocks[r:], out=out[:, lo:hi])
+        return out
+    for start in range(0, size, AMPLITUDE_CHUNK):
+        chunk = times[start:start + AMPLITUDE_CHUNK]
+        np.matmul(W, _phases(d.eigenvalues, chunk), out=out[:, start:start + chunk.size])
     return out
 
 

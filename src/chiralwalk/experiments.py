@@ -21,9 +21,10 @@ from .dynamics import (
     spectral_decompose,
 )
 
-# Bounds what a trace holds whole, which grows with the grid: the r x T
-# complex readout rows (160 MB per row at the bound) and the CSV text (about
-# 24 bytes per row).  The phase block of site_amplitudes does not grow with T.
+# Bounds the output bytes of a trace, which grow with the grid: 16 bytes per
+# readout row and time in the r x T complex amplitudes (160 MB per row at the
+# bound) and about 24 bytes per row of CSV text.  The phases of site_amplitudes
+# take n sqrt(T) values on a uniform grid (n x 3163 at the bound).
 MAX_GRID_POINTS = 10**7
 PEAK_NOISE_FLOOR = 0.01
 LONG_TIME_DT = 0.02

@@ -559,6 +559,30 @@ def test_usage_error_exits_2(case, form, tmp_path, base_manifests):
     assert files_under(tmp_path) == before
 
 
+# argparse alone reads each of these values, given as its own argument, as an option.
+NEGATIVE_VALUES = [
+    ("trace", "--theta", "-0.4pi"),
+    ("trace", "--t", "-1:1:0.5"),
+    ("table", "--phi", "-0.5pi"),
+    ("table", "--theta-candidates", "-0.5pi,0.5pi"),
+    ("scaling", "--theta", "-0.5pi"),
+    ("snapshots", "--theta", "-pi"),
+    ("snapshots", "--times", "-1,2"),
+    ("graph-export", "--theta", "-0.75pi"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", NEGATIVE_VALUES)
+def test_negative_value_as_separate_argument(tmp_path, command, flag, value):
+    params = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / str(len(form))
+        code, stderr = run_cli(BASE_RUNS[command] + form + ["--out", str(out), "--name", "run"])
+        assert code == 0, stderr
+        params.append(json.loads((out / "run.manifest.json").read_text())["parameters"])
+    assert params[0] == params[1]
+
+
 @pytest.mark.parametrize("graph,magnitude", [("cycle:5", "1"), ("tri:5", "2")])
 def test_werner_fidelity_uses_the_given_graph(tmp_path, graph, magnitude):
     # The trace runs on the graph it names, not on the magnitude-1 tri chain.
@@ -584,7 +608,7 @@ def test_werner_fidelity_uses_the_given_graph(tmp_path, graph, magnitude):
 FUZZ_FLAGS = {
     "--graph": (["tri:5", "tri:9", "cycle:5", "complete:4", "pentagram:5", "tri:3"],
                 ["tri:2", "tri:x", "blob:3", "tri", "tri:-1"]),
-    "--theta": (["0", "0.5pi", "-pi", "1.3"], ["x", "nan", "inf"]),
+    "--theta": (["0", "0.5pi", "-pi", "-0.4pi", "1.3"], ["x", "nan", "inf"]),
     "--magnitude": (["1", "2"], ["0", "-1", "inf", "nan", "x"]),
     "--state": (["pair:1,2:pi", "pair:2,3", "localized:3", "werner:0.5", "werner:-1",
                  '{"kind": "werner", "b": 0.5}',
@@ -600,7 +624,7 @@ FUZZ_FLAGS = {
              "a:b:c"]),
     "--mode": (["cqw", "ctqw"], ["xyz"]),
     "--n": (["5", "3,4", "5:9:2", "3:5"], ["1,2", "9:5", "", "x", "5:9:2:1"]),
-    "--phi": (["pi", "0"], ["x"]),
+    "--phi": (["pi", "0", "-0.5pi"], ["x"]),
     "--horizon": (["10", "2"], ["0", "-1", "1e9", "nan", "x"]),
     "--dt": (["0.5", "1"], ["0", "-1", "nan"]),
     "--theta-candidates": (["-0.5pi,0.5pi", "grid:4"], ["grid:0", "", "x", "grid:x"]),
@@ -624,7 +648,8 @@ def fuzz_argv(draw):
         valid, invalid = FUZZ_FLAGS[flag]
         pick = draw(st.integers(0, 19))  # 1 in 20 omitted, 3 in 20 invalid
         if pick:
-            argv.append(f"{flag}={draw(st.sampled_from(invalid if pick < 4 else valid))}")
+            value = draw(st.sampled_from(invalid if pick < 4 else valid))
+            argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
     if command in ("trace", "scaling", "snapshots") and draw(st.booleans()):
         argv.append("--svg")
     return argv
@@ -652,7 +677,8 @@ def fuzz_manifest(draw, base):
         if draw(st.integers(0, 5)) == 0:
             del target[key]
         else:
-            target[key] = draw(st.sampled_from(FUZZ_VALUES))
+            # A copy: a shared dict or list value would nest into itself across draws.
+            target[key] = json.loads(json.dumps(draw(st.sampled_from(FUZZ_VALUES))))
         if not isinstance(manifest.get("parameters"), dict):
             break
     return manifest

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from chiralwalk import dynamics, graphs, states
+from chiralwalk.experiments import TimeGrid
 
 S37 = math.sqrt(37.0)
 CHIRAL5_SPECTRUM = np.array(
@@ -238,12 +239,15 @@ class TestSiteAmplitudes:
             assert np.abs(batch[:, k] - dynamics.evolve_pure(chiral5, psi0, t)).max() < 1e-12
 
     def test_parallel_columns_independent_of_grid(self, chiral5):
-        # Evaluating a sub-grid must give the identical numbers.
+        # A factored column depends on the block layout of its grid, so a
+        # sub-grid agrees with the full grid to rounding, not bit for bit.
         psi0 = states.localized(5, 2)
         times = np.arange(0.0, 1.0, 0.1)
         full = dynamics.site_amplitudes(chiral5, psi0, times)
         half = dynamics.site_amplitudes(chiral5, psi0, times[::2])
-        assert np.array_equal(full[:, ::2], half)
+        assert np.abs(full[:, ::2] - half).max() < 1e-12
+        for k, t in enumerate(times):
+            assert np.abs(full[:, k] - dynamics.evolve_pure(chiral5, psi0, t)).max() < 1e-12
 
     def test_unit_norm_at_every_grid_point(self, chiral5):
         times = np.linspace(0, 12, 31)
@@ -281,6 +285,79 @@ class TestSiteAmplitudes:
             assert np.abs(amp[:, k] - psi).max() < 1e-12
             assert np.abs(part[:, k] - psi[[4, 0]]).max() < 1e-12
 
+    def test_non_uniform_chunk_boundaries_match_evolve_pure(self, chiral5):
+        psi0 = states.spatial_pair(5, 1, 2, 0.4)
+        chunk = dynamics.AMPLITUDE_CHUNK
+        times = np.cumsum(np.random.default_rng(3).uniform(0.001, 0.02, 2 * chunk + 3))
+        assert dynamics._grid_block(times) == 0
+        amp = dynamics.site_amplitudes(chiral5, psi0, times, [4, 0])
+        for k in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, times.size - 1):
+            psi = dynamics.evolve_pure(chiral5, psi0, times[k])
+            assert np.abs(amp[:, k] - psi[[4, 0]]).max() < 1e-12
+
+    @given(
+        st.sampled_from(["tri", "tri2", "cycle", "complete"]),
+        st.integers(3, 71),
+        st.floats(-math.pi, math.pi),
+        st.one_of(st.sampled_from([1, 2, 3]),
+                  st.builds(lambda k, off: max(1, k * k + off), st.integers(2, 60), st.sampled_from([-1, 0, 1]))),
+        st.floats(-2000.0, 1999.0),
+        st.floats(1e-6, 1.0),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("complete", 71, 2.9, 3600, -2000.0, 1.0, True, 0)
+    @example("tri2", 71, 0.7, 2500, 1500.0, 0.2, False, 1)
+    @example("cycle", 3, -1.0, 1, 0.0, 0.5, False, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_factored_grid_matches_evolve_pure(self, kind, n, theta, size, t_start, frac, negate, seed):
+        # Block starts and ends, the ragged last block and T = 1, 2, 3, k^2, k^2 +- 1,
+        # on grids inside [-2000, 2000] and their negations (the Bures trace's -times).
+        graph = {
+            "tri": lambda: graphs.triangular_chain(n, theta, 1.0),
+            "tri2": lambda: graphs.triangular_chain(n, theta, 2.0),
+            "cycle": lambda: graphs.cycle_graph(n, theta),
+            "complete": lambda: graphs.complete_graph(n, theta),
+        }[kind]()
+        d = dynamics.spectral_decompose(graphs.hamiltonian(graph))
+        rng = np.random.default_rng(seed)
+        psi0 = oracles.random_single_excitation_state(rng, n)
+        rows = [n - 2, n - 1] if seed % 2 else None
+        dt = frac * (2000.0 - t_start) / size
+        times = TimeGrid(t_start, t_start + (size - 0.5) * dt, dt).times()
+        times = -times if negate else times
+        assert times.size == size
+        block = dynamics._grid_block(times)
+        assert block == math.isqrt(size)
+        amp = dynamics.site_amplitudes(d, psi0, times, rows)
+        assert np.array_equal(amp, dynamics.site_amplitudes(d, psi0, times, rows))
+        starts = np.arange(0, size, block)
+        for k in {*starts, *(starts[1:] - 1), size - 1}:
+            psi = dynamics.evolve_pure(d, psi0, times[k])
+            assert np.abs(amp[:, k] - (psi if rows is None else psi[rows])).max() < 1e-12
+
+    @given(st.floats(-1e15, 1e15), st.integers(1, 5000), st.floats(0.0, 8.0), st.booleans(), st.booleans())
+    @example(1e10, 10, 2.5, True, False)
+    @example(-1e10, 4000, 2.5, True, True)
+    @example(-1999.99, 4999, 0.8, False, False)
+    @settings(max_examples=300, deadline=None)
+    def test_every_time_grid_is_factored(self, t_start, steps, step, in_ulps, negate):
+        # The fast path must not fall back on any grid TimeGrid accepts.
+        dt = step * np.spacing(abs(t_start)) if in_ulps else step
+        try:
+            grid = TimeGrid(t_start, t_start + steps * dt, dt)
+        except ValueError:
+            return
+        times = -grid.times() if negate else grid.times()
+        assert dynamics._grid_block(times) == math.isqrt(times.size)
+
+    def test_non_uniform_times_are_not_factored(self):
+        times = 0.01 * np.arange(100.0)
+        assert dynamics._grid_block(times) == 10
+        times[57] += 1e-9
+        assert dynamics._grid_block(times) == 0
+        assert dynamics._grid_block(np.array([0.0, 0.5, 3.0, 7.0, 7.5])) == 0
+
     @pytest.mark.parametrize("rows", [None, [3], [0, 4]])
     def test_empty_times(self, chiral5, rows):
         amp = dynamics.site_amplitudes(chiral5, states.localized(5, 1), [], rows)
@@ -298,12 +375,16 @@ class TestSiteAmplitudes:
             graphs.hamiltonian(graphs.triangular_chain(71, math.pi / 2, 1.0))
         )
         psi0 = states.spatial_pair(71, 1, 2, math.pi)
-        times = 0.01 * np.arange(200_001)
-        tracemalloc.start()
-        try:
-            amp = dynamics.site_amplitudes(d, psi0, times, [69, 70])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert amp.shape == (2, 200_001)
-        assert peak < 32e6
+        uniform = 0.01 * np.arange(200_001)
+        # Sorted random times take the direct path, one phase per element.
+        scattered = np.sort(np.random.default_rng(5).uniform(0.0, 2000.0, 200_001))
+        assert dynamics._grid_block(scattered) == 0
+        for times in (uniform, scattered):
+            tracemalloc.start()
+            try:
+                amp = dynamics.site_amplitudes(d, psi0, times, [69, 70])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert amp.shape == (2, 200_001)
+            assert peak < 32e6
