@@ -316,11 +316,11 @@ def run_trace(spec: dict, out_dir: Path, workers: int) -> list[str]:
     ]
     outputs = [f"{name}.csv"]
     # Python floats, not numpy scalars: the same text, formatted faster.
-    times, values = series.times.tolist(), series.values.tolist()
-    io.write_csv(out_dir / outputs[0], comments, ["t", "value"], zip(times, values))
+    io.write_csv(out_dir / outputs[0], comments, ["t", "value"],
+                 zip(series.times.tolist(), series.values.tolist()))
     if spec["svg"]:
         svg = svgplot.line_plot(
-            [(series.label, times, values)],
+            [(series.label, series.times, series.values)],
             title=f"{gspec.kind}:{gspec.n}", xlabel="t", ylabel=series.label,
         )
         outputs.append(f"{name}.svg")

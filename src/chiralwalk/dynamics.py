@@ -17,6 +17,7 @@ NORM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 AMPLITUDE_CHUNK = 4096  # grid columns per phase block of a non-uniform grid
 GRID_SPACINGS = 8  # float spacings of max|t| a factored grid may deviate by
+FINE_BLOCK = 256  # fine-block columns of a short grid read on many rows
 
 
 def check_hermitian(H) -> np.ndarray:
@@ -147,15 +148,21 @@ def _deviation(times: np.ndarray, block: int, lo: int, hi: int) -> np.ndarray:
     return dev
 
 
-def _grid_block(times: np.ndarray) -> int:
-    """Block length B = isqrt(T) if the grid factors over blocks of B, else 0.
+def _grid_block(times: np.ndarray, rows: int) -> int:
+    """Block length B if the grid factors over blocks of B, else 0.
 
-    The grid factors when every times[bB + m] equals times[bB] + (times[m] -
-    times[0]) to within GRID_SPACINGS float spacings of max|t|, which holds
-    for every uniform grid.
+    B is isqrt(T).  A readout of more than two rows widens it to
+    min(FINE_BLOCK, T // 4) columns where that is wider: the products of its
+    weighted anchors with the fine block then cost more than the fine
+    block's sines and cosines, and a narrow block cuts them into many small
+    products.  The grid factors when every times[bB + m] equals times[bB] +
+    (times[m] - times[0]) to within GRID_SPACINGS float spacings of max|t|,
+    which holds for every uniform grid.
     """
     size = times.size
     block = math.isqrt(size)
+    if rows > 2:
+        block = max(block, min(FINE_BLOCK, size // 4))
     if block == 0:
         return 0
     step = block * max(1, AMPLITUDE_CHUNK // block)
@@ -173,7 +180,8 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
     keeping those rows.  The readout is folded into W = V[rows] diag(c).
 
     A uniform grid (see _grid_block) is cut into blocks of B = isqrt(T)
-    columns and each phase is factored as e^{-i lam t_bB} e^{-i lam (t_m - t_0)}:
+    columns (wider for many rows on a short grid) and each phase is
+    factored as e^{-i lam t_bB} e^{-i lam (t_m - t_0)}:
     the n x T/B anchor phases and one shared n x B fine block are computed
     directly, so n (T/B + B) sines and cosines replace n T, and products of
     the anchor-weighted readout with the fine block write the output, a
@@ -196,7 +204,7 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
     W = V * (d.eigenvectors.conj().T @ psi0)
     r, size = W.shape[0], times.size
     out = np.empty((r, size), dtype=complex)
-    block = _grid_block(times)
+    block = _grid_block(times, r)
     if block:
         fine = _phases(d.eigenvalues, times[:block] - times[0])
         anchors = _phases(d.eigenvalues, times[::block])

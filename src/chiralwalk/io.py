@@ -6,9 +6,13 @@ import json
 import os
 import subprocess
 import tempfile
+from itertools import chain, islice
 from pathlib import Path
 
 CSV_PRECISION = 12
+CSV_BLOCK_ROWS = 1024  # rows formatted and written per chunk
+
+_NUMBER = f"%.{CSV_PRECISION}g"
 
 
 def format_number(x) -> str:
@@ -17,17 +21,18 @@ def format_number(x) -> str:
         return str(x).lower()
     if isinstance(x, int):
         return str(x)
-    return f"{float(x):.{CSV_PRECISION}g}"
+    return _NUMBER % float(x)
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+def atomic_write_text(path: Path, text) -> None:
+    """Write a string, or an iterable of string chunks, via a sibling temp
+    file and rename, so readers never see partials."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -35,17 +40,48 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def csv_text(comments: list[str], header: list[str], rows) -> str:
-    """Comma-separated table with '#'-prefixed metadata comments, LF endings."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_number(x) if not isinstance(x, str) else x for x in row))
-    return "\n".join(lines) + "\n"
+def _cell_format(cls: type) -> str | None:
+    """The %-format of a cell type that renders as format_number does, if any."""
+    if issubclass(cls, str):
+        return "%s"
+    if cls is int:
+        return "%d"
+    if issubclass(cls, float):
+        return _NUMBER
+    return None
+
+
+def _csv_block(rows: list[tuple]) -> str:
+    """CSV lines of a block of rows.
+
+    A block whose rows share one length and one cell type per column is
+    rendered by a single % operation on a repeated row template; any other
+    block falls back to format_number per cell.
+    """
+    width = len(rows[0])
+    cells = tuple(chain.from_iterable(rows))
+    types = list(map(type, cells))
+    if types == types[:width] * len(rows) and all(len(row) == width for row in rows):
+        codes = list(map(_cell_format, types[:width]))
+        if None not in codes:
+            return (",".join(codes) + "\n") * len(rows) % cells
+    return "".join(
+        ",".join(x if isinstance(x, str) else format_number(x) for x in row) + "\n"
+        for row in rows
+    )
+
+
+def csv_chunks(comments: list[str], header: list[str], rows):
+    """Comma-separated table with '#'-prefixed metadata comments, LF endings,
+    yielded a block of CSV_BLOCK_ROWS rows at a time."""
+    yield "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
+    rows = iter(rows)
+    while block := list(map(tuple, islice(rows, CSV_BLOCK_ROWS))):
+        yield _csv_block(block)
 
 
 def write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
-    atomic_write_text(path, csv_text(comments, header, rows))
+    atomic_write_text(path, csv_chunks(comments, header, rows))
 
 
 def write_json(path: Path, obj) -> None:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 
@@ -26,6 +28,31 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _m4_indices(columns: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Indices of the samples M4 aggregation keeps, in ascending order.
+
+    Within each run of consecutive samples that share a pixel column, the
+    first, last, minimum and maximum sample are kept (Jugel et al., "M4: A
+    Visualization-Oriented Time Series Data Aggregation", PVLDB 7(10), 2014):
+    the polyline through them rasterises like the full one.
+    """
+    size = ys.size
+    if size <= 2:
+        return np.arange(size)
+    starts = np.flatnonzero(np.concatenate(([True], columns[1:] != columns[:-1])))
+    lengths = np.diff(np.append(starts, size))
+    run = np.repeat(np.arange(starts.size), lengths)
+    index = np.arange(size)
+    kept = [starts, starts + lengths - 1]
+    for reduce in (np.minimum, np.maximum):
+        extreme = reduce.reduceat(ys, starts)
+        # The first sample of each run that attains it; a run whose extreme
+        # is NaN has none and keeps only its ends.
+        hit = np.minimum.reduceat(np.where(ys == extreme[run], index, size), starts)
+        kept.append(hit[hit < size])
+    return np.unique(np.concatenate(kept))
+
+
 def line_plot(
     series: list[tuple[str, list[float], list[float]]],
     title: str = "",
@@ -37,16 +64,22 @@ def line_plot(
     """Polyline plot with axes, tick labels and a legend.
 
     ``series`` is a list of (label, xs, ys) triples sharing one coordinate
-    frame.
+    frame; xs and ys are lists or arrays of equal length.  Each polyline
+    is drawn through the M4 reduction of its series over the pixel columns
+    of the plot area, at most four points per column.
     """
     ml, mr, mt, mb = 64, 16, 36, 48
     pw, ph = width - ml - mr, height - mt - mb
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
+    arrays = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for label, xs, ys in series]
+    if any(xs.shape != ys.shape or xs.ndim != 1 for _, xs, ys in arrays):
+        raise ValueError("xs and ys of a series must be 1-d and of equal length")
+    if not any(xs.size for _, xs, _ in arrays):
         raise ValueError("nothing to plot")
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
+    xs_all = np.concatenate([xs for _, xs, _ in arrays])
+    ys_all = np.concatenate([ys for _, _, ys in arrays])
+    x0, x1 = float(xs_all.min()), float(xs_all.max())
+    y0, y1 = float(ys_all.min()), float(ys_all.max())
     if x1 <= x0:
         x1 = x0 + 1.0
     if y1 <= y0:
@@ -94,9 +127,12 @@ def line_plot(
         f'<text x="16" y="{mt + ph / 2}" text-anchor="middle" '
         f'transform="rotate(-90 16 {mt + ph / 2})">{ylabel}</text>'
     )
-    for idx, (label, xs, ys) in enumerate(series):
+    for idx, (label, xs, ys) in enumerate(arrays):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        columns = np.clip(np.floor((xs - x0) / (x1 - x0) * pw), 0, pw - 1)
+        keep = _m4_indices(columns, ys)
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}"
+                       for x, y in zip(xs[keep].tolist(), ys[keep].tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 16 + 16 * idx
         parts.append(

@@ -3,7 +3,9 @@
 Brute-force references share no code path with the package: partial traces
 run in the full 2^N two-level-per-site space, propagators go through scipy's
 expm, the concurrence uses the rho * rho~ eigenvalue route, and the peak
-searches walk the samples one at a time.
+searches walk the samples one at a time.  The output references format a
+CSV one cell at a time and draw a line plot through every sample (with the
+package's axis tick helpers).
 
 The general measures below the brute-force ones (``reduced_pair``,
 ``check_pair_density``, ``concurrence_wootters`` with its spin flip ``_YY``,
@@ -23,6 +25,7 @@ import scipy.linalg
 from chiralwalk.dynamics import NORM_TOL, check_density_matrix, check_pure_state
 from chiralwalk.experiments import PeakResult
 from chiralwalk.measures import PSD_TOL, _clamp01, _site_pair_indices, _sqrtm_psd, fidelity
+from chiralwalk.svgplot import _COLORS, _fmt, _ticks
 
 
 def partial_trace(rho_full: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
@@ -251,3 +254,94 @@ def global_max_scan(series):
         return PeakResult(float(series.times[k]), float(v[k]), "global-max")
     t, val = _parabola_peak(series.times, v, k)
     return PeakResult(t, val, "global-max")
+
+
+# ---------------------------------------------------------------------------
+# output formats
+
+
+def csv_text_per_cell(comments: list[str], header: list[str], rows) -> str:
+    """CSV text with every cell formatted on its own, as 12-significant-digit
+    '{:.12g}' floats, bare ints, lower-case bools and text as is."""
+    def cell(x):
+        if isinstance(x, str):
+            return x
+        if isinstance(x, bool):
+            return str(x).lower()
+        if isinstance(x, int):
+            return str(x)
+        return f"{float(x):.12g}"
+
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    lines += [",".join(cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def line_plot_every_point(series, title="", xlabel="t", ylabel="value", width=720, height=480):
+    """svgplot.line_plot without the M4 reduction: every sample of every series
+    is a polyline point, and the axis ranges come from Python min/max."""
+    ml, mr, mt, mb = 64, 16, 36, 48
+    pw, ph = width - ml - mr, height - mt - mb
+    xs_all = [x for _, xs, _ in series for x in xs]
+    ys_all = [y for _, _, ys in series for y in ys]
+    x0, x1 = min(xs_all), max(xs_all)
+    y0, y1 = min(ys_all), max(ys_all)
+    if x1 <= x0:
+        x1 = x0 + 1.0
+    if y1 <= y0:
+        y1 = y0 + 1.0
+    pad = 0.05 * (y1 - y0)
+    y0, y1 = y0 - pad, y1 + pad
+
+    def px(x):
+        return ml + (x - x0) / (x1 - x0) * pw
+
+    def py(y):
+        return mt + ph - (y - y0) / (y1 - y0) * ph
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{width / 2}" y="{mt - 12}" text-anchor="middle" '
+            f'font-size="14">{title}</text>'
+        )
+    for t in _ticks(x0, x1):
+        parts.append(
+            f'<line x1="{px(t):.2f}" y1="{mt + ph}" x2="{px(t):.2f}" '
+            f'y2="{mt + ph + 5}" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{px(t):.2f}" y="{mt + ph + 18}" text-anchor="middle">{_fmt(t)}</text>'
+        )
+    for t in _ticks(y0, y1):
+        parts.append(
+            f'<line x1="{ml - 5}" y1="{py(t):.2f}" x2="{ml}" y2="{py(t):.2f}" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{ml - 8}" y="{py(t):.2f}" text-anchor="end" '
+            f'dominant-baseline="middle">{_fmt(t)}</text>'
+        )
+    parts.append(
+        f'<text x="{ml + pw / 2}" y="{height - 10}" text-anchor="middle">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{mt + ph / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {mt + ph / 2})">{ylabel}</text>'
+    )
+    for idx, (label, xs, ys) in enumerate(series):
+        color = _COLORS[idx % len(_COLORS)]
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        ly = mt + 16 + 16 * idx
+        parts.append(
+            f'<line x1="{ml + pw - 120}" y1="{ly}" x2="{ml + pw - 96}" y2="{ly}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(f'<text x="{ml + pw - 90}" y="{ly + 4}">{label}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts)

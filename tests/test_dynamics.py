@@ -289,7 +289,7 @@ class TestSiteAmplitudes:
         psi0 = states.spatial_pair(5, 1, 2, 0.4)
         chunk = dynamics.AMPLITUDE_CHUNK
         times = np.cumsum(np.random.default_rng(3).uniform(0.001, 0.02, 2 * chunk + 3))
-        assert dynamics._grid_block(times) == 0
+        assert dynamics._grid_block(times, 2) == 0
         amp = dynamics.site_amplitudes(chiral5, psi0, times, [4, 0])
         for k in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, times.size - 1):
             psi = dynamics.evolve_pure(chiral5, psi0, times[k])
@@ -327,8 +327,9 @@ class TestSiteAmplitudes:
         times = TimeGrid(t_start, t_start + (size - 0.5) * dt, dt).times()
         times = -times if negate else times
         assert times.size == size
-        block = dynamics._grid_block(times)
-        assert block == math.isqrt(size)
+        block = dynamics._grid_block(times, n if rows is None else 2)
+        wide = max(math.isqrt(size), min(dynamics.FINE_BLOCK, size // 4))
+        assert block == (math.isqrt(size) if rows else wide)
         amp = dynamics.site_amplitudes(d, psi0, times, rows)
         assert np.array_equal(amp, dynamics.site_amplitudes(d, psi0, times, rows))
         starts = np.arange(0, size, block)
@@ -349,14 +350,18 @@ class TestSiteAmplitudes:
         except ValueError:
             return
         times = -grid.times() if negate else grid.times()
-        assert dynamics._grid_block(times) == math.isqrt(times.size)
+        assert dynamics._grid_block(times, 2) == math.isqrt(times.size)
+        wide = max(math.isqrt(times.size), min(dynamics.FINE_BLOCK, times.size // 4))
+        assert dynamics._grid_block(times, 3) == wide
 
     def test_non_uniform_times_are_not_factored(self):
         times = 0.01 * np.arange(100.0)
-        assert dynamics._grid_block(times) == 10
+        assert dynamics._grid_block(times, 2) == 10
+        assert dynamics._grid_block(times, 5) == 25
         times[57] += 1e-9
-        assert dynamics._grid_block(times) == 0
-        assert dynamics._grid_block(np.array([0.0, 0.5, 3.0, 7.0, 7.5])) == 0
+        assert dynamics._grid_block(times, 2) == 0
+        assert dynamics._grid_block(times, 5) == 0
+        assert dynamics._grid_block(np.array([0.0, 0.5, 3.0, 7.0, 7.5]), 2) == 0
 
     @pytest.mark.parametrize("rows", [None, [3], [0, 4]])
     def test_empty_times(self, chiral5, rows):
@@ -378,7 +383,7 @@ class TestSiteAmplitudes:
         uniform = 0.01 * np.arange(200_001)
         # Sorted random times take the direct path, one phase per element.
         scattered = np.sort(np.random.default_rng(5).uniform(0.0, 2000.0, 200_001))
-        assert dynamics._grid_block(scattered) == 0
+        assert dynamics._grid_block(scattered, 2) == 0
         for times in (uniform, scattered):
             tracemalloc.start()
             try:
