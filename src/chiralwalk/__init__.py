@@ -12,7 +12,6 @@ from .graphs import (
 from .dynamics import (
     SpectralDecomposition,
     evolve_density,
-    evolve_pure,
     occupation,
     propagator,
     site_amplitudes,

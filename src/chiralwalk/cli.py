@@ -4,7 +4,7 @@ Every run writes the requested CSV output plus a JSON manifest that captures
 the resolved parameters; ``chiralwalk rerun MANIFEST`` replays a manifest and
 reproduces the CSV byte for byte.  Flags and manifests pass the same load step
 (``load``) before anything runs.  Exit codes: 0 success, 1 numerical or
-runtime failure, 2 usage error.
+runtime failure or an unwritable output, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -21,8 +20,6 @@ import numpy as np
 
 from . import experiments, graphs, io, measures, svgplot
 from .experiments import GraphSpec, StateSpec, TimeGrid, as_number, parse_phase
-
-WORKERS_ENV = "CHIRALWALK_WORKERS"
 
 GRAPH_KINDS = ("tri", "cycle", "pentagram", "complete")
 
@@ -105,14 +102,6 @@ def check_name(name) -> str:
             f"output name must be a plain file name without '/' or '\\', got {name!r}"
         )
     return name
-
-
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +213,18 @@ def _load_trace(params: dict) -> dict:
     }
 
 
+def _n_values(params: dict) -> list[int]:
+    n_values = [as_number(n, "n_values", int) for n in _list(params, "n_values")]
+    if not n_values:
+        raise ValueError("need at least one chain size")
+    return n_values
+
+
 def _load_table(params: dict) -> dict:
     mode = params["mode"]
     if mode not in ("cqw", "ctqw"):
         raise ValueError(f"table mode must be 'cqw' or 'ctqw', got {mode!r}")
-    n_values = [as_number(n, "n_values", int) for n in _list(params, "n_values")]
+    n_values = _n_values(params)
     for n in n_values:
         GraphSpec("tri", n).build()
     grid = _peak_grid(
@@ -237,6 +233,9 @@ def _load_table(params: dict) -> dict:
     candidates = [parse_phase(t) for t in _list(params, "theta_candidates")]
     if not candidates:
         raise ValueError("need at least one theta candidate")
+    # The plain walk runs at theta = 0 alone; other candidates would be recorded unused.
+    if mode == "ctqw" and candidates != [0.0]:
+        raise ValueError(f"ctqw mode takes theta candidates [0.0] only, got {candidates}")
     return {
         "mode": mode,
         "n_values": n_values,
@@ -250,7 +249,7 @@ def _load_table(params: dict) -> dict:
 def _load_scaling(params: dict) -> dict:
     theta = parse_phase(params["theta"])
     state = StateSpec.from_dict(params["state"])
-    n_values = [as_number(n, "n_values", int) for n in _list(params, "n_values")]
+    n_values = _n_values(params)
     for n in n_values:
         GraphSpec("tri", n, theta).build()
         state.ensemble(n)
@@ -302,7 +301,7 @@ def _state_comment(s: StateSpec) -> str:
     return " ".join([d.pop("kind")] + [f"{k}={io.format_number(v)}" for k, v in d.items()])
 
 
-def run_trace(spec: dict, out_dir: Path, workers: int) -> list[str]:
+def run_trace(spec: dict, out_dir: Path) -> list[str]:
     gspec, sspec, grid, name = spec["graph"], spec["state"], spec["grid"], spec["name"]
     series = spec["trace"](gspec, sspec, grid, *spec["trace_args"])
 
@@ -328,13 +327,12 @@ def run_trace(spec: dict, out_dir: Path, workers: int) -> list[str]:
     return outputs
 
 
-def run_table(spec: dict, out_dir: Path, workers: int) -> list[str]:
+def run_table(spec: dict, out_dir: Path) -> list[str]:
     mode, phi, horizon, dt = spec["mode"], spec["phi"], spec["horizon"], spec["dt"]
     candidates = spec["theta_candidates"]
     name = spec["name"]
 
-    records = experiments.sweep_table(mode, spec["n_values"], phi, horizon, dt, candidates,
-                                      workers)
+    records = experiments.sweep_table(mode, spec["n_values"], phi, horizon, dt, candidates)
     rows = []
     for rec in records:
         extra = list(rec.top_peaks[1:3]) + [None, None]
@@ -356,10 +354,10 @@ def run_table(spec: dict, out_dir: Path, workers: int) -> list[str]:
     return outputs
 
 
-def run_scaling(spec: dict, out_dir: Path, workers: int) -> list[str]:
+def run_scaling(spec: dict, out_dir: Path) -> list[str]:
     theta, sspec, grid, name = spec["theta"], spec["state"], spec["grid"], spec["name"]
 
-    result = experiments.scaling_sweep(spec["n_values"], theta, sspec, grid, workers)
+    result = experiments.scaling_sweep(spec["n_values"], theta, sspec, grid)
     comments = [
         "chiralwalk scaling",
         f"theta={io.format_number(theta)} state: {_state_comment(sspec)}",
@@ -384,7 +382,7 @@ def run_scaling(spec: dict, out_dir: Path, workers: int) -> list[str]:
     return outputs
 
 
-def run_snapshots(spec: dict, out_dir: Path, workers: int) -> list[str]:
+def run_snapshots(spec: dict, out_dir: Path) -> list[str]:
     gspec, sspec, times, name = spec["graph"], spec["state"], spec["times"], spec["name"]
 
     mats = experiments.concurrence_matrix_snapshots(gspec, sspec, times)
@@ -411,7 +409,7 @@ def run_snapshots(spec: dict, out_dir: Path, workers: int) -> list[str]:
     return outputs
 
 
-def run_graph_export(spec: dict, out_dir: Path, workers: int) -> list[str]:
+def run_graph_export(spec: dict, out_dir: Path) -> list[str]:
     gspec, name = spec["graph"], spec["name"]
     g = gspec.build()
     H = graphs.hamiltonian(g)
@@ -604,18 +602,18 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        outputs = COMMANDS[command][1](spec, out_dir, _workers())
-    except (ValueError, IndexError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        outputs = COMMANDS[command][1](spec, out_dir)
+        io.write_json(out_dir / f"{spec['name']}.manifest.json", {
+            "tool": "chiralwalk",
+            "version": io.version_string(),
+            "subcommand": command,
+            "parameters": params,
+            "outputs": outputs,
+            "wall_time_s": round(time.perf_counter() - started, 6),
+        })
+    except (OSError, ValueError, IndexError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"chiralwalk: error: {exc}", file=sys.stderr)
         return 1
-    io.write_json(out_dir / f"{spec['name']}.manifest.json", {
-        "tool": "chiralwalk",
-        "version": io.version_string(),
-        "subcommand": command,
-        "parameters": params,
-        "outputs": outputs,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    })
     for fname in outputs:
         print(out_dir / fname)
     return 0

@@ -111,15 +111,6 @@ def propagator(d: SpectralDecomposition, t: float) -> np.ndarray:
     return (d.eigenvectors * phases) @ d.eigenvectors.conj().T
 
 
-def evolve_pure(d: SpectralDecomposition, psi0, t: float) -> np.ndarray:
-    """Evolve an amplitude vector: psi(t) = U(t) psi0."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    psi0 = check_pure_state(psi0, d.n)
-    c = d.eigenvectors.conj().T @ psi0
-    return d.eigenvectors @ (np.exp(-1j * d.eigenvalues * t) * c)
-
-
 def evolve_density(d: SpectralDecomposition, rho0, t: float) -> np.ndarray:
     """Evolve a density matrix: rho(t) = U(t) rho0 U(t)^dag."""
     if not math.isfinite(t):
@@ -176,8 +167,8 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
     """Amplitudes of a pure state on a whole time grid, shape (r, len(times)).
 
     Row k holds site ``rows[k]`` (0-based; default all n sites) and column j
-    holds it at times[j]; equivalent to stacking evolve_pure calls and
-    keeping those rows.  The readout is folded into W = V[rows] diag(c).
+    holds it at times[j]: the rows of psi(t_j) = U(t_j) psi0.  The readout is
+    folded into W = V[rows] diag(c).
 
     A uniform grid (see _grid_block) is cut into blocks of B = isqrt(T)
     columns (wider for many rows on a short grid) and each phase is

@@ -1,8 +1,7 @@
 """Sweep experiments: time traces, peak detection, phase optimization, scaling.
 
 Everything here is deterministic: a given parameter set always produces the
-same numbers, and parallel sweeps merge their results in canonical parameter
-order so they match sequential runs exactly.
+same numbers.
 """
 
 from __future__ import annotations
@@ -495,26 +494,6 @@ def ctqw_long_time(
     return optimize_theta(n, phi, (0.0,), horizon, dt)
 
 
-def _map(task, tasks: list, workers: int) -> list:
-    """``task`` over ``tasks`` in order, in a process pool when workers > 1."""
-    if workers > 1 and len(tasks) > 1:
-        # Imported here, because the import costs every start of the CLI.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, tasks))
-    return [task(t) for t in tasks]
-
-
-def _table_task(args) -> SweepRecord:
-    mode, n, phi, horizon, dt, candidates = args
-    if mode == "cqw":
-        return optimize_theta(n, phi, candidates, horizon, dt)
-    if mode == "ctqw":
-        return ctqw_long_time(n, phi, horizon, dt)
-    raise ValueError(f"unknown table mode {mode!r}")
-
-
 def sweep_table(
     mode: str,
     n_values,
@@ -522,24 +501,18 @@ def sweep_table(
     horizon: float = 500.0,
     dt: float = LONG_TIME_DT,
     theta_candidates=THETA_CANDIDATES,
-    workers: int = 1,
 ) -> list[SweepRecord]:
     """One SweepRecord per chain size, in the order given."""
-    tasks = [(mode, int(n), phi, horizon, dt, tuple(theta_candidates)) for n in n_values]
-    return _map(_table_task, tasks, workers)
+    if mode == "cqw":
+        candidates = tuple(theta_candidates)
+        return [optimize_theta(int(n), phi, candidates, horizon, dt) for n in n_values]
+    if mode == "ctqw":
+        return [ctqw_long_time(int(n), phi, horizon, dt) for n in n_values]
+    raise ValueError(f"unknown table mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
 # chain-size scaling
-
-
-def _scaling_task(args) -> tuple[int, float, float]:
-    n, theta, state_spec, grid = args
-    series = concurrence_trace(GraphSpec("tri", n, theta), state_spec, grid)
-    peak = first_peak(series)
-    if not peak.found:
-        raise ArithmeticError(f"no transfer peak found for n = {n} within the grid")
-    return (n, peak.t_peak, peak.value)
 
 
 def scaling_sweep(
@@ -547,15 +520,18 @@ def scaling_sweep(
     theta: float,
     state_spec: StateSpec | None = None,
     grid: TimeGrid | None = None,
-    workers: int = 1,
 ) -> ScalingResult:
     """First transfer peak per chain size plus a linear fit of time vs size."""
     if state_spec is None:
         state_spec = StateSpec("pair", i=1, j=2, phi=math.pi)
     if grid is None:
         grid = TimeGrid(0.0, 40.0, 0.005)
-    tasks = [(int(n), theta, state_spec, grid) for n in n_values]
-    entries = _map(_scaling_task, tasks, workers)
+    entries = []
+    for n in map(int, n_values):
+        peak = first_peak(concurrence_trace(GraphSpec("tri", n, theta), state_spec, grid))
+        if not peak.found:
+            raise ArithmeticError(f"no transfer peak found for n = {n} within the grid")
+        entries.append((n, peak.t_peak, peak.value))
     ns = np.array([e[0] for e in entries], dtype=float)
     tmax = np.array([e[1] for e in entries])
     if len(entries) >= 2:

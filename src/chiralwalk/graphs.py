@@ -54,10 +54,6 @@ class WeightedGraph:
             clean.append((m, n, w))
         object.__setattr__(self, "edges", tuple(clean))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
 
 def triangular_chain(n: int, theta, magnitude: float = 1.0) -> WeightedGraph:
     """Linear chain of triangle plaquettes: edges (i, i+1) and (i, i+2).

@@ -7,6 +7,10 @@ searches walk the samples one at a time.  The output references format a
 CSV one cell at a time and draw a line plot through every sample (with the
 package's axis tick helpers).
 
+``evolve_pure`` evolves a pure state to one time through the eigenbasis;
+``site_amplitudes`` does so for a whole grid at once and is checked against
+it column by column.
+
 The general measures below the brute-force ones (``reduced_pair``,
 ``check_pair_density``, ``concurrence_wootters`` with its spin flip ``_YY``,
 ``bures_distance``, ``diagonal_bures`` and ``transfer_fidelity_pure``) were
@@ -91,6 +95,15 @@ def fidelity_commuting(p, q) -> float:
 def expm_propagator(H: np.ndarray, t: float) -> np.ndarray:
     """Propagator exp(-iHt) through scipy's general matrix exponential."""
     return scipy.linalg.expm(-1j * np.asarray(H, dtype=complex) * t)
+
+
+def evolve_pure(d, psi0, t: float) -> np.ndarray:
+    """Evolve an amplitude vector to one time: psi(t) = U(t) psi0."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    psi0 = check_pure_state(psi0, d.n)
+    c = d.eigenvectors.conj().T @ psi0
+    return d.eigenvectors @ (np.exp(-1j * d.eigenvalues * t) * c)
 
 
 def random_single_excitation_state(rng: np.random.Generator, n: int) -> np.ndarray:

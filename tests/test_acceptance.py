@@ -130,7 +130,7 @@ def test_c04_chiral_short_time_transfer(short_peaks):
 
 def test_c05_near_perfect_population_transfer():
     d = GraphSpec("tri", 5, PI / 2).decompose()
-    psi = dynamics.evolve_pure(d, states.localized(5, 1), 1.64)
+    psi = oracles.evolve_pure(d, states.localized(5, 1), 1.64)
     p5 = abs(psi[4]) ** 2
     report(
         abs(p5 - 0.95) <= 0.03,
@@ -325,8 +325,8 @@ def test_c14b_time_reversal_symmetry_real_hamiltonian():
     psi0 = states.localized(5, 1)
     worst = 0.0
     for t in np.linspace(0.25, 10.0, 40):
-        fwd = np.abs(dynamics.evolve_pure(d, psi0, t)) ** 2
-        bwd = np.abs(dynamics.evolve_pure(d, psi0, -t)) ** 2
+        fwd = np.abs(oracles.evolve_pure(d, psi0, t)) ** 2
+        bwd = np.abs(oracles.evolve_pure(d, psi0, -t)) ** 2
         worst = max(worst, float(np.abs(fwd - bwd).max()))
     report(worst <= 1e-9, "c14b time-reversal symmetry", f"worst |P(t) - P(-t)| = {worst:.3e}")
 
@@ -343,7 +343,7 @@ def test_c14c_wootters_fast_path_equivalence():
         d = decs[thetas[rng.integers(len(thetas))]]
         phi = rng.uniform(-PI, PI)
         t = rng.uniform(0.0, 25.0)
-        psi = dynamics.evolve_pure(d, states.spatial_pair(5, 1, 2, phi), t)
+        psi = oracles.evolve_pure(d, states.spatial_pair(5, 1, 2, phi), t)
         rho = np.outer(psi, psi.conj())
         i, j = (int(x) + 1 for x in rng.choice(5, size=2, replace=False))
         fast = measures.concurrence_pair_fast(rho, i, j)

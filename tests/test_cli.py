@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -375,16 +376,6 @@ class TestTableCommand:
         assert rc == 0
         assert (tmp_path / "again" / "table-ctqw.csv").read_bytes() == first
 
-    def test_worker_env_gives_identical_output(self, tmp_path, monkeypatch):
-        cli.main(["table", "--mode", "ctqw", "--n", "5,7", "--horizon", "20",
-                  "--out", str(tmp_path), "--name", "seq"])
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        cli.main(["table", "--mode", "ctqw", "--n", "5,7", "--horizon", "20",
-                  "--out", str(tmp_path), "--name", "par"])
-        seq = (tmp_path / "seq.csv").read_bytes()
-        par = (tmp_path / "par.csv").read_bytes()
-        assert seq == par
-
 
 class TestScalingCommand:
     def test_outputs_and_fit_comment(self, tmp_path):
@@ -521,6 +512,9 @@ USAGE_ERRORS = {
     "table-mode-xyz": ("table", ["--mode", "xyz"], {"mode": "xyz"}),
     "table-no-candidates": ("table", ["--theta-candidates="], {"theta_candidates": []}),
     "table-n-values-text": ("table", None, {"n_values": "57"}),
+    "table-n-empty": ("table", ["--n", ","], {"n_values": []}),
+    "table-ctqw-candidates": ("table", None, {"mode": "ctqw", "theta_candidates": [1.0]}),
+    "scaling-n-empty": ("scaling", ["--n", ","], {"n_values": []}),
     "scaling-n-1-3": ("scaling", ["--n", "1,3"], {"n_values": [1, 3]}),
     "scaling-grid-2-points": ("scaling", ["--t", "0:0.05:0.05"],
                               {"grid": {"t_start": 0.0, "t_end": 0.05, "dt": 0.05}}),
@@ -557,6 +551,39 @@ def test_usage_error_exits_2(case, form, tmp_path, base_manifests):
     assert re.match(r"chiralwalk( [\w-]+)?: error: ", message)
     assert all(line.startswith(("usage: ", " ")) for line in usage)
     assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["graph-export", "--graph", "tri:5"], "file"),
+    (BASE_RUNS["trace"], "file/sub"),
+])
+def test_unwritable_out_exits_1(tmp_path, argv, out):
+    (tmp_path / "file").write_text("not a directory")
+    code, stderr = run_cli(argv + ["--out", str(tmp_path / out)])
+    assert code == 1
+    assert "Traceback" not in stderr
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("chiralwalk: error: ")
+    assert files_under(tmp_path) == {tmp_path / "file"}
+
+
+def _top_level_modules(statement: str) -> set:
+    """Top-level names in sys.modules after ``statement`` runs in a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}; import sys; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return {name.partition(".")[0] for name in proc.stdout.split()}
+
+
+def test_cli_start_imports_only_stdlib_beyond_numpy():
+    # Every CLI start pays for its imports: nothing outside the standard
+    # library and the package itself, and no process-pool machinery.
+    loaded = _top_level_modules("import chiralwalk.cli")
+    extra = loaded - _top_level_modules("import numpy")
+    assert "chiralwalk" in extra
+    assert {m for m in extra if m not in sys.stdlib_module_names} == {"chiralwalk"}
+    assert not loaded & {"concurrent", "multiprocessing"}
 
 
 # argparse alone reads each of these values, given as its own argument, as an option.

@@ -119,32 +119,35 @@ class TestPropagator:
 
 
 class TestEvolvePure:
+    """Pure-state evolution: the one-time reference oracles.evolve_pure, and
+    site_amplitudes, the package's only pure-state path."""
+
     def test_identity_at_zero(self, chiral5):
         psi0 = states.localized(5, 1)
-        assert np.abs(dynamics.evolve_pure(chiral5, psi0, 0.0) - psi0).max() < 1e-12
+        assert np.abs(oracles.evolve_pure(chiral5, psi0, 0.0) - psi0).max() < 1e-12
 
     def test_norm_preserved(self, chiral5):
         psi0 = states.spatial_pair(5, 1, 2, 2.1)
         for t in (0.5, 3.3, 42.0):
-            psi = dynamics.evolve_pure(chiral5, psi0, t)
+            psi = oracles.evolve_pure(chiral5, psi0, t)
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
     def test_matches_propagator(self, chiral5):
         psi0 = states.spatial_pair(5, 1, 2, 0.4)
         t = 2.2
         direct = dynamics.propagator(chiral5, t) @ psi0
-        assert np.abs(dynamics.evolve_pure(chiral5, psi0, t) - direct).max() < 1e-12
+        assert np.abs(oracles.evolve_pure(chiral5, psi0, t) - direct).max() < 1e-12
 
     def test_dimension_mismatch(self, chiral5):
         with pytest.raises(ValueError, match="mismatch"):
-            dynamics.evolve_pure(chiral5, states.localized(4, 1), 1.0)
+            dynamics.site_amplitudes(chiral5, states.localized(4, 1), [1.0])
 
     def test_rejects_unnormalized(self, chiral5):
         with pytest.raises(ValueError, match="normalized"):
-            dynamics.evolve_pure(chiral5, np.ones(5), 1.0)
+            dynamics.site_amplitudes(chiral5, np.ones(5), [1.0])
 
     def test_chiral_population_transfer_near_t164(self, chiral5):
-        psi = dynamics.evolve_pure(chiral5, states.localized(5, 1), 1.64)
+        psi = dynamics.site_amplitudes(chiral5, states.localized(5, 1), [1.64])[:, 0]
         assert abs(psi[4]) ** 2 == pytest.approx(0.95, abs=0.03)
 
     def test_flat_walk_weak_transfer_regression(self, flat5):
@@ -189,7 +192,7 @@ class TestEvolveDensity:
         rho0 = states.density_from_pure(psi0)
         t = 3.7
         via_density = dynamics.evolve_density(chiral5, rho0, t)
-        psi = dynamics.evolve_pure(chiral5, psi0, t)
+        psi = oracles.evolve_pure(chiral5, psi0, t)
         assert np.abs(via_density - np.outer(psi, psi.conj())).max() < 1e-10
 
     def test_rejects_invalid_density(self, chiral5):
@@ -225,8 +228,8 @@ class TestOccupation:
         # P_i(t) = P_i(-t) for a real Hamiltonian with a localized start.
         psi0 = states.localized(5, 1)
         for t in np.linspace(0.25, 10.0, 40):
-            fwd = np.abs(dynamics.evolve_pure(flat5, psi0, t)) ** 2
-            bwd = np.abs(dynamics.evolve_pure(flat5, psi0, -t)) ** 2
+            fwd = np.abs(oracles.evolve_pure(flat5, psi0, t)) ** 2
+            bwd = np.abs(oracles.evolve_pure(flat5, psi0, -t)) ** 2
             assert np.abs(fwd - bwd).max() < 1e-9
 
 
@@ -236,7 +239,7 @@ class TestSiteAmplitudes:
         times = np.array([0.0, 0.31, 1.02, 9.7])
         batch = dynamics.site_amplitudes(chiral5, psi0, times)
         for k, t in enumerate(times):
-            assert np.abs(batch[:, k] - dynamics.evolve_pure(chiral5, psi0, t)).max() < 1e-12
+            assert np.abs(batch[:, k] - oracles.evolve_pure(chiral5, psi0, t)).max() < 1e-12
 
     def test_parallel_columns_independent_of_grid(self, chiral5):
         # A factored column depends on the block layout of its grid, so a
@@ -247,7 +250,7 @@ class TestSiteAmplitudes:
         half = dynamics.site_amplitudes(chiral5, psi0, times[::2])
         assert np.abs(full[:, ::2] - half).max() < 1e-12
         for k, t in enumerate(times):
-            assert np.abs(full[:, k] - dynamics.evolve_pure(chiral5, psi0, t)).max() < 1e-12
+            assert np.abs(full[:, k] - oracles.evolve_pure(chiral5, psi0, t)).max() < 1e-12
 
     def test_unit_norm_at_every_grid_point(self, chiral5):
         times = np.linspace(0, 12, 31)
@@ -272,7 +275,7 @@ class TestSiteAmplitudes:
         assert part.shape == (len(rows), times.size)
         assert np.abs(part - dynamics.site_amplitudes(d, psi0, times)[rows]).max(initial=0) < 1e-12
         for k, t in enumerate(times):
-            assert np.abs(part[:, k] - dynamics.evolve_pure(d, psi0, t)[rows]).max() < 1e-12
+            assert np.abs(part[:, k] - oracles.evolve_pure(d, psi0, t)[rows]).max() < 1e-12
 
     def test_chunk_boundaries_match_evolve_pure(self, chiral5):
         psi0 = states.spatial_pair(5, 1, 2, 0.4)
@@ -281,7 +284,7 @@ class TestSiteAmplitudes:
         amp = dynamics.site_amplitudes(chiral5, psi0, times)
         part = dynamics.site_amplitudes(chiral5, psi0, times, [4, 0])
         for k in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, times.size - 1):
-            psi = dynamics.evolve_pure(chiral5, psi0, times[k])
+            psi = oracles.evolve_pure(chiral5, psi0, times[k])
             assert np.abs(amp[:, k] - psi).max() < 1e-12
             assert np.abs(part[:, k] - psi[[4, 0]]).max() < 1e-12
 
@@ -292,7 +295,7 @@ class TestSiteAmplitudes:
         assert dynamics._grid_block(times, 2) == 0
         amp = dynamics.site_amplitudes(chiral5, psi0, times, [4, 0])
         for k in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, times.size - 1):
-            psi = dynamics.evolve_pure(chiral5, psi0, times[k])
+            psi = oracles.evolve_pure(chiral5, psi0, times[k])
             assert np.abs(amp[:, k] - psi[[4, 0]]).max() < 1e-12
 
     @given(
@@ -334,7 +337,7 @@ class TestSiteAmplitudes:
         assert np.array_equal(amp, dynamics.site_amplitudes(d, psi0, times, rows))
         starts = np.arange(0, size, block)
         for k in {*starts, *(starts[1:] - 1), size - 1}:
-            psi = dynamics.evolve_pure(d, psi0, times[k])
+            psi = oracles.evolve_pure(d, psi0, times[k])
             assert np.abs(amp[:, k] - (psi if rows is None else psi[rows])).max() < 1e-12
 
     @given(st.floats(-1e15, 1e15), st.integers(1, 5000), st.floats(0.0, 8.0), st.booleans(), st.booleans())

@@ -138,7 +138,7 @@ class TestBuilders:
     def test_complete4_six_edges_hermitian(self):
         g = graphs.complete_graph(4, math.pi / 3)
         H = graphs.hamiltonian(g)
-        assert g.n_edges == 6
+        assert len(g.edges) == 6
         assert np.abs(H - H.conj().T).max() < 1e-12
 
     def test_complete_rejects_small_n(self):
@@ -147,9 +147,9 @@ class TestBuilders:
 
     @given(st.integers(3, 20), angles)
     def test_edge_counts(self, n, theta):
-        assert graphs.triangular_chain(n, theta, 1.0).n_edges == 2 * n - 3
-        assert graphs.cycle_graph(n, theta).n_edges == n
-        assert graphs.complete_graph(n, theta).n_edges == n * (n - 1) // 2
+        assert len(graphs.triangular_chain(n, theta, 1.0).edges) == 2 * n - 3
+        assert len(graphs.cycle_graph(n, theta).edges) == n
+        assert len(graphs.complete_graph(n, theta).edges) == n * (n - 1) // 2
 
     @given(st.integers(3, 12), angles)
     def test_hamiltonian_always_hermitian(self, n, theta):

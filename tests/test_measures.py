@@ -45,7 +45,7 @@ class TestReducedPair:
     def test_zero_pattern_preserved_under_evolution(self, chiral5):
         psi0 = states.spatial_pair(5, 1, 2, math.pi)
         for t in (0.2, 0.9, 4.4):
-            psi = dynamics.evolve_pure(chiral5, psi0, t)
+            psi = oracles.evolve_pure(chiral5, psi0, t)
             pd = oracles.reduced_pair(np.outer(psi, psi.conj()), 4, 5)
             mask = np.ones((4, 4), dtype=bool)
             mask[1:3, 1:3] = False
@@ -53,7 +53,7 @@ class TestReducedPair:
             assert np.abs(pd[mask]).max() < 1e-12
 
     def test_pure_state_block_is_amplitude_products(self, chiral5):
-        psi = dynamics.evolve_pure(chiral5, states.spatial_pair(5, 1, 2, math.pi), 0.8)
+        psi = oracles.evolve_pure(chiral5, states.spatial_pair(5, 1, 2, math.pi), 0.8)
         pd = oracles.reduced_pair(np.outer(psi, psi.conj()), 4, 5)
         assert pd[1, 1] == pytest.approx(abs(psi[3]) ** 2, abs=1e-12)
         assert pd[2, 2] == pytest.approx(abs(psi[4]) ** 2, abs=1e-12)
@@ -104,7 +104,7 @@ class TestConcurrenceWootters:
     def test_single_excitation_form_equals_2a45(self, chiral5):
         psi0 = states.spatial_pair(5, 1, 2, math.pi)
         for t in (0.3, 1.02, 2.5):
-            psi = dynamics.evolve_pure(chiral5, psi0, t)
+            psi = oracles.evolve_pure(chiral5, psi0, t)
             pd = oracles.reduced_pair(np.outer(psi, psi.conj()), 4, 5)
             assert oracles.concurrence_wootters(pd) == pytest.approx(
                 2 * abs(psi[3] * np.conj(psi[4])), abs=1e-10
@@ -140,7 +140,7 @@ class TestConcurrencePairFast:
             d = decs["chiral" if rng.random() < 0.5 else "flat"]
             phi = rng.uniform(-math.pi, math.pi)
             t = rng.uniform(0.0, 20.0)
-            psi = dynamics.evolve_pure(d, states.spatial_pair(5, 1, 2, phi), t)
+            psi = oracles.evolve_pure(d, states.spatial_pair(5, 1, 2, phi), t)
             rho = np.outer(psi, psi.conj())
             i, j = rng.choice(5, size=2, replace=False) + 1
             fast = measures.concurrence_pair_fast(rho, int(i), int(j))
@@ -280,7 +280,7 @@ class TestTransferFidelity:
         ) == 0.0
 
     def test_consistent_with_density_fidelity(self, chiral5):
-        psi = dynamics.evolve_pure(chiral5, states.spatial_pair(5, 1, 2, math.pi), 1.0)
+        psi = oracles.evolve_pure(chiral5, states.spatial_pair(5, 1, 2, math.pi), 1.0)
         target = states.target_pure(5, math.pi)
         direct = oracles.transfer_fidelity_pure(psi, target)
         via_dm = measures.fidelity(
