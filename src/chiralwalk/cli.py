@@ -144,8 +144,6 @@ def _werner_arg(arg: str, n: int, state: StateSpec) -> tuple:
 
 
 def _transfer_arg(arg: str, n: int, state: StateSpec) -> tuple:
-    if state.kind == "werner":
-        raise ValueError("transfer-fidelity needs a pure state, got 'werner'")
     return (parse_phase(arg) if arg else None,)
 
 
@@ -332,7 +330,7 @@ def run_table(spec: dict, out_dir: Path) -> list[str]:
     candidates = spec["theta_candidates"]
     name = spec["name"]
 
-    records = experiments.sweep_table(mode, spec["n_values"], phi, horizon, dt, candidates)
+    records = experiments.sweep_table(spec["n_values"], phi, horizon, dt, candidates)
     rows = []
     for rec in records:
         extra = list(rec.top_peaks[1:3]) + [None, None]
@@ -416,15 +414,9 @@ def run_graph_export(spec: dict, out_dir: Path) -> list[str]:
 
     outputs = [f"{name}.graph.json", f"{name}.matrix.csv"]
     io.write_json(out_dir / outputs[0], graphs.graph_json_dict(g))
-    header = []
-    for j in range(g.n_vertices):
-        header += [f"re{j + 1}", f"im{j + 1}"]
-    rows = []
-    for r in range(g.n_vertices):
-        row = []
-        for c in range(g.n_vertices):
-            row += [H[r, c].real, H[r, c].imag]
-        rows.append(row)
+    n = g.n_vertices
+    header = [f"{part}{j + 1}" for j in range(n) for part in ("re", "im")]
+    rows = np.stack([H.real, H.imag], axis=-1).reshape(n, 2 * n).tolist()
     comments = [
         "chiralwalk graph-export",
         _graph_comment(gspec),
@@ -602,7 +594,10 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        outputs = COMMANDS[command][1](spec, out_dir)
+        # A non-finite result is an error of its own (ArithmeticError), so the
+        # overflow and NaN warnings on the way to it are not printed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            outputs = COMMANDS[command][1](spec, out_dir)
         io.write_json(out_dir / f"{spec['name']}.manifest.json", {
             "tool": "chiralwalk",
             "version": io.version_string(),
@@ -611,8 +606,9 @@ def main(argv=None) -> int:
             "outputs": outputs,
             "wall_time_s": round(time.perf_counter() - started, 6),
         })
-    except (OSError, ValueError, IndexError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"chiralwalk: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, IndexError, ArithmeticError, MemoryError,
+            np.linalg.LinAlgError) as exc:
+        print(f"chiralwalk: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     for fname in outputs:
         print(out_dir / fname)

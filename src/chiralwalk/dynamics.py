@@ -26,7 +26,7 @@ def check_hermitian(H) -> np.ndarray:
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     dev = np.abs(H - H.conj().T).max()
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return H
 
@@ -39,7 +39,7 @@ def check_pure_state(psi, n: int | None = None) -> np.ndarray:
     if n is not None and psi.shape[0] != n:
         raise ValueError(f"dimension mismatch: state has {psi.shape[0]} sites, expected {n}")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized: |psi| = {norm!r}")
     return psi
 
@@ -50,10 +50,10 @@ def check_density_matrix(rho, n: int | None = None) -> np.ndarray:
     if n is not None and rho.shape[0] != n:
         raise ValueError(f"dimension mismatch: state has {rho.shape[0]} sites, expected {n}")
     tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > NORM_TOL:
+    if not abs(tr - 1.0) <= NORM_TOL:
         raise ValueError(f"density matrix trace is {tr!r}, expected 1")
     lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -NORM_TOL:
+    if not lo >= -NORM_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
     return rho
 
@@ -90,11 +90,13 @@ def spectral_decompose(H) -> SpectralDecomposition:
     """
     H = check_hermitian(H)
     eigenvalues, V = np.linalg.eigh(H)
+    if not np.all(np.isfinite(eigenvalues)):
+        raise ArithmeticError("eigendecomposition failed: the spectrum is not finite")
     V = _fix_column_phases(V)
     scale = max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
     resid = np.abs(H @ V - V * eigenvalues).max()
     ortho = np.abs(V.conj().T @ V - np.eye(H.shape[0])).max()
-    if resid > RESIDUAL_TOL * scale or ortho > RESIDUAL_TOL:
+    if not (resid <= RESIDUAL_TOL * scale and ortho <= RESIDUAL_TOL):
         raise ArithmeticError(
             f"eigendecomposition failed: residual {resid:.3e}, orthonormality {ortho:.3e}"
         )
@@ -223,6 +225,6 @@ def occupation(rho, i: int) -> float:
     if not 1 <= i <= n:
         raise IndexError(f"site index {i} out of range 1..{n}")
     p = float(np.real(rho[i - 1, i - 1]))
-    if p < -NORM_TOL or p > 1.0 + NORM_TOL:
+    if not -NORM_TOL <= p <= 1.0 + NORM_TOL:
         raise ValueError(f"diagonal element {p!r} is not a probability")
     return min(max(p, 0.0), 1.0)

@@ -25,6 +25,8 @@ from .dynamics import (
 # bound) and about 24 bytes per row of CSV text.  The phases of site_amplitudes
 # take n sqrt(T) values on a uniform grid (n x 3163 at the bound).
 MAX_GRID_POINTS = 10**7
+# Bounds the n x n complex Hamiltonian and eigenvectors at 268 MB each.
+MAX_SITES = 4096
 PEAK_NOISE_FLOOR = 0.01
 LONG_TIME_DT = 0.02
 THETA_CANDIDATES = (-np.pi / 2, np.pi / 2)
@@ -75,6 +77,8 @@ class GraphSpec:
     magnitude: float = 1.0
 
     def __post_init__(self):
+        if not self.n <= MAX_SITES:
+            raise ValueError(f"graph of {self.n} sites exceeds the site guard {MAX_SITES}")
         # Only the triangular chain has a hopping magnitude; elsewhere it would
         # be recorded in outputs without having been used.
         if self.kind != "tri" and self.magnitude != 1.0:
@@ -201,6 +205,7 @@ class TraceSeries:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if times.size >= 2 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
+        _check_finite(values, self.label)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -211,7 +216,6 @@ class PeakResult:
 
     t_peak: float
     value: float
-    kind: str
     found: bool = True
 
 
@@ -220,11 +224,9 @@ class SweepRecord:
     """One row of a phase-optimization table."""
 
     n: int
-    phi: float
     theta: float
     t: float
     concurrence: float
-    horizon: float
     top_peaks: tuple[PeakResult, ...] = ()
 
 
@@ -236,6 +238,12 @@ class ScalingResult:
     slope: float
     intercept: float
     r_squared: float
+
+
+def _check_finite(values, label: str) -> None:
+    """ArithmeticError unless every value is finite, so that no NaN or inf is output."""
+    if not np.all(np.isfinite(values)):
+        raise ArithmeticError(f"{label or 'trace'}: the values are not all finite")
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +293,24 @@ def _cross_check(values, state_spec: StateSpec, n: int, label: str, reference) -
         )
 
 
+def _pointwise_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid,
+                     rows, measure, reference, label: str) -> TraceSeries:
+    """``measure`` over the grid, clipped into [0, 1], from the ensemble's amplitude rows.
+
+    ``measure(members)`` maps the (w_m, a_m) of the readout ``rows`` to one
+    value per time; ``reference(rho)`` is the same value from a density
+    matrix, against which a mixed state's last value is cross-checked.
+    """
+    n = graph_spec.n
+    d = graph_spec.decompose()
+    times = grid.times()
+    members = _ensemble_amplitudes(d, state_spec.ensemble(n), times, rows)
+    series = TraceSeries(times, np.clip(measure(members), 0.0, 1.0), label=label)
+    _cross_check(series.values, state_spec, n, label, lambda rho0:
+                 reference(evolve_density(d, rho0, times[-1])))
+    return series
+
+
 def concurrence_trace(
     graph_spec: GraphSpec,
     state_spec: StateSpec,
@@ -295,14 +321,10 @@ def concurrence_trace(
     n = graph_spec.n
     i, j = pair if pair is not None else (n - 1, n)
     a, b = measures._site_pair_indices(n, i, j)
-    d = graph_spec.decompose()
-    times = grid.times()
-    members = _ensemble_amplitudes(d, state_spec.ensemble(n), times, [a, b])
-    values = np.clip(2.0 * np.abs(_coherence(members, 0, 1)), 0.0, 1.0)
-    label = f"concurrence:{i},{j}"
-    _cross_check(values, state_spec, n, label, lambda rho0:
-                 measures.concurrence_pair_fast(evolve_density(d, rho0, times[-1]), i, j))
-    return TraceSeries(times, values, label=label)
+    return _pointwise_trace(
+        graph_spec, state_spec, grid, [a, b],
+        lambda members: 2.0 * np.abs(_coherence(members, 0, 1)),
+        lambda rho: measures.concurrence_pair_fast(rho, i, j), f"concurrence:{i},{j}")
 
 
 def occupation_trace(
@@ -312,32 +334,24 @@ def occupation_trace(
     n = graph_spec.n
     if not 1 <= site <= n:
         raise IndexError(f"site index {site} out of range 1..{n}")
-    d = graph_spec.decompose()
-    times = grid.times()
-    members = _ensemble_amplitudes(d, state_spec.ensemble(n), times, [site - 1])
-    values = np.clip(_populations(members, 0), 0.0, 1.0)
-    label = f"occupation:{site}"
-    _cross_check(values, state_spec, n, label, lambda rho0:
-                 occupation(evolve_density(d, rho0, times[-1]), site))
-    return TraceSeries(times, values, label=label)
+    return _pointwise_trace(
+        graph_spec, state_spec, grid, [site - 1], lambda members: _populations(members, 0),
+        lambda rho: occupation(rho, site), f"occupation:{site}")
 
 
 def transfer_fidelity_trace(
     graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid, target_phi: float | None = None
 ) -> TraceSeries:
-    """Squared overlap with the right-end target state over the grid."""
+    """Transfer fidelity <t|rho(t)|t> = sum_m w_m |<t|a_m(t)>|^2 over the grid, for the
+    target |t> on sites (n-1, n) with phase ``target_phi``, by default the state's phi."""
     n = graph_spec.n
-    if state_spec.kind == "werner":
-        raise ValueError("transfer fidelity trace needs a pure initial state")
-    ((_, psi0),) = state_spec.ensemble(n)
-    phi = state_spec.phi if target_phi is None else float(target_phi)
-    target = states.target_pure(n, phi)
-    d = graph_spec.decompose()
-    times = grid.times()
-    support = np.flatnonzero(target)  # sites n-1 and n
-    amp = site_amplitudes(d, psi0, times, support)
-    values = np.abs(target[support].conj() @ amp) ** 2
-    return TraceSeries(times, np.clip(values, 0.0, 1.0), label="transfer-fidelity")
+    target = states.target_pure(n, state_spec.phi if target_phi is None else float(target_phi))
+    bra = target[n - 2:].conj()
+    return _pointwise_trace(
+        graph_spec, state_spec, grid, [n - 2, n - 1],
+        lambda members: sum(w * np.abs(bra @ amp) ** 2 for w, amp in members),
+        lambda rho: measures.fidelity(rho, states.density_from_pure(target)),
+        "transfer-fidelity")
 
 
 def bures_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) -> TraceSeries:
@@ -368,20 +382,16 @@ def werner_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) -
     if state_spec.kind != "werner":
         raise ValueError(f"werner fidelity needs a werner state, got {state_spec.kind!r}")
     n, b = graph_spec.n, state_spec.b
-    d = graph_spec.decompose()
-    times = grid.times()
-    # Rows p = 0 and q = 1 of each member are the target sites n-1 and n.
-    members = _ensemble_amplitudes(d, state_spec.ensemble(n), times, [n - 2, n - 1])
-    (w_plus, plus), (w_minus, minus) = members
-    p, q = 0, 1
-    overlap = 0.5 * _populations(members, slice(None)).sum(axis=0)
-    overlap += b * np.real(_coherence(members, p, q))
-    det_term = 2.0 * w_plus * w_minus * np.abs(plus[p] * minus[q] - plus[q] * minus[p])
-    values = np.clip(overlap + det_term, 0.0, 1.0)
-    label = f"werner-fidelity:b={b}"
-    _cross_check(values, state_spec, n, label, lambda rho0:
-                 measures.fidelity(evolve_density(d, rho0, times[-1]), states.target_werner(n, b)))
-    return TraceSeries(times, values, label=label)
+
+    def fidelity(members):  # rows 0 and 1 of each member are the target sites n-1 and n
+        (w_plus, plus), (w_minus, minus) = members
+        overlap = 0.5 * _populations(members, slice(None)).sum(axis=0)
+        overlap += b * np.real(_coherence(members, 0, 1))
+        return overlap + 2.0 * w_plus * w_minus * np.abs(plus[0] * minus[1] - plus[1] * minus[0])
+
+    return _pointwise_trace(
+        graph_spec, state_spec, grid, [n - 2, n - 1], fidelity,
+        lambda rho: measures.fidelity(rho, states.target_werner(n, b)), f"werner-fidelity:b={b}")
 
 
 def concurrence_matrix_snapshots(
@@ -394,6 +404,7 @@ def concurrence_matrix_snapshots(
     times = np.asarray(times, dtype=float)
     members = _ensemble_amplitudes(d, state_spec.ensemble(n), times)
     mats = [measures.concurrence_matrix(_density(members, k)) for k in range(times.size)]
+    _check_finite(mats, "snapshots")
     _cross_check(mats, state_spec, n, "snapshots", lambda rho0:
                  measures.concurrence_matrix(evolve_density(d, rho0, times[-1])))
     return mats
@@ -432,15 +443,15 @@ def first_peak(series: TraceSeries, noise_floor: float = PEAK_NOISE_FLOOR) -> Pe
         raise ValueError(f"need at least 3 samples, got {len(v)}")
     hits = np.flatnonzero(_interior_maxima(v) & (v[1:-1] > noise_floor))
     if not hits.size:
-        return PeakResult(math.nan, math.nan, "no-peak", found=False)
+        return PeakResult(math.nan, math.nan, found=False)
     t, val = _refine(series.times, v, hits[:1] + 1)
-    return PeakResult(float(t[0]), float(val[0]), "first-local-max")
+    return PeakResult(float(t[0]), float(val[0]))
 
 
 def global_max(series: TraceSeries) -> PeakResult:
     """Largest value over the grid (earliest wins ties), parabolically refined."""
     t, val = _refine(series.times, series.values, np.argmax(series.values, keepdims=True))
-    return PeakResult(float(t[0]), float(val[0]), "global-max")
+    return PeakResult(float(t[0]), float(val[0]))
 
 
 def top_peaks(series: TraceSeries, count: int = 3) -> tuple[PeakResult, ...]:
@@ -448,7 +459,7 @@ def top_peaks(series: TraceSeries, count: int = 3) -> tuple[PeakResult, ...]:
     t, val = _refine(series.times, series.values,
                      np.flatnonzero(_interior_maxima(series.values)) + 1)
     best = np.lexsort((t, -val))[:count]
-    return tuple(PeakResult(float(t[i]), float(val[i]), "local-max") for i in best)
+    return tuple(PeakResult(float(t[i]), float(val[i])) for i in best)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +489,7 @@ def optimize_theta(
     for theta in candidates:
         series = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
         peak = global_max(series)
-        record = SweepRecord(
-            n, phi, float(theta), peak.t_peak, peak.value, horizon, top_peaks(series)
-        )
+        record = SweepRecord(n, float(theta), peak.t_peak, peak.value, top_peaks(series))
         key = (record.concurrence, -abs(record.theta), record.theta)
         if best is None or key > best_key:
             best, best_key = record, key
@@ -495,20 +504,16 @@ def ctqw_long_time(
 
 
 def sweep_table(
-    mode: str,
     n_values,
     phi: float = math.pi,
     horizon: float = 500.0,
     dt: float = LONG_TIME_DT,
     theta_candidates=THETA_CANDIDATES,
 ) -> list[SweepRecord]:
-    """One SweepRecord per chain size, in the order given."""
-    if mode == "cqw":
-        candidates = tuple(theta_candidates)
-        return [optimize_theta(int(n), phi, candidates, horizon, dt) for n in n_values]
-    if mode == "ctqw":
-        return [ctqw_long_time(int(n), phi, horizon, dt) for n in n_values]
-    raise ValueError(f"unknown table mode {mode!r}")
+    """One SweepRecord per chain size, in the order given; theta_candidates
+    (0.0,) gives the plain walk."""
+    candidates = tuple(theta_candidates)
+    return [optimize_theta(int(n), phi, candidates, horizon, dt) for n in n_values]
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ import math
 import numpy as np
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
+TICKS = 5  # tick intervals per axis
+WIDTH, HEIGHT = 720, 480  # line plot size in pixels
+CELL, COLUMNS = 28, 2  # heatmap cell size in pixels, and panels per row
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / TICKS
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     first = math.ceil(lo / step) * step
@@ -58,8 +61,6 @@ def line_plot(
     title: str = "",
     xlabel: str = "t",
     ylabel: str = "value",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Polyline plot with axes, tick labels and a legend.
 
@@ -69,7 +70,7 @@ def line_plot(
     of the plot area, at most four points per column.
     """
     ml, mr, mt, mb = 64, 16, 36, 48
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
     arrays = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
               for label, xs, ys in series]
     if any(xs.shape != ys.shape or xs.ndim != 1 for _, xs, ys in arrays):
@@ -94,14 +95,14 @@ def line_plot(
         return mt + ph - (y - y0) / (y1 - y0) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2}" y="{mt - 12}" text-anchor="middle" '
+            f'<text x="{WIDTH / 2}" y="{mt - 12}" text-anchor="middle" '
             f'font-size="14">{title}</text>'
         )
     for t in _ticks(x0, x1):
@@ -121,7 +122,7 @@ def line_plot(
             f'dominant-baseline="middle">{_fmt(t)}</text>'
         )
     parts.append(
-        f'<text x="{ml + pw / 2}" y="{height - 10}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{ml + pw / 2}" y="{HEIGHT - 10}" text-anchor="middle">{xlabel}</text>'
     )
     parts.append(
         f'<text x="16" y="{mt + ph / 2}" text-anchor="middle" '
@@ -151,21 +152,15 @@ def _shade(value: float) -> str:
     return f"rgb({level},{level},{level})"
 
 
-def heatmap_grid(
-    matrices: list,
-    labels: list[str],
-    title: str = "",
-    cell: int = 28,
-    columns: int = 2,
-) -> str:
+def heatmap_grid(matrices: list, labels: list[str], title: str = "") -> str:
     """Grid of square heatmap panels, one per matrix, light = 1 and dark = 0."""
     if not matrices:
         raise ValueError("nothing to plot")
     n = len(matrices[0])
-    panel = n * cell
+    panel = n * CELL
     gap = 46
-    rows = (len(matrices) + columns - 1) // columns
-    width = columns * panel + (columns + 1) * gap
+    rows = (len(matrices) + COLUMNS - 1) // COLUMNS
+    width = COLUMNS * panel + (COLUMNS + 1) * gap
     height = rows * (panel + gap) + gap + (24 if title else 0)
     top0 = 24 if title else 0
     parts = [
@@ -178,16 +173,16 @@ def heatmap_grid(
             f'<text x="{width / 2}" y="18" text-anchor="middle" font-size="14">{title}</text>'
         )
     for idx, (mat, label) in enumerate(zip(matrices, labels)):
-        gx = gap + (idx % columns) * (panel + gap)
-        gy = top0 + gap + (idx // columns) * (panel + gap)
+        gx = gap + (idx % COLUMNS) * (panel + gap)
+        gy = top0 + gap + (idx // COLUMNS) * (panel + gap)
         parts.append(
             f'<text x="{gx + panel / 2}" y="{gy - 8}" text-anchor="middle">{label}</text>'
         )
         for r in range(n):
             for c in range(n):
                 parts.append(
-                    f'<rect x="{gx + c * cell}" y="{gy + r * cell}" width="{cell}" '
-                    f'height="{cell}" fill="{_shade(float(mat[r][c]))}" '
+                    f'<rect x="{gx + c * CELL}" y="{gy + r * CELL}" width="{CELL}" '
+                    f'height="{CELL}" fill="{_shade(float(mat[r][c]))}" '
                     f'stroke="#888" stroke-width="0.5"/>'
                 )
     parts.append("</svg>")

@@ -240,8 +240,8 @@ def first_peak_scan(series, noise_floor: float):
     for k in range(1, len(v) - 1):
         if v[k] >= v[k - 1] and v[k] >= v[k + 1] and v[k] > noise_floor:
             t, val = _parabola_peak(series.times, v, k)
-            return PeakResult(t, val, "first-local-max")
-    return PeakResult(math.nan, math.nan, "no-peak", found=False)
+            return PeakResult(t, val)
+    return PeakResult(math.nan, math.nan, found=False)
 
 
 def top_peaks_scan(series, count: int):
@@ -251,7 +251,7 @@ def top_peaks_scan(series, count: int):
     for k in range(1, len(v) - 1):
         if v[k] >= v[k - 1] and v[k] >= v[k + 1]:
             t, val = _parabola_peak(series.times, v, k)
-            found.append(PeakResult(t, val, "local-max"))
+            found.append(PeakResult(t, val))
     found.sort(key=lambda p: (-p.value, p.t_peak))
     return tuple(found[:count])
 
@@ -264,9 +264,9 @@ def global_max_scan(series):
         if v[i] > v[k]:
             k = i
     if k == 0 or k == len(v) - 1:
-        return PeakResult(float(series.times[k]), float(v[k]), "global-max")
+        return PeakResult(float(series.times[k]), float(v[k]))
     t, val = _parabola_peak(series.times, v, k)
-    return PeakResult(t, val, "global-max")
+    return PeakResult(t, val)
 
 
 # ---------------------------------------------------------------------------

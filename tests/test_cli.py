@@ -183,6 +183,23 @@ class TestTraceCommand:
         first_value = (tmp_path / "trace.csv").read_text().splitlines()[-3].split(",")[1]
         assert float(first_value) == pytest.approx(0.0, abs=1e-12)
 
+    def test_transfer_fidelity_of_werner_state(self, tmp_path):
+        assert cli.main([
+            "trace", "--graph", "tri:5", "--theta", "0.5pi", "--state", "werner:0.5",
+            "--measure", "transfer-fidelity", "--t", "0:2:0.25", "--out", str(tmp_path / "a"),
+        ]) == 0
+        assert cli.main(["rerun", str(tmp_path / "a" / "trace.manifest.json"),
+                         "--out", str(tmp_path / "b")]) == 0
+        csv = (tmp_path / "a" / "trace.csv").read_bytes()
+        assert (tmp_path / "b" / "trace.csv").read_bytes() == csv
+        # <t|rho(t)|t> with the psi+ target, the default for a Werner state.
+        d = GraphSpec("tri", 5, math.pi / 2).decompose()
+        rho0, target = states.werner(5, 0.5), states.target_pure(5, math.pi)
+        times, values = np.loadtxt(tmp_path / "a" / "trace.csv", delimiter=",", comments="#",
+                                   skiprows=6).T
+        expected = [np.vdot(target, evolve_density(d, rho0, t) @ target).real for t in times]
+        assert np.abs(values - expected).max() < 1e-11
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, tmp_path):
@@ -500,10 +517,9 @@ USAGE_ERRORS = {
                       {"graph": {**TRI2, "n": 5, "magnitude": math.inf}}),
     "werner-fidelity-of-pair": ("trace", ["--measure", "werner-fidelity"],
                                 {"measure": "werner-fidelity"}),
-    "transfer-fidelity-of-werner": (
-        "trace", ["--state", "werner:0.5", "--measure", "transfer-fidelity"],
-        {"state": {"kind": "werner", "b": 0.5}, "measure": "transfer-fidelity"}),
+    "trace-tri-300000": ("trace", ["--graph", "tri:300000"], {"graph": {**TRI2, "n": 300000}}),
     "table-n-1-2": ("table", ["--n", "1,2"], {"n_values": [1, 2]}),
+    "table-n-300000": ("table", ["--n", "5,300000"], {"n_values": [5, 300000]}),
     "table-dt-negative": ("table", ["--dt=-1"], {"dt": -1.0}),
     "table-horizon-0": ("table", ["--horizon", "0"], {"horizon": 0.0}),
     "table-horizon-1e9": ("table", ["--horizon", "1e9"], {"horizon": 1e9}),
@@ -525,6 +541,8 @@ USAGE_ERRORS = {
     "snapshots-time-nan": ("snapshots", ["--times", "nan"], {"times": [math.nan]}),
     "snapshots-tri-2": ("snapshots", ["--graph", "tri:2"], {"graph": TRI2}),
     "graph-export-tri-2": ("graph-export", ["--graph", "tri:2"], {"graph": TRI2}),
+    "graph-export-tri-300000": ("graph-export", ["--graph", "tri:300000"],
+                                {"graph": {**TRI2, "n": 300000}}),
 }
 
 
@@ -564,6 +582,39 @@ def test_unwritable_out_exits_1(tmp_path, argv, out):
     assert "Traceback" not in stderr
     assert len(stderr.splitlines()) == 1 and stderr.startswith("chiralwalk: error: ")
     assert files_under(tmp_path) == {tmp_path / "file"}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--magnitude", "1e308", "--t", "0:1:0.5"],  # the spectrum overflows
+    ["--magnitude", "1e307", "--t", "0:10:1"],  # lambda t overflows
+    ["--t", "0:1e300:1e294"],  # the amplitudes overflow
+], ids=["spectrum", "phase", "amplitudes"])
+def test_non_finite_result_exits_1(tmp_path, flags):
+    # In a fresh interpreter, so that stderr holds every warning numpy prints.
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = ["trace", "--graph", "tri:5", "--state", "pair:1,2", "--measure", "concurrence"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chiralwalk", *argv, *flags, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("chiralwalk: error: ") and "finite" in proc.stderr
+    assert files_under(tmp_path) == set()
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 1.31 TiB"), MemoryError()])
+@pytest.mark.parametrize("command", sorted(BASE_RUNS))
+def test_out_of_memory_exits_1(tmp_path, monkeypatch, command, error):
+    def runner(spec, out_dir):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, command, (cli.COMMANDS[command][0], runner))
+    code, stderr = run_cli(BASE_RUNS[command] + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "Traceback" not in stderr
+    assert stderr == f"chiralwalk: error: {str(error) or 'MemoryError'}\n"
+    assert files_under(tmp_path) == set()
 
 
 def _top_level_modules(statement: str) -> set:
@@ -634,9 +685,9 @@ def test_werner_fidelity_uses_the_given_graph(tmp_path, graph, magnitude):
 # Flag -> (values that parse, values that do not); a drawn run mixes both.
 FUZZ_FLAGS = {
     "--graph": (["tri:5", "tri:9", "cycle:5", "complete:4", "pentagram:5", "tri:3"],
-                ["tri:2", "tri:x", "blob:3", "tri", "tri:-1"]),
+                ["tri:2", "tri:x", "blob:3", "tri", "tri:-1", "tri:300000"]),
     "--theta": (["0", "0.5pi", "-pi", "-0.4pi", "1.3"], ["x", "nan", "inf"]),
-    "--magnitude": (["1", "2"], ["0", "-1", "inf", "nan", "x"]),
+    "--magnitude": (["1", "2", "1e307", "1e308"], ["0", "-1", "inf", "nan", "x"]),
     "--state": (["pair:1,2:pi", "pair:2,3", "localized:3", "werner:0.5", "werner:-1",
                  '{"kind": "werner", "b": 0.5}',
                  '{"kind": "pair", "i": 1, "j": 2, "phi": "0.5pi"}'],
@@ -646,11 +697,11 @@ FUZZ_FLAGS = {
                    "werner-fidelity", "transfer-fidelity", "transfer-fidelity:0.5pi"],
                   ["concurrence:1,1", "concurrence:a,b", "occupation:9", "occupation",
                    "pts-bures:1", "transfer-fidelity:x", "entropy", ""]),
-    "--t": (["0:2:0.05", "0:1:0.5", "-1:1:0.1", "0:1:5"],
+    "--t": (["0:2:0.05", "0:1:0.5", "-1:1:0.1", "0:1:5", "0:1e300:1e294"],
             ["0:0:0.1", "1:0:0.1", "0:1:-0.1", "0:1:0", "0:1e9:0.1", "nan:1:0.1", "0:2",
              "a:b:c"]),
     "--mode": (["cqw", "ctqw"], ["xyz"]),
-    "--n": (["5", "3,4", "5:9:2", "3:5"], ["1,2", "9:5", "", "x", "5:9:2:1"]),
+    "--n": (["5", "3,4", "5:9:2", "3:5"], ["1,2", "9:5", "", "x", "5:9:2:1", "5,300000"]),
     "--phi": (["pi", "0", "-0.5pi"], ["x"]),
     "--horizon": (["10", "2"], ["0", "-1", "1e9", "nan", "x"]),
     "--dt": (["0.5", "1"], ["0", "-1", "nan"]),
@@ -711,12 +762,25 @@ def fuzz_manifest(draw, base):
     return manifest
 
 
+def csv_numbers(path: Path) -> list[float]:
+    """Every cell of a CSV outside its comments that parses as a number."""
+    numbers = []
+    for line in path.read_text().splitlines():
+        for cell in [] if line.startswith("#") else line.split(","):
+            with contextlib.suppress(ValueError):
+                numbers.append(float(cell))
+    return numbers
+
+
 def check_fuzz_run(root: Path, argv, allowed: set):
     code, stderr = run_cli(argv + ["--out", str(root / "out")])
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in stderr
     outside = {p for p in files_under(root) if root / "out" not in p.parents}
     assert outside == allowed, argv
+    if code == 0:
+        for path in (root / "out").glob("*.csv"):
+            assert all(map(math.isfinite, csv_numbers(path))), (argv, path.name)
 
 
 FUZZ_SETTINGS = settings(max_examples=60, deadline=None,

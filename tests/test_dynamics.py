@@ -86,6 +86,31 @@ class TestSpectralDecompose:
             dynamics.spectral_decompose(np.zeros((2, 3)))
 
 
+class TestNonFiniteInput:
+    """A NaN compares false against any tolerance, so every check fails closed on it."""
+
+    NAN3 = np.full((3, 3), np.nan)
+
+    @pytest.mark.parametrize("check,value", [
+        (dynamics.check_hermitian, NAN3),
+        (dynamics.check_pure_state, np.full(3, np.nan)),
+        (dynamics.check_density_matrix, NAN3),
+        (lambda rho: dynamics.occupation(rho, 1), NAN3),
+        (dynamics.check_pure_state, np.array([np.nan, 1.0, 0.0])),
+        (lambda rho: dynamics.occupation(rho, 2), np.diag([0.0, np.nan, 0.0])),
+    ], ids=["hermitian", "pure-state", "density-matrix", "occupation", "pure-state-one-nan",
+            "occupation-diagonal-nan"])
+    def test_validator_rejects_nan(self, check, value):
+        with pytest.raises(ValueError):
+            check(value)
+
+    def test_overflowing_spectrum_is_rejected(self):
+        H = graphs.hamiltonian(graphs.triangular_chain(5, 0.0, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError, match="spectrum is not finite"):
+                dynamics.spectral_decompose(H)
+
+
 class TestPropagator:
     def test_identity_at_zero(self, chiral5):
         assert np.abs(dynamics.propagator(chiral5, 0.0) - np.eye(5)).max() < 1e-12

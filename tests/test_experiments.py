@@ -138,6 +138,22 @@ class TestConcurrenceTrace:
                 concurrence_trace(gspec, BELL, grid, pair)
 
 
+class TestNonFiniteValues:
+    def test_trace_series_rejects_nan_and_inf(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ArithmeticError, match="not all finite"):
+                TraceSeries(np.array([0.0, 1.0]), np.array([0.5, bad]), label="x")
+
+    def test_overflowing_phases_are_rejected(self):
+        # lambda t overflows at t = 10 on a chain of magnitude 1e307.
+        gspec = GraphSpec("tri", 5, 0.0, 1e307)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError, match="not all finite"):
+                concurrence_trace(gspec, BELL, TimeGrid(0.0, 10.0, 1.0))
+            with pytest.raises(ArithmeticError, match="snapshots"):
+                concurrence_matrix_snapshots(gspec, BELL, [0.0, 10.0])
+
+
 class TestOccupationTrace:
     def test_initial_point(self):
         series = occupation_trace(GraphSpec("tri", 5, 0.0), StateSpec("localized", site=1),
@@ -161,19 +177,12 @@ class TestTransferFidelityTrace:
                 oracles.transfer_fidelity_pure(psi, target), abs=1e-12
             )
 
-    def test_rejects_mixed_state(self):
-        with pytest.raises(ValueError, match="pure"):
-            transfer_fidelity_trace(
-                GraphSpec("tri", 5, PI / 2), StateSpec("werner", b=1.0), TimeGrid(0, 1, 0.5)
-            )
-
 
 class TestPeaks:
     def test_monotone_series_has_no_peak(self):
         series = TraceSeries(np.linspace(0, 1, 50), np.linspace(0, 1, 50))
         result = first_peak(series)
         assert not result.found
-        assert result.kind == "no-peak"
 
     def test_sine_peak_location(self):
         ts = np.arange(0.0, 2 * PI, 0.01)
@@ -273,11 +282,18 @@ class TestLongTimeSweeps:
         assert a == b
 
     def test_record_fields(self):
-        rec = optimize_theta(5, PI, horizon=50.0)
-        assert rec.n == 5 and rec.horizon == 50.0
+        horizon = 50.0
+        rec = optimize_theta(5, PI, horizon=horizon)
+        assert rec.n == 5
+        assert global_max(concurrence_trace(GraphSpec("tri", 5, rec.theta), BELL,
+                                            TimeGrid(0.0, horizon, 0.02))).t_peak == rec.t
         assert rec.theta in (-PI / 2, PI / 2)
         assert 0.0 <= rec.concurrence <= 1.0
         assert len(rec.top_peaks) == 3
+
+    def test_table_is_one_optimize_theta_per_size(self):
+        table = sweep_table([5, 7], PI, 10.0, 0.02, (0.0,))
+        assert table == [ctqw_long_time(n, PI, horizon=10.0) for n in (5, 7)]
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
@@ -303,12 +319,6 @@ class TestLongTimeSweeps:
         assert both.concurrence >= rec.concurrence
         assert len(both.top_peaks) == 3
         assert all(p.value <= both.concurrence + 1e-12 for p in both.top_peaks)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_table("bogus", [5])
-        with pytest.raises(ValueError):
-            sweep_table("bogus", [])
 
 
 REFERENCE_CQW = {
@@ -336,11 +346,12 @@ class TestReferenceTableReproduction:
     """
 
     C_TOL = 0.012
+    HORIZON = 500.0
 
     def _time_or_near_tie(self, n, t_ref, c_ref, rec, candidates):
         if abs(rec.t - t_ref) <= 1.0:
             return True
-        grid = TimeGrid(0.0, rec.horizon, 0.02)
+        grid = TimeGrid(0.0, self.HORIZON, 0.02)
         k = int(round(t_ref / 0.02))
         for theta in candidates:
             series = concurrence_trace(GraphSpec("tri", n, theta),
@@ -352,7 +363,7 @@ class TestReferenceTableReproduction:
     @pytest.mark.parametrize("n", sorted(REFERENCE_CQW))
     def test_chiral_rows(self, n):
         t_ref, c_ref = REFERENCE_CQW[n]
-        rec = optimize_theta(n, PI)
+        rec = optimize_theta(n, PI, horizon=self.HORIZON)
         assert rec.concurrence == pytest.approx(c_ref, abs=self.C_TOL)
         assert self._time_or_near_tie(n, t_ref, c_ref, rec, (-PI / 2, PI / 2))
 
@@ -555,13 +566,32 @@ class TestEnsembleOracle:
             assert abs(conc.values[k] - measures.concurrence_pair_fast(rho_t, n - 1, n)) < 1e-10
             assert abs(occ.values[k] - rho_t[n - 1, n - 1].real) < 1e-10
 
+    @given(st.sampled_from(["werner", "pair", "localized"]), st.floats(-1.0, 1.0),
+           st.floats(-PI, PI), st.integers(3, 9), st.one_of(st.none(), st.floats(-PI, PI)))
+    @example("werner", 0.5, PI / 2, 5, None)
+    @example("werner", -1.0, 0.3, 3, 0.0)
+    @example("pair", 1.0, -PI / 2, 9, PI)
+    @settings(max_examples=25, deadline=None)
+    def test_transfer_fidelity(self, state_kind, b, theta, n, target_phi):
+        gspec = GraphSpec("tri", n, theta)
+        sspec = {"werner": StateSpec("werner", b=b),
+                 "pair": StateSpec("pair", i=1, j=2, phi=PI * b),
+                 "localized": StateSpec("localized", site=2)}[state_kind]
+        series = transfer_fidelity_trace(gspec, sspec, self.GRID, target_phi)
+        d, rho0 = gspec.decompose(), sspec.build_density(n)
+        target = states.target_pure(n, sspec.phi if target_phi is None else target_phi)
+        for t, value in zip(series.times, series.values):
+            expected = np.vdot(target, evolve_density(d, rho0, t) @ target).real
+            assert abs(value - expected) < 1e-12
+
     @pytest.mark.parametrize("trace", [
         werner_trace,
+        transfer_fidelity_trace,
         bures_trace,
         concurrence_trace,
         lambda g, s, grid: occupation_trace(g, s, grid, site=4),
         lambda g, s, grid: concurrence_matrix_snapshots(g, s, grid.times()),
-    ], ids=["werner", "bures", "concurrence", "occupation", "snapshots"])
+    ], ids=["werner", "transfer-fidelity", "bures", "concurrence", "occupation", "snapshots"])
     def test_cross_check_catches_corrupted_values(self, trace, monkeypatch):
         real = experiments.site_amplitudes
         monkeypatch.setattr(experiments, "site_amplitudes",
