@@ -21,8 +21,6 @@ import numpy as np
 from . import experiments, graphs, io, measures, svgplot
 from .experiments import GraphSpec, StateSpec, TimeGrid, as_number, parse_phase
 
-GRAPH_KINDS = ("tri", "cycle", "pentagram", "complete")
-
 
 # ---------------------------------------------------------------------------
 # flag parsing
@@ -30,12 +28,9 @@ GRAPH_KINDS = ("tri", "cycle", "pentagram", "complete")
 
 def parse_graph(text: str, theta: float, magnitude: float) -> GraphSpec:
     parts = str(text).split(":")
-    if len(parts) != 2 or parts[0] not in GRAPH_KINDS:
-        raise ValueError(
-            f"cannot parse graph {text!r}; expected KIND:N with KIND in {GRAPH_KINDS}"
-        )
-    kind = "pentagram" if parts[0] == "complete" else parts[0]
-    return GraphSpec(kind, int(parts[1]), theta, magnitude)
+    if len(parts) != 2:
+        raise ValueError(f"cannot parse graph {text!r}; expected KIND:N")
+    return GraphSpec(parts[0], int(parts[1]), theta, magnitude)
 
 
 def parse_state(text: str) -> StateSpec:
@@ -161,7 +156,8 @@ MEASURES = {
 
 
 # ---------------------------------------------------------------------------
-# the load step: manifest parameters -> checked specs and values
+# the load step: one function per subcommand checks its manifest parameters and
+# returns its runner, run(out_dir, name) -> output file names
 
 
 def _list(params: dict, key: str) -> list:
@@ -193,24 +189,6 @@ def _graph_and_state(params: dict) -> tuple[GraphSpec, StateSpec]:
     return graph, state
 
 
-def _load_trace(params: dict) -> dict:
-    graph, state = _graph_and_state(params)
-    measure = str(params["measure"])
-    kind, _, arg = measure.partition(":")
-    if kind not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
-    check, trace = MEASURES[kind]
-    return {
-        "graph": graph,
-        "state": state,
-        "grid": TimeGrid.from_dict(params["grid"]),
-        "measure": measure,
-        "trace": getattr(experiments, trace),
-        "trace_args": check(arg, graph.n, state),
-        "svg": _svg(params),
-    }
-
-
 def _n_values(params: dict) -> list[int]:
     n_values = [as_number(n, "n_values", int) for n in _list(params, "n_values")]
     if not n_values:
@@ -218,7 +196,62 @@ def _n_values(params: dict) -> list[int]:
     return n_values
 
 
-def _load_table(params: dict) -> dict:
+def _graph_comment(g: GraphSpec) -> str:
+    return (f"graph: {g.kind}:{g.n} theta={io.format_number(g.theta)} "
+            f"magnitude={io.format_number(g.magnitude)}")
+
+
+def _state_comment(s: StateSpec) -> str:
+    d = s.to_dict()
+    return "state: " + " ".join(
+        [d.pop("kind")] + [f"{k}={io.format_number(v)}" for k, v in d.items()])
+
+
+def _grid_comment(grid: TimeGrid) -> str:
+    return (f"grid: start={io.format_number(grid.t_start)} end={io.format_number(grid.t_end)} "
+            f"dt={io.format_number(grid.dt)}")
+
+
+def _write(out_dir: Path, name: str, tables, plot=None) -> list[str]:
+    """Write each (stem, comments, header, rows) of ``tables`` as STEM.csv, then
+    the SVG text ``plot()`` as NAME.svg if ``plot`` is given; returns the file
+    names in the order written."""
+    outputs = []
+    for stem, comments, header, rows in tables:
+        outputs.append(f"{stem}.csv")
+        io.write_csv(out_dir / outputs[-1], comments, header, rows)
+    if plot is not None:
+        outputs.append(f"{name}.svg")
+        io.atomic_write_text(out_dir / outputs[-1], plot())
+    return outputs
+
+
+def _trace(params: dict):
+    graph, state = _graph_and_state(params)
+    measure = str(params["measure"])
+    kind, _, arg = measure.partition(":")
+    if kind not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+    check, trace = MEASURES[kind]
+    grid = TimeGrid.from_dict(params["grid"])
+    trace, trace_args, svg = getattr(experiments, trace), check(arg, graph.n, state), _svg(params)
+
+    def run(out_dir: Path, name: str) -> list[str]:
+        series = trace(graph, state, grid, *trace_args)
+        comments = ["chiralwalk trace", _graph_comment(graph), _state_comment(state),
+                    f"measure: {measure}", _grid_comment(grid)]
+        # Python floats, not numpy scalars: the same text, formatted faster.
+        rows = zip(series.times.tolist(), series.values.tolist())
+        plot = (lambda: svgplot.line_plot(
+            [(series.label, series.times, series.values)],
+            title=f"{graph.kind}:{graph.n}", xlabel="t", ylabel=series.label,
+        )) if svg else None
+        return _write(out_dir, name, [(name, comments, ["t", "value"], rows)], plot)
+
+    return run
+
+
+def _table(params: dict):
     mode = params["mode"]
     if mode not in ("cqw", "ctqw"):
         raise ValueError(f"table mode must be 'cqw' or 'ctqw', got {mode!r}")
@@ -234,206 +267,129 @@ def _load_table(params: dict) -> dict:
     # The plain walk runs at theta = 0 alone; other candidates would be recorded unused.
     if mode == "ctqw" and candidates != [0.0]:
         raise ValueError(f"ctqw mode takes theta candidates [0.0] only, got {candidates}")
-    return {
-        "mode": mode,
-        "n_values": n_values,
-        "phi": parse_phase(params["phi"]),
-        "horizon": grid.t_end,
-        "dt": grid.dt,
-        "theta_candidates": candidates,
-    }
+    phi = parse_phase(params["phi"])
+
+    def run(out_dir: Path, name: str) -> list[str]:
+        rows = []
+        for rec in experiments.sweep_table(n_values, phi, grid.t_end, grid.dt, candidates):
+            extra = list(rec.top_peaks[1:3]) + [None, None]
+            row = [rec.n, rec.t, rec.concurrence, rec.theta]
+            for peak in extra[:2]:
+                row += [peak.t_peak, peak.value] if peak else ["", ""]
+            row.append("even-n" if rec.n % 2 == 0 else "")
+            rows.append(row)
+        comments = [
+            f"chiralwalk table mode={mode}",
+            f"phi={io.format_number(phi)} horizon={io.format_number(grid.t_end)} "
+            f"dt={io.format_number(grid.dt)}",
+            "theta candidates: " + ",".join(io.format_number(t) for t in candidates),
+            "t2,c2,t3,c3 are the runner-up local maxima (near-tie audit)",
+        ]
+        header = ["n", "t", "concurrence", "theta", "t2", "c2", "t3", "c3", "note"]
+        return _write(out_dir, name, [(name, comments, header, rows)])
+
+    return run
 
 
-def _load_scaling(params: dict) -> dict:
+def _scaling(params: dict):
     theta = parse_phase(params["theta"])
     state = StateSpec.from_dict(params["state"])
     n_values = _n_values(params)
     for n in n_values:
         GraphSpec("tri", n, theta).build()
         state.ensemble(n)
-    grid = _peak_grid(TimeGrid.from_dict(params["grid"]))
-    return {"theta": theta, "n_values": n_values, "state": state, "grid": grid,
-            "svg": _svg(params)}
+    grid, svg = _peak_grid(TimeGrid.from_dict(params["grid"])), _svg(params)
+
+    def run(out_dir: Path, name: str) -> list[str]:
+        result = experiments.scaling_sweep(n_values, theta, state, grid)
+        comments = [
+            "chiralwalk scaling",
+            f"theta={io.format_number(theta)} {_state_comment(state)}",
+            _grid_comment(grid),
+            f"fit: slope={io.format_number(result.slope)} "
+            f"intercept={io.format_number(result.intercept)} "
+            f"r_squared={io.format_number(result.r_squared)}",
+        ]
+        ns = [e[0] for e in result.entries]
+        plot = (lambda: svgplot.line_plot(
+            [("t_peak", ns, [e[1] for e in result.entries]),
+             ("concurrence", ns, [e[2] for e in result.entries])],
+            title="first-peak transfer scaling", xlabel="chain size n", ylabel="value",
+        )) if svg else None
+        return _write(out_dir, name,
+                      [(name, comments, ["n", "t_peak", "concurrence"], result.entries)], plot)
+
+    return run
 
 
-def _load_snapshots(params: dict) -> dict:
+def _snapshots(params: dict):
     graph, state = _graph_and_state(params)
     times = [as_number(t, "times") for t in _list(params, "times")]
     if not times:
         raise ValueError("need at least one snapshot time")
     if not all(map(math.isfinite, times)):
         raise ValueError(f"snapshot times must be finite, got {times}")
-    return {"graph": graph, "state": state, "times": times, "svg": _svg(params)}
+    svg = _svg(params)
+
+    def run(out_dir: Path, name: str) -> list[str]:
+        mats = experiments.concurrence_matrix_snapshots(graph, state, times)
+        header = [f"c{j + 1}" for j in range(graph.n)]
+        tables = [
+            (f"{name}-t{k}", ["chiralwalk snapshots", _graph_comment(graph),
+                              _state_comment(state), f"t={io.format_number(t)}"], header, mat)
+            for k, (t, mat) in enumerate(zip(times, mats))
+        ]
+        plot = (lambda: svgplot.heatmap_grid(
+            [m.tolist() for m in mats],
+            [f"t={io.format_number(t)}" for t in times],
+            title=f"pairwise concurrence, {graph.kind}:{graph.n}",
+        )) if svg else None
+        return _write(out_dir, name, tables, plot)
+
+    return run
 
 
-def _load_graph_export(params: dict) -> dict:
+def _graph_export(params: dict):
     graph = GraphSpec.from_dict(params["graph"])
     graph.build()
-    return {"graph": graph}
+
+    def run(out_dir: Path, name: str) -> list[str]:
+        g = graph.build()
+        H = graphs.hamiltonian(g)
+        io.write_json(out_dir / f"{name}.graph.json", graphs.graph_json_dict(g))
+        n = g.n_vertices
+        header = [f"{part}{j + 1}" for j in range(n) for part in ("re", "im")]
+        rows = np.stack([H.real, H.imag], axis=-1).reshape(n, 2 * n).tolist()
+        comments = ["chiralwalk graph-export", _graph_comment(graph),
+                    "columns interleave re,im per vertex"]
+        return [f"{name}.graph.json"] + _write(
+            out_dir, name, [(f"{name}.matrix", comments, header, rows)])
+
+    return run
 
 
-def load(command, params: dict) -> dict:
+# Subcommand -> its load step, which returns the subcommand's runner.
+COMMANDS = {
+    "trace": _trace,
+    "table": _table,
+    "scaling": _scaling,
+    "snapshots": _snapshots,
+    "graph-export": _graph_export,
+}
+
+
+def load(command, params: dict):
     """Check a subcommand's parameters, in their manifest form.
 
-    Returns the checked specs and values its runner takes.  A bad parameter
-    raises ValueError, IndexError, KeyError or TypeError (a usage error); a
-    runner never sees a value this did not accept.
+    Returns the runner bound to the checked values, ``run(out_dir, name) ->
+    output file names``, and the checked output name.  A bad parameter raises
+    ValueError, IndexError, KeyError or TypeError (a usage error); a runner
+    never sees a value this did not accept.
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown subcommand {command!r}")
     name = check_name(params["name"])
-    return {**COMMANDS[command][0](params), "name": name}
-
-
-# ---------------------------------------------------------------------------
-# subcommand implementations (operate on loaded specs)
-
-
-def _graph_comment(g: GraphSpec) -> str:
-    return (f"graph: {g.kind}:{g.n} theta={io.format_number(g.theta)} "
-            f"magnitude={io.format_number(g.magnitude)}")
-
-
-def _state_comment(s: StateSpec) -> str:
-    d = s.to_dict()
-    return " ".join([d.pop("kind")] + [f"{k}={io.format_number(v)}" for k, v in d.items()])
-
-
-def run_trace(spec: dict, out_dir: Path) -> list[str]:
-    gspec, sspec, grid, name = spec["graph"], spec["state"], spec["grid"], spec["name"]
-    series = spec["trace"](gspec, sspec, grid, *spec["trace_args"])
-
-    comments = [
-        "chiralwalk trace",
-        _graph_comment(gspec),
-        f"state: {_state_comment(sspec)}",
-        f"measure: {spec['measure']}",
-        f"grid: start={io.format_number(grid.t_start)} end={io.format_number(grid.t_end)} "
-        f"dt={io.format_number(grid.dt)}",
-    ]
-    outputs = [f"{name}.csv"]
-    # Python floats, not numpy scalars: the same text, formatted faster.
-    io.write_csv(out_dir / outputs[0], comments, ["t", "value"],
-                 zip(series.times.tolist(), series.values.tolist()))
-    if spec["svg"]:
-        svg = svgplot.line_plot(
-            [(series.label, series.times, series.values)],
-            title=f"{gspec.kind}:{gspec.n}", xlabel="t", ylabel=series.label,
-        )
-        outputs.append(f"{name}.svg")
-        io.atomic_write_text(out_dir / outputs[-1], svg)
-    return outputs
-
-
-def run_table(spec: dict, out_dir: Path) -> list[str]:
-    mode, phi, horizon, dt = spec["mode"], spec["phi"], spec["horizon"], spec["dt"]
-    candidates = spec["theta_candidates"]
-    name = spec["name"]
-
-    records = experiments.sweep_table(spec["n_values"], phi, horizon, dt, candidates)
-    rows = []
-    for rec in records:
-        extra = list(rec.top_peaks[1:3]) + [None, None]
-        row = [rec.n, rec.t, rec.concurrence, rec.theta]
-        for peak in extra[:2]:
-            row += [peak.t_peak, peak.value] if peak else ["", ""]
-        row.append("even-n" if rec.n % 2 == 0 else "")
-        rows.append(row)
-    comments = [
-        f"chiralwalk table mode={mode}",
-        f"phi={io.format_number(phi)} horizon={io.format_number(horizon)} "
-        f"dt={io.format_number(dt)}",
-        "theta candidates: " + ",".join(io.format_number(t) for t in candidates),
-        "t2,c2,t3,c3 are the runner-up local maxima (near-tie audit)",
-    ]
-    outputs = [f"{name}.csv"]
-    io.write_csv(out_dir / outputs[0], comments,
-                 ["n", "t", "concurrence", "theta", "t2", "c2", "t3", "c3", "note"], rows)
-    return outputs
-
-
-def run_scaling(spec: dict, out_dir: Path) -> list[str]:
-    theta, sspec, grid, name = spec["theta"], spec["state"], spec["grid"], spec["name"]
-
-    result = experiments.scaling_sweep(spec["n_values"], theta, sspec, grid)
-    comments = [
-        "chiralwalk scaling",
-        f"theta={io.format_number(theta)} state: {_state_comment(sspec)}",
-        f"grid: start={io.format_number(grid.t_start)} end={io.format_number(grid.t_end)} "
-        f"dt={io.format_number(grid.dt)}",
-        f"fit: slope={io.format_number(result.slope)} "
-        f"intercept={io.format_number(result.intercept)} "
-        f"r_squared={io.format_number(result.r_squared)}",
-    ]
-    outputs = [f"{name}.csv"]
-    io.write_csv(out_dir / outputs[0], comments, ["n", "t_peak", "concurrence"],
-                 result.entries)
-    if spec["svg"]:
-        ns = [e[0] for e in result.entries]
-        svg = svgplot.line_plot(
-            [("t_peak", ns, [e[1] for e in result.entries]),
-             ("concurrence", ns, [e[2] for e in result.entries])],
-            title="first-peak transfer scaling", xlabel="chain size n", ylabel="value",
-        )
-        outputs.append(f"{name}.svg")
-        io.atomic_write_text(out_dir / outputs[-1], svg)
-    return outputs
-
-
-def run_snapshots(spec: dict, out_dir: Path) -> list[str]:
-    gspec, sspec, times, name = spec["graph"], spec["state"], spec["times"], spec["name"]
-
-    mats = experiments.concurrence_matrix_snapshots(gspec, sspec, times)
-    outputs = []
-    for k, (t, mat) in enumerate(zip(times, mats)):
-        comments = [
-            "chiralwalk snapshots",
-            _graph_comment(gspec),
-            f"state: {_state_comment(sspec)}",
-            f"t={io.format_number(t)}",
-        ]
-        fname = f"{name}-t{k}.csv"
-        io.write_csv(out_dir / fname, comments,
-                     [f"c{j + 1}" for j in range(gspec.n)], mat)
-        outputs.append(fname)
-    if spec["svg"]:
-        svg = svgplot.heatmap_grid(
-            [m.tolist() for m in mats],
-            [f"t={io.format_number(t)}" for t in times],
-            title=f"pairwise concurrence, {gspec.kind}:{gspec.n}",
-        )
-        outputs.append(f"{name}.svg")
-        io.atomic_write_text(out_dir / outputs[-1], svg)
-    return outputs
-
-
-def run_graph_export(spec: dict, out_dir: Path) -> list[str]:
-    gspec, name = spec["graph"], spec["name"]
-    g = gspec.build()
-    H = graphs.hamiltonian(g)
-
-    outputs = [f"{name}.graph.json", f"{name}.matrix.csv"]
-    io.write_json(out_dir / outputs[0], graphs.graph_json_dict(g))
-    n = g.n_vertices
-    header = [f"{part}{j + 1}" for j in range(n) for part in ("re", "im")]
-    rows = np.stack([H.real, H.imag], axis=-1).reshape(n, 2 * n).tolist()
-    comments = [
-        "chiralwalk graph-export",
-        _graph_comment(gspec),
-        "columns interleave re,im per vertex",
-    ]
-    io.write_csv(out_dir / outputs[1], comments, header, rows)
-    return outputs
-
-
-# Subcommand -> (load step, runner).
-COMMANDS = {
-    "trace": (_load_trace, run_trace),
-    "table": (_load_table, run_table),
-    "scaling": (_load_scaling, run_scaling),
-    "snapshots": (_load_snapshots, run_snapshots),
-    "graph-export": (_load_graph_export, run_graph_export),
-}
+    return COMMANDS[command](params), name
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("cqw", "ctqw"), required=True)
     p.add_argument("--n", required=True, dest="n_values", help="sizes, e.g. 5:33:2 or 5,7,9")
     p.add_argument("--phi", default="pi")
-    p.add_argument("--horizon", type=float, default=500.0)
+    p.add_argument("--horizon", type=float, default=experiments.LONG_TIME_HORIZON)
     p.add_argument("--dt", type=float, default=experiments.LONG_TIME_DT)
-    p.add_argument("--theta-candidates", default="-0.5pi,0.5pi",
+    p.add_argument("--theta-candidates",
                    help="comma list of phases, or grid:K for K points over (-pi, pi] "
                         "(cqw mode)")
     add_common(p, None)
@@ -477,15 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", help="first-peak transfer time vs chain size")
     p.add_argument("--theta", default="0.5pi")
     p.add_argument("--n", default="5:71:2", dest="n_values")
-    p.add_argument("--state", default="pair:1,2:pi")
-    p.add_argument("--t", default="0:40:0.005", dest="grid")
+    p.add_argument("--state")
+    p.add_argument("--t", dest="grid")
     p.add_argument("--svg", action="store_true")
     add_common(p, "scaling")
 
     p = sub.add_parser("snapshots", help="pairwise concurrence matrices at fixed times")
     p.add_argument("--graph", default="tri:5")
     p.add_argument("--theta", default="0.5pi")
-    p.add_argument("--state", default="pair:1,2:pi")
+    p.add_argument("--state")
     p.add_argument("--times", required=True, help="comma list of times")
     p.add_argument("--svg", action="store_true")
     add_common(p, "snapshots")
@@ -501,6 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
 
     return parser
+
+
+def _state_flag(text: str | None) -> StateSpec:
+    return experiments.TRANSFER_STATE if text is None else parse_state(text)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -522,9 +482,11 @@ def _resolve(args: argparse.Namespace) -> dict:
             "phi": parse_phase(args.phi),
             "horizon": args.horizon,
             "dt": args.dt,
+            # An explicit list in ctqw mode goes to load(), which rejects it.
             "theta_candidates": (
-                [0.0] if args.mode == "ctqw"
-                else parse_theta_candidates(args.theta_candidates)
+                parse_theta_candidates(args.theta_candidates)
+                if args.theta_candidates is not None
+                else [0.0] if args.mode == "ctqw" else list(experiments.THETA_CANDIDATES)
             ),
             "name": f"table-{args.mode}" if args.name is None else args.name,
         }
@@ -532,15 +494,16 @@ def _resolve(args: argparse.Namespace) -> dict:
         return {
             "theta": parse_phase(args.theta),
             "n_values": parse_int_list(args.n_values),
-            "state": parse_state(args.state).to_dict(),
-            "grid": parse_grid(args.grid).to_dict(),
+            "state": _state_flag(args.state).to_dict(),
+            "grid": (experiments.SCALING_GRID if args.grid is None
+                     else parse_grid(args.grid)).to_dict(),
             "svg": args.svg,
             "name": args.name,
         }
     if cmd == "snapshots":
         return {
             "graph": parse_graph(args.graph, parse_phase(args.theta), 1.0).to_dict(),
-            "state": parse_state(args.state).to_dict(),
+            "state": _state_flag(args.state).to_dict(),
             "times": [float(x) for x in args.times.split(",") if x != ""],
             "svg": args.svg,
             "name": args.name,
@@ -586,7 +549,7 @@ def main(argv=None) -> int:
             command, params = manifest["subcommand"], manifest["parameters"]
         else:
             command, params = args.command, _resolve(args)
-        spec = load(command, params)
+        run, name = load(command, params)
     except KeyError as exc:
         parser.error(f"{context}missing key {exc}")
     except (OSError, TypeError, ValueError, IndexError) as exc:
@@ -597,8 +560,8 @@ def main(argv=None) -> int:
         # A non-finite result is an error of its own (ArithmeticError), so the
         # overflow and NaN warnings on the way to it are not printed.
         with np.errstate(over="ignore", invalid="ignore"):
-            outputs = COMMANDS[command][1](spec, out_dir)
-        io.write_json(out_dir / f"{spec['name']}.manifest.json", {
+            outputs = run(out_dir, name)
+        io.write_json(out_dir / f"{name}.manifest.json", {
             "tool": "chiralwalk",
             "version": io.version_string(),
             "subcommand": command,

@@ -28,9 +28,19 @@ MAX_GRID_POINTS = 10**7
 # Bounds the n x n complex Hamiltonian and eigenvectors at 268 MB each.
 MAX_SITES = 4096
 PEAK_NOISE_FLOOR = 0.01
+LONG_TIME_HORIZON = 500.0
 LONG_TIME_DT = 0.02
 THETA_CANDIDATES = (-np.pi / 2, np.pi / 2)
 CROSS_CHECK_TOL = 1e-10
+# A phase lambda t is held to half the float spacing of |lambda t|, and each
+# amplitude, and so each value made from them, can be off by about as much.
+# A trace whose largest |lambda t| has a spacing above this many radians is
+# refused, since the last 6 of the 12 digits its CSV prints would be made up
+# by rounding: |lambda t| below 2^33, about 8.6e9, passes.
+PHASE_RESOLUTION = 1e-6
+# Graph kind -> the kind outputs record; "complete" is another name for "pentagram".
+GRAPH_KINDS = {"tri": "tri", "cycle": "cycle", "pentagram": "pentagram",
+               "complete": "pentagram"}
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +79,8 @@ def as_number(value, what: str, kind: type = float):
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Which graph to walk on: kind in {tri, cycle, pentagram}."""
+    """Which graph to walk on: kind in {tri, cycle, pentagram}; "complete" is
+    read as "pentagram"."""
 
     kind: str
     n: int
@@ -77,6 +88,11 @@ class GraphSpec:
     magnitude: float = 1.0
 
     def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in GRAPH_KINDS):
+            raise ValueError(
+                f"unknown graph kind {self.kind!r}; expected one of {', '.join(GRAPH_KINDS)}"
+            )
+        object.__setattr__(self, "kind", GRAPH_KINDS[self.kind])
         if not self.n <= MAX_SITES:
             raise ValueError(f"graph of {self.n} sites exceeds the site guard {MAX_SITES}")
         # Only the triangular chain has a hopping magnitude; elsewhere it would
@@ -91,9 +107,7 @@ class GraphSpec:
             return graphs.triangular_chain(self.n, self.theta, self.magnitude)
         if self.kind == "cycle":
             return graphs.cycle_graph(self.n, self.theta)
-        if self.kind in ("pentagram", "complete"):
-            return graphs.complete_graph(self.n, self.theta)
-        raise ValueError(f"unknown graph kind {self.kind!r}")
+        return graphs.complete_graph(self.n, self.theta)
 
     def decompose(self) -> SpectralDecomposition:
         return spectral_decompose(graphs.hamiltonian(self.build()))
@@ -190,6 +204,12 @@ class TimeGrid:
         return cls(*(as_number(d[key], key) for key in ("t_start", "t_end", "dt")))
 
 
+# The pair state (1, 2) with phase pi, whose transfer the paper follows, and
+# the grid of its first-peak scaling sweep.
+TRANSFER_STATE = StateSpec("pair", i=1, j=2, phi=math.pi)
+SCALING_GRID = TimeGrid(0.0, 40.0, 0.005)
+
+
 @dataclass(frozen=True)
 class TraceSeries:
     """A scalar measure sampled over a time grid, with its label."""
@@ -238,6 +258,17 @@ class ScalingResult:
     slope: float
     intercept: float
     r_squared: float
+
+
+def _check_phases(d: SpectralDecomposition, times: np.ndarray, label: str) -> None:
+    """ArithmeticError if a phase lambda t over ``times`` is rounded more coarsely
+    than PHASE_RESOLUTION; an overflowing one is left to the finite checks."""
+    top = float(np.abs(d.eigenvalues).max(initial=0.0)) * float(np.abs(times).max(initial=0.0))
+    if math.isfinite(top) and math.ulp(top) > PHASE_RESOLUTION:
+        raise ArithmeticError(
+            f"{label}: phases lambda t reach {top:.3g}, where floats lie {math.ulp(top):.3g} "
+            f"apart, more than the phase resolution {PHASE_RESOLUTION:g}"
+        )
 
 
 def _check_finite(values, label: str) -> None:
@@ -304,6 +335,7 @@ def _pointwise_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGri
     n = graph_spec.n
     d = graph_spec.decompose()
     times = grid.times()
+    _check_phases(d, times, label)
     members = _ensemble_amplitudes(d, state_spec.ensemble(n), times, rows)
     series = TraceSeries(times, np.clip(measure(members), 0.0, 1.0), label=label)
     _cross_check(series.values, state_spec, n, label, lambda rho0:
@@ -359,6 +391,7 @@ def bures_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) ->
     n = graph_spec.n
     d = graph_spec.decompose()
     times = grid.times()
+    _check_phases(d, times, "pts-bures")
     ensemble = state_spec.ensemble(n)
     fwd = np.sqrt(_populations(_ensemble_amplitudes(d, ensemble, times), slice(None)))
     bwd = np.sqrt(_populations(_ensemble_amplitudes(d, ensemble, -times), slice(None)))
@@ -402,6 +435,7 @@ def concurrence_matrix_snapshots(
     n = graph_spec.n
     d = graph_spec.decompose()
     times = np.asarray(times, dtype=float)
+    _check_phases(d, times, "snapshots")
     members = _ensemble_amplitudes(d, state_spec.ensemble(n), times)
     mats = [measures.concurrence_matrix(_density(members, k)) for k in range(times.size)]
     _check_finite(mats, "snapshots")
@@ -470,7 +504,7 @@ def optimize_theta(
     n: int,
     phi: float,
     theta_candidates=THETA_CANDIDATES,
-    horizon: float = 500.0,
+    horizon: float = LONG_TIME_HORIZON,
     dt: float = LONG_TIME_DT,
 ) -> SweepRecord:
     """Best chiral phase for long-time transfer of the pair state (1, 2).
@@ -497,7 +531,7 @@ def optimize_theta(
 
 
 def ctqw_long_time(
-    n: int, phi: float, horizon: float = 500.0, dt: float = LONG_TIME_DT
+    n: int, phi: float, horizon: float = LONG_TIME_HORIZON, dt: float = LONG_TIME_DT
 ) -> SweepRecord:
     """Long-time global maximum for the plain walk (theta = 0)."""
     return optimize_theta(n, phi, (0.0,), horizon, dt)
@@ -506,7 +540,7 @@ def ctqw_long_time(
 def sweep_table(
     n_values,
     phi: float = math.pi,
-    horizon: float = 500.0,
+    horizon: float = LONG_TIME_HORIZON,
     dt: float = LONG_TIME_DT,
     theta_candidates=THETA_CANDIDATES,
 ) -> list[SweepRecord]:
@@ -523,14 +557,10 @@ def sweep_table(
 def scaling_sweep(
     n_values,
     theta: float,
-    state_spec: StateSpec | None = None,
-    grid: TimeGrid | None = None,
+    state_spec: StateSpec = TRANSFER_STATE,
+    grid: TimeGrid = SCALING_GRID,
 ) -> ScalingResult:
     """First transfer peak per chain size plus a linear fit of time vs size."""
-    if state_spec is None:
-        state_spec = StateSpec("pair", i=1, j=2, phi=math.pi)
-    if grid is None:
-        grid = TimeGrid(0.0, 40.0, 0.005)
     entries = []
     for n in map(int, n_values):
         peak = first_peak(concurrence_trace(GraphSpec("tri", n, theta), state_spec, grid))

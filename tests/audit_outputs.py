@@ -1,0 +1,165 @@
+"""Digest every output of a fixed set of CLI runs, to compare two source trees.
+
+Usage: python tests/audit_outputs.py SRC_DIR OUT_DIR
+
+Each command below runs as ``python -m chiralwalk`` in a fresh process with
+``PYTHONPATH=SRC_DIR``, writing into ``OUT_DIR/<label>``; every manifest it
+writes is then replayed with ``rerun`` into ``OUT_DIR/<label>.rerun``.  The
+script prints, per run, its exit code and last stderr line, then one SHA-256
+per output file.  Manifests are hashed without ``wall_time_s`` and
+``version``, the two fields that differ between equal runs.  Run it on two
+trees and diff the printouts: equal digests mean byte-identical outputs.
+It exits 1 if a rerun does not reproduce its run byte for byte.
+
+The file name has no ``test_`` prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TRI5 = ["--graph", "tri:5"]
+PAIR = ["--state", "pair:1,2:pi"]
+CONCURRENCE = ["--measure", "concurrence"]
+
+# label -> arguments after ``python -m chiralwalk`` (without --out).  Every
+# subcommand, measure, state kind and --svg, plus runs that must be rejected.
+COMMANDS = {
+    "trace-concurrence-svg": ["trace", *TRI5, "--theta", "0.5pi", *PAIR,
+                              "--measure", "concurrence:4,5", "--t", "0:10:0.01", "--svg"],
+    "trace-concurrence-default-pair": ["trace", *TRI5, "--theta", "0.3", "--state",
+                                       "pair:1,2:0.5pi", *CONCURRENCE, "--t", "0:5:0.05"],
+    "trace-concurrence-long-svg": ["trace", "--graph", "tri:9", "--theta", "0.5pi", *PAIR,
+                                   *CONCURRENCE, "--t", "0:200:0.01", "--svg"],
+    "trace-concurrence-negative-times": ["trace", *TRI5, "--theta", "-0.4pi", *PAIR,
+                                         *CONCURRENCE, "--t", "-1:1:0.01"],
+    "trace-concurrence-json-state": ["trace", *TRI5, "--theta", "0.25pi", "--state",
+                                     '{"kind": "pair", "i": 1, "j": 3, "phi": "0.75pi"}',
+                                     "--measure", "concurrence:1,3", "--t", "0:4:0.02"],
+    "trace-concurrence-werner": ["trace", *TRI5, "--theta", "0.5pi", "--state", "werner:0.5",
+                                 *CONCURRENCE, "--t", "0:3:0.1"],
+    "trace-concurrence-cycle-svg": ["trace", "--graph", "cycle:6", "--theta", "0.5pi", *PAIR,
+                                    "--measure", "concurrence:3,4", "--t", "0:6:0.02",
+                                    "--svg"],
+    "trace-concurrence-complete": ["trace", "--graph", "complete:4", "--theta", "0.2", *PAIR,
+                                   *CONCURRENCE, "--t", "0:3:0.05"],
+    "trace-pts-bures": ["trace", *TRI5, "--theta", "0.3pi", "--state", "pair:1,2:0",
+                        "--measure", "pts-bures", "--t", "0:10:0.01"],
+    "trace-pts-bures-werner": ["trace", *TRI5, "--theta", "0.4", "--state", "werner:-0.3",
+                               "--measure", "pts-bures", "--t", "0:3:0.1"],
+    "trace-occupation": ["trace", "--graph", "tri:7", "--theta", "0.3", "--state",
+                         "localized:1", "--measure", "occupation:7", "--t", "0:5:0.01"],
+    "trace-occupation-magnitude": ["trace", *TRI5, "--magnitude", "2", "--theta", "0.5pi",
+                                   "--state", "werner:0.5", "--measure", "occupation:3",
+                                   "--t", "0:2:0.05"],
+    "trace-occupation-pentagram": ["trace", "--graph", "pentagram:5", "--theta", "0.2",
+                                   "--state", "localized:2", "--measure", "occupation:5",
+                                   "--t", "0:3:0.05"],
+    "trace-werner-fidelity-svg": ["trace", *TRI5, "--theta", "0.5pi", "--state", "werner:0.5",
+                                  "--measure", "werner-fidelity", "--t", "0:5:0.05", "--svg"],
+    "trace-werner-fidelity-cycle": ["trace", "--graph", "cycle:5", "--theta", "0.3",
+                                    "--state", "werner:-0.7", "--measure", "werner-fidelity",
+                                    "--t", "0:3:0.25"],
+    "trace-transfer-fidelity": ["trace", "--graph", "tri:6", "--theta", "0.5pi", "--state",
+                                "pair:2,4", "--measure", "transfer-fidelity", "--t",
+                                "0:5:0.05"],
+    "trace-transfer-fidelity-phase": ["trace", *TRI5, "--theta", "0.5pi", "--state",
+                                      "pair:1,2:0.5pi", "--measure",
+                                      "transfer-fidelity:0.25pi", "--t", "0:5:0.05"],
+    "trace-transfer-fidelity-werner": ["trace", *TRI5, "--theta", "0.5pi", "--state",
+                                       "werner:0.5", "--measure", "transfer-fidelity",
+                                       "--t", "0:2:0.25"],
+    "table-cqw": ["table", "--mode", "cqw", "--n", "5:9:2", "--horizon", "30"],
+    "table-cqw-grid": ["table", "--mode", "cqw", "--n", "5", "--horizon", "20",
+                       "--theta-candidates", "grid:8"],
+    "table-cqw-list": ["table", "--mode", "cqw", "--n", "6", "--phi", "0.5pi", "--horizon",
+                       "20", "--theta-candidates=-0.25pi,0.25pi,pi"],
+    "table-ctqw": ["table", "--mode", "ctqw", "--n", "4,5", "--horizon", "30"],
+    "table-ctqw-dt": ["table", "--mode", "ctqw", "--n", "5", "--horizon", "50", "--dt",
+                      "0.05", "--name", "flat"],
+    "scaling-svg": ["scaling", "--n", "5:9:2", "--t", "0:5:0.01", "--svg"],
+    "scaling-state": ["scaling", "--theta", "-0.5pi", "--n", "5,7", "--state",
+                      "pair:1,2:0.5pi", "--t", "0:8:0.02"],
+    "scaling-one-size": ["scaling", "--n", "5", "--t", "0:5:0.01"],
+    "scaling-default-grid": ["scaling", "--n", "5,7"],
+    "snapshots-svg": ["snapshots", "--times", "0,0.5,1", "--svg"],
+    "snapshots-werner-cycle-svg": ["snapshots", "--graph", "cycle:6", "--theta", "0.25pi",
+                                   "--state", "werner:0.4", "--times", "0.3,2", "--svg"],
+    "snapshots-localized": ["snapshots", "--graph", "pentagram:5", "--state", "localized:2",
+                            "--times", "-1,2"],
+    "snapshots-pair": ["snapshots", "--graph", "tri:7", "--state", "pair:2,3:0", "--times",
+                       "1.5"],
+    "graph-export-tri": ["graph-export", "--graph", "tri:4", "--theta", "pi"],
+    "graph-export-pentagram": ["graph-export", "--graph", "pentagram:5", "--theta", "0.5pi"],
+    "graph-export-cycle": ["graph-export", "--graph", "cycle:6", "--theta", "0.3"],
+    "graph-export-magnitude": ["graph-export", "--graph", "tri:5", "--magnitude", "2",
+                               "--theta=-0.75pi"],
+    "graph-export-complete": ["graph-export", "--graph", "complete:4", "--name", "k4"],
+    # rejected runs: exit 1 or 2, nothing written
+    "reject-ctqw-candidates": ["table", "--mode", "ctqw", "--n", "5", "--horizon", "20",
+                               "--theta-candidates", "grid:16"],
+    "reject-phase-resolution": ["trace", *TRI5, "--state", "pair:1,2", *CONCURRENCE,
+                                "--t", "0:1e20:1e17"],
+    "reject-amplitudes-overflow": ["trace", *TRI5, "--state", "pair:1,2", *CONCURRENCE,
+                                   "--t", "0:1e300:1e294"],
+    "reject-spectrum-overflow": ["trace", *TRI5, "--magnitude", "1e308", "--state",
+                                 "pair:1,2", *CONCURRENCE, "--t", "0:1:0.5"],
+    "reject-pair-site": ["trace", *TRI5, "--state", "pair:1,9", *CONCURRENCE,
+                         "--t", "0:1:0.5"],
+    "reject-graph-kind": ["graph-export", "--graph", "blob:3"],
+}
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name.endswith(".manifest.json"):
+        manifest = json.loads(data)
+        manifest.pop("wall_time_s", None)
+        manifest.pop("version", None)
+        data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(args: list[str], out: Path, env: dict, root: Path) -> dict[str, str]:
+    """Run one CLI call into ``out``; print its exit code and output digests."""
+    proc = subprocess.run([sys.executable, "-m", "chiralwalk", *args, "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    lines = proc.stderr.strip().splitlines()
+    last = lines[-1].replace(str(root), "OUT_DIR") if lines else ""
+    print(f"{out.relative_to(root)} exit={proc.returncode} {last}".rstrip())
+    files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
+    digests = {str(p.relative_to(out)): digest(p) for p in files}
+    for name, sha in digests.items():
+        print(f"  {sha}  {name}")
+    return digests
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src, root = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if root.exists() and any(root.iterdir()):
+        print(f"{root} is not empty", file=sys.stderr)
+        return 2
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    mismatches = []
+    for label, args in COMMANDS.items():
+        out = root / label
+        first = run(args, out, env, root)
+        for manifest in sorted(out.glob("*.manifest.json")) if out.is_dir() else []:
+            again = run(["rerun", str(manifest)], root / f"{label}.rerun", env, root)
+            if again != first:
+                mismatches.append(label)
+    for label in mismatches:
+        print(f"RERUN MISMATCH {label}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -485,6 +485,118 @@ def base_manifests(tmp_path_factory):
     return manifests
 
 
+# The manifest parameters each BASE_RUNS command writes (run with --name COMMAND),
+# pinned: flag defaults and the load step must not move them.
+PI = 3.141592653589793
+HALF_PI = 1.5707963267948966
+PAIR_1_2 = {"kind": "pair", "i": 1, "j": 2, "phi": PI}
+BASE_PARAMETERS = {
+    "trace": {
+        "graph": {"kind": "tri", "n": 5, "theta": 0.0, "magnitude": 1.0},
+        "state": PAIR_1_2,
+        "measure": "concurrence",
+        "grid": {"t_start": 0.0, "t_end": 1.0, "dt": 0.5},
+        "svg": False,
+        "name": "trace",
+    },
+    "table": {
+        "mode": "cqw",
+        "n_values": [5],
+        "phi": PI,
+        "horizon": 4.0,
+        "dt": 0.5,
+        "theta_candidates": [-HALF_PI, HALF_PI],
+        "name": "table",
+    },
+    "scaling": {
+        "theta": HALF_PI,
+        "n_values": [5],
+        "state": PAIR_1_2,
+        "grid": {"t_start": 0.0, "t_end": 2.0, "dt": 0.05},
+        "svg": False,
+        "name": "scaling",
+    },
+    "snapshots": {
+        "graph": {"kind": "tri", "n": 5, "theta": HALF_PI, "magnitude": 1.0},
+        "state": PAIR_1_2,
+        "times": [0.5],
+        "svg": False,
+        "name": "snapshots",
+    },
+    "graph-export": {
+        "graph": {"kind": "tri", "n": 3, "theta": 0.0, "magnitude": 1.0},
+        "name": "graph-export",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(BASE_RUNS))
+def test_base_run_parameters(base_manifests, command):
+    assert base_manifests[command]["parameters"] == BASE_PARAMETERS[command]
+
+
+# One run of each subcommand, with every output it can write.
+RERUN_RUNS = {
+    "trace": BASE_RUNS["trace"] + ["--svg"],
+    "table": BASE_RUNS["table"],
+    "scaling": BASE_RUNS["scaling"] + ["--svg"],
+    "snapshots": ["snapshots", "--times", "0.5,1", "--svg"],
+    "graph-export": BASE_RUNS["graph-export"],
+}
+
+
+def _without_run_facts(manifest_path: Path) -> dict:
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["wall_time_s"], manifest["version"]
+    return manifest
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_RUNS))
+def test_rerun_reproduces_every_output(tmp_path, command):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(RERUN_RUNS[command] + ["--out", str(first), "--name", "run"])[0] == 0
+    assert run_cli(["rerun", str(first / "run.manifest.json"), "--out", str(again)])[0] == 0
+    manifest = _without_run_facts(first / "run.manifest.json")
+    assert _without_run_facts(again / "run.manifest.json") == manifest
+    outputs = manifest["outputs"]
+    assert {p.name for p in first.iterdir()} == {*outputs, "run.manifest.json"}
+    assert len(outputs) == {"trace": 2, "table": 1, "scaling": 2, "snapshots": 3,
+                            "graph-export": 2}[command]
+    for name in outputs:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    table = cli._resolve(parser.parse_args(["table", "--mode", "cqw", "--n", "5"]))
+    assert (table["horizon"], table["dt"]) == (500.0, 0.02)
+    assert (table["horizon"], table["dt"]) == (experiments.LONG_TIME_HORIZON,
+                                               experiments.LONG_TIME_DT)
+    assert table["theta_candidates"] == [-HALF_PI, HALF_PI]
+    assert table["theta_candidates"] == list(experiments.THETA_CANDIDATES)
+    scaling = cli._resolve(parser.parse_args(["scaling"]))
+    assert scaling["grid"] == {"t_start": 0.0, "t_end": 40.0, "dt": 0.005}
+    assert scaling["grid"] == experiments.SCALING_GRID.to_dict()
+    snapshots = cli._resolve(parser.parse_args(["snapshots", "--times", "1"]))
+    assert scaling["state"] == snapshots["state"] == PAIR_1_2
+    assert PAIR_1_2 == experiments.TRANSFER_STATE.to_dict()
+
+
+def test_complete_graph_manifest_reruns_as_pentagram(tmp_path):
+    argv = ["trace", "--graph", "complete:4", "--state", "pair:1,2", "--measure",
+            "concurrence", "--t", "0:1:0.25", "--name", "k4"]
+    assert run_cli(argv + ["--out", str(tmp_path / "first")])[0] == 0
+    manifest = json.loads((tmp_path / "first" / "k4.manifest.json").read_text())
+    assert manifest["parameters"]["graph"]["kind"] == "pentagram"
+    manifest["parameters"]["graph"]["kind"] = "complete"
+    (tmp_path / "edited.json").write_text(json.dumps(manifest))
+    assert run_cli(["rerun", str(tmp_path / "edited.json"),
+                    "--out", str(tmp_path / "again")])[0] == 0
+    csv = (tmp_path / "first" / "k4.csv").read_text()
+    assert "# graph: pentagram:4 " in csv
+    assert (tmp_path / "again" / "k4.csv").read_text() == csv
+
+
 def run_cli(argv):
     """Exit code and stderr of cli.main; any other exception escapes as a failure."""
     err = io.StringIO()
@@ -529,7 +641,8 @@ USAGE_ERRORS = {
     "table-no-candidates": ("table", ["--theta-candidates="], {"theta_candidates": []}),
     "table-n-values-text": ("table", None, {"n_values": "57"}),
     "table-n-empty": ("table", ["--n", ","], {"n_values": []}),
-    "table-ctqw-candidates": ("table", None, {"mode": "ctqw", "theta_candidates": [1.0]}),
+    "table-ctqw-candidates": ("table", ["--mode", "ctqw", "--theta-candidates", "1"],
+                              {"mode": "ctqw", "theta_candidates": [1.0]}),
     "scaling-n-empty": ("scaling", ["--n", ","], {"n_values": []}),
     "scaling-n-1-3": ("scaling", ["--n", "1,3"], {"n_values": [1, 3]}),
     "scaling-grid-2-points": ("scaling", ["--t", "0:0.05:0.05"],
@@ -584,12 +697,15 @@ def test_unwritable_out_exits_1(tmp_path, argv, out):
     assert files_under(tmp_path) == {tmp_path / "file"}
 
 
-@pytest.mark.parametrize("flags", [
-    ["--magnitude", "1e308", "--t", "0:1:0.5"],  # the spectrum overflows
-    ["--magnitude", "1e307", "--t", "0:10:1"],  # lambda t overflows
-    ["--t", "0:1e300:1e294"],  # the amplitudes overflow
-], ids=["spectrum", "phase", "amplitudes"])
-def test_non_finite_result_exits_1(tmp_path, flags):
+@pytest.mark.parametrize("flags,message", [
+    (["--magnitude", "1e308", "--t", "0:1:0.5"], "finite"),  # the spectrum overflows
+    (["--magnitude", "1e307", "--t", "0:10:1"], "finite"),  # lambda t overflows
+    # lambda t stays finite, so the phase-resolution rule rejects it before the
+    # amplitudes overflow
+    (["--t", "0:1e300:1e294"], "phase resolution"),
+    (["--t", "0:1e20:1e17"], "phase resolution"),  # finite values that mean nothing
+], ids=["spectrum", "phase", "amplitudes", "resolution"])
+def test_non_finite_result_exits_1(tmp_path, flags, message):
     # In a fresh interpreter, so that stderr holds every warning numpy prints.
     src = Path(cli.__file__).resolve().parents[1]
     argv = ["trace", "--graph", "tri:5", "--state", "pair:1,2", "--measure", "concurrence"]
@@ -599,17 +715,24 @@ def test_non_finite_result_exits_1(tmp_path, flags):
     )
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("chiralwalk: error: ") and "finite" in proc.stderr
+    assert proc.stderr.startswith("chiralwalk: error: ") and message in proc.stderr
     assert files_under(tmp_path) == set()
 
 
 @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 1.31 TiB"), MemoryError()])
 @pytest.mark.parametrize("command", sorted(BASE_RUNS))
 def test_out_of_memory_exits_1(tmp_path, monkeypatch, command, error):
-    def runner(spec, out_dir):
-        raise error
+    checked = cli.COMMANDS[command]
 
-    monkeypatch.setitem(cli.COMMANDS, command, (cli.COMMANDS[command][0], runner))
+    def load_then_fail(params):
+        checked(params)
+
+        def run(out_dir, name):
+            raise error
+
+        return run
+
+    monkeypatch.setitem(cli.COMMANDS, command, load_then_fail)
     code, stderr = run_cli(BASE_RUNS[command] + ["--out", str(tmp_path / "out")])
     assert code == 1
     assert "Traceback" not in stderr

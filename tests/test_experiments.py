@@ -154,6 +154,31 @@ class TestNonFiniteValues:
                 concurrence_matrix_snapshots(gspec, BELL, [0.0, 10.0])
 
 
+class TestPhaseResolution:
+    # |lambda t| passes up to just below 2^33, where float spacing reaches 2^-19 rad.
+    GRAPH = GraphSpec("tri", 5, PI / 2)
+    LIMIT = 2.0**33 / float(np.abs(GRAPH.decompose().eigenvalues).max())
+    TRACES = {
+        "concurrence": lambda g, grid: concurrence_trace(g, BELL, grid),
+        "occupation": lambda g, grid: occupation_trace(g, BELL, grid, 5),
+        "pts-bures": lambda g, grid: bures_trace(g, BELL, grid),
+        "snapshots": lambda g, grid: concurrence_matrix_snapshots(g, BELL, grid.times()),
+        "werner": lambda g, grid: werner_trace(g, StateSpec("werner", b=0.5), grid),
+    }
+
+    @pytest.mark.parametrize("trace", sorted(TRACES))
+    def test_coarse_phases_are_rejected(self, trace):
+        assert experiments.PHASE_RESOLUTION == 1e-6
+        for grid in (TimeGrid(0.0, 1e20, 1e17), TimeGrid(-1.001 * self.LIMIT, -self.LIMIT, 1e4)):
+            with pytest.raises(ArithmeticError, match="phase resolution"):
+                self.TRACES[trace](self.GRAPH, grid)
+
+    @pytest.mark.parametrize("trace", ["concurrence", "occupation", "pts-bures", "snapshots"])
+    def test_phases_below_the_bound_pass(self, trace):
+        grid = TimeGrid(0.999 * self.LIMIT, self.LIMIT * (1 - 1e-15), 1e4)
+        self.TRACES[trace](self.GRAPH, grid)
+
+
 class TestOccupationTrace:
     def test_initial_point(self):
         series = occupation_trace(GraphSpec("tri", 5, 0.0), StateSpec("localized", site=1),
@@ -506,13 +531,16 @@ class TestSupplementSymmetry:
 
 class TestGraphSpec:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            GraphSpec("star", 5).build()
+        for kind in ["star", "", "Tri", 5, None, ["tri"]]:
+            with pytest.raises(ValueError, match="unknown graph kind"):
+                GraphSpec(kind, 5)
 
     def test_complete_alias(self):
-        a = GraphSpec("complete", 4, 0.3).build()
-        b = GraphSpec("pentagram", 4, 0.3).build()
-        assert a == b
+        a = GraphSpec("complete", 4, 0.3)
+        assert a == GraphSpec("pentagram", 4, 0.3)
+        assert a.kind == "pentagram"
+        assert a.build() == GraphSpec("pentagram", 4, 0.3).build()
+        assert GraphSpec.from_dict({"kind": "complete", "n": 4, "theta": 0.3}) == a
 
 
 class TestStateSpec:
