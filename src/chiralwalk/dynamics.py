@@ -15,7 +15,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
-AMPLITUDE_CHUNK = 4096  # grid columns per phase block of a non-uniform grid
+AMPLITUDE_CHUNK = 4096  # grid columns per group of phase blocks
 GRID_SPACINGS = 8  # float spacings of max|t| a factored grid may deviate by
 FINE_BLOCK = 256  # fine-block columns of a short grid read on many rows
 
@@ -141,28 +141,17 @@ def _deviation(times: np.ndarray, block: int, lo: int, hi: int) -> np.ndarray:
     return dev
 
 
-def _grid_block(times: np.ndarray, rows: int) -> int:
-    """Block length B if the grid factors over blocks of B, else 0.
+def _grid_block(size: int, rows: int) -> int:
+    """Block length B of a grid of ``size`` times read on ``rows`` rows.
 
     B is isqrt(T).  A readout of more than two rows widens it to
     min(FINE_BLOCK, T // 4) columns where that is wider: the products of its
     weighted anchors with the fine block then cost more than the fine
     block's sines and cosines, and a narrow block cuts them into many small
-    products.  The grid factors when every times[bB + m] equals times[bB] +
-    (times[m] - times[0]) to within GRID_SPACINGS float spacings of max|t|,
-    which holds for every uniform grid.
+    products.
     """
-    size = times.size
     block = math.isqrt(size)
-    if rows > 2:
-        block = max(block, min(FINE_BLOCK, size // 4))
-    if block == 0:
-        return 0
-    step = block * max(1, AMPLITUDE_CHUNK // block)
-    worst = max(np.abs(_deviation(times, block, lo, min(lo + step, size))).max()
-                for lo in range(0, size, step))
-    scale = max(abs(times.max()), abs(times.min()))
-    return block if worst <= GRID_SPACINGS * np.spacing(scale) else 0
+    return max(block, min(FINE_BLOCK, size // 4)) if rows > 2 else block
 
 
 def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
@@ -172,15 +161,15 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
     holds it at times[j]: the rows of psi(t_j) = U(t_j) psi0.  The readout is
     folded into W = V[rows] diag(c).
 
-    A uniform grid (see _grid_block) is cut into blocks of B = isqrt(T)
-    columns (wider for many rows on a short grid) and each phase is
-    factored as e^{-i lam t_bB} e^{-i lam (t_m - t_0)}:
-    the n x T/B anchor phases and one shared n x B fine block are computed
-    directly, so n (T/B + B) sines and cosines replace n T, and products of
-    the anchor-weighted readout with the fine block write the output, a
-    group of blocks at a time.  Any other array is walked in blocks of
-    AMPLITUDE_CHUNK columns with one phase per element.  Either way memory
-    is the r x T output plus O(r n sqrt(T) + n AMPLITUDE_CHUNK).
+    The times are cut into blocks of B columns (see _grid_block) and each phase
+    factored as e^{-i lam t_bB} e^{-i lam (t_m - t_0)}: n (T/B + B) sines and
+    cosines give the anchor phases and one shared fine block.  Groups of about
+    AMPLITUDE_CHUNK columns are then written one at a time.  A group whose every
+    times[bB + m] is times[bB] + (times[m] - times[0]) within GRID_SPACINGS
+    float spacings of max|t|, as on any uniform grid, is the anchor-weighted
+    readout times the fine block, corrected to first order for the deviations;
+    any other group takes one phase per element.  Memory is the r x T output
+    plus O(r n sqrt(T) + n AMPLITUDE_CHUNK).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -197,24 +186,26 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
     W = V * (d.eigenvectors.conj().T @ psi0)
     r, size = W.shape[0], times.size
     out = np.empty((r, size), dtype=complex)
-    block = _grid_block(times, r)
-    if block:
-        fine = _phases(d.eigenvalues, times[:block] - times[0])
-        anchors = _phases(d.eigenvalues, times[::block])
-        # Rows r.. are the time derivative of rows ..r; they correct each column
-        # to first order for the deviation of its time from anchor + offset.
-        readout = np.concatenate([W, -1j * W * d.eigenvalues])
-        per = max(1, AMPLITUDE_CHUNK // block)
-        for first in range(0, anchors.shape[1], per):
-            lo, hi = first * block, min((first + per) * block, size)
-            weighted = readout[:, None, :] * anchors[:, first:first + per].T
-            blocks = (weighted.reshape(-1, d.n) @ fine).reshape(2 * r, -1)[:, :hi - lo]
-            np.multiply(blocks[r:], _deviation(times, block, lo, hi), out=blocks[r:])
-            np.add(blocks[:r], blocks[r:], out=out[:, lo:hi])
+    block = _grid_block(size, r)
+    if not block:
         return out
-    for start in range(0, size, AMPLITUDE_CHUNK):
-        chunk = times[start:start + AMPLITUDE_CHUNK]
-        np.matmul(W, _phases(d.eigenvalues, chunk), out=out[:, start:start + chunk.size])
+    fine = _phases(d.eigenvalues, times[:block] - times[0])
+    anchors = _phases(d.eigenvalues, times[::block])
+    # Rows r.. are the time derivative of rows ..r; they correct each column
+    # to first order for the deviation of its time from anchor + offset.
+    readout = np.concatenate([W, -1j * W * d.eigenvalues])
+    tol = GRID_SPACINGS * np.spacing(max(abs(times.max()), abs(times.min())))
+    per = max(1, AMPLITUDE_CHUNK // block)
+    for first in range(0, anchors.shape[1], per):
+        lo, hi = first * block, min((first + per) * block, size)
+        dev = _deviation(times, block, lo, hi)
+        if not np.abs(dev).max() <= tol:
+            np.matmul(W, _phases(d.eigenvalues, times[lo:hi]), out=out[:, lo:hi])
+            continue
+        weighted = readout[:, None, :] * anchors[:, first:first + per].T
+        blocks = (weighted.reshape(-1, d.n) @ fine).reshape(2 * r, -1)[:, :hi - lo]
+        np.multiply(blocks[r:], dev, out=blocks[r:])
+        np.add(blocks[:r], blocks[r:], out=out[:, lo:hi])
     return out
 
 

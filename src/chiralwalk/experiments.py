@@ -260,15 +260,16 @@ class ScalingResult:
     r_squared: float
 
 
-def _check_phases(d: SpectralDecomposition, times: np.ndarray, label: str) -> None:
-    """ArithmeticError if a phase lambda t over ``times`` is rounded more coarsely
-    than PHASE_RESOLUTION; an overflowing one is left to the finite checks."""
+def _check_phases(d: SpectralDecomposition, times: np.ndarray, label: str) -> float:
+    """Float spacing of the largest phase |lambda t| over ``times``; ArithmeticError if it
+    exceeds PHASE_RESOLUTION, while an overflowing phase is left to the finite checks."""
     top = float(np.abs(d.eigenvalues).max(initial=0.0)) * float(np.abs(times).max(initial=0.0))
     if math.isfinite(top) and math.ulp(top) > PHASE_RESOLUTION:
         raise ArithmeticError(
             f"{label}: phases lambda t reach {top:.3g}, where floats lie {math.ulp(top):.3g} "
             f"apart, more than the phase resolution {PHASE_RESOLUTION:g}"
         )
+    return math.ulp(top)
 
 
 def _check_finite(values, label: str) -> None:
@@ -279,17 +280,6 @@ def _check_finite(values, label: str) -> None:
 
 # ---------------------------------------------------------------------------
 # traces
-
-
-def _ensemble_amplitudes(
-    d: SpectralDecomposition, ensemble, times: np.ndarray, rows=None
-) -> list:
-    """(w_m, a_m) per member, a_m the amplitudes of psi_m over the grid.
-
-    a_m holds only the site rows ``rows`` (0-based, default all n), in that
-    order, so the helpers below index it by position in ``rows``.
-    """
-    return [(w, site_amplitudes(d, psi, times, rows)) for w, psi in ensemble]
 
 
 def _coherence(members, a: int, b: int) -> np.ndarray:
@@ -307,21 +297,45 @@ def _density(members, k: int) -> np.ndarray:
     return sum(w * np.outer(amp[:, k], amp[:, k].conj()) for w, amp in members)
 
 
-def _cross_check(values, state_spec: StateSpec, n: int, label: str, reference) -> None:
+def _cross_check(values, state_spec: StateSpec, n: int, label: str, reference, tol) -> None:
     """Numerical-health check of the ensemble path for a mixed state.
 
     Its last output must agree with ``reference(rho0)``, the same output
     computed from the initial density matrix by the density-matrix
-    definition, within CROSS_CHECK_TOL; otherwise ArithmeticError.
+    definition, within ``tol``; otherwise ArithmeticError.
     """
     if state_spec.kind != "werner" or not len(values):
         return
     delta = float(np.max(np.abs(values[-1] - reference(state_spec.build_density(n)))))
-    if not delta <= CROSS_CHECK_TOL:
+    if not delta <= tol:
         raise ArithmeticError(
             f"{label}: the ensemble value at the last time differs from the "
-            f"density-matrix value by {delta:.3g}, more than {CROSS_CHECK_TOL:g}"
+            f"density-matrix value by {delta:.3g}, more than {tol:.3g}"
         )
+
+
+def _evaluate(graph_spec: GraphSpec, state_spec: StateSpec, times: np.ndarray,
+              measure, reference, label: str):
+    """``measure(amplitudes)``, checked, from the pure-state ensemble of ``state_spec``.
+
+    ``amplitudes(at, rows=None)`` gives (w_m, a_m) per member: the site rows
+    ``rows`` (0-based, default all n) of psi_m at the times ``at``, in that
+    order, so the helpers above index a_m by position in ``rows``.  The
+    phases over ``times`` must be resolved and the values finite.  A mixed
+    state's last value must agree with ``reference(d, rho0)`` within
+    CROSS_CHECK_TOL or, if larger, 4 float spacings of the largest phase,
+    whose rounding every amplitude carries.
+    """
+    n = graph_spec.n
+    d = graph_spec.decompose()
+    spacing = _check_phases(d, times, label)
+    ensemble = state_spec.ensemble(n)
+    values = measure(lambda at, rows=None:
+                     [(w, site_amplitudes(d, psi, at, rows)) for w, psi in ensemble])
+    _check_finite(values, label)
+    _cross_check(values, state_spec, n, label, lambda rho0: reference(d, rho0),
+                 max(CROSS_CHECK_TOL, 4 * spacing))
+    return values
 
 
 def _pointwise_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid,
@@ -332,15 +346,12 @@ def _pointwise_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGri
     value per time; ``reference(rho)`` is the same value from a density
     matrix, against which a mixed state's last value is cross-checked.
     """
-    n = graph_spec.n
-    d = graph_spec.decompose()
     times = grid.times()
-    _check_phases(d, times, label)
-    members = _ensemble_amplitudes(d, state_spec.ensemble(n), times, rows)
-    series = TraceSeries(times, np.clip(measure(members), 0.0, 1.0), label=label)
-    _cross_check(series.values, state_spec, n, label, lambda rho0:
-                 reference(evolve_density(d, rho0, times[-1])))
-    return series
+    values = _evaluate(
+        graph_spec, state_spec, times,
+        lambda amplitudes: np.clip(measure(amplitudes(times, rows)), 0.0, 1.0),
+        lambda d, rho0: reference(evolve_density(d, rho0, times[-1])), label)
+    return TraceSeries(times, values, label=label)
 
 
 def concurrence_trace(
@@ -388,17 +399,15 @@ def transfer_fidelity_trace(
 
 def bures_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) -> TraceSeries:
     """Diagonal-only Bures distance ||sqrt(diag rho(t)) - sqrt(diag rho(-t))|| over the grid."""
-    n = graph_spec.n
-    d = graph_spec.decompose()
     times = grid.times()
-    _check_phases(d, times, "pts-bures")
-    ensemble = state_spec.ensemble(n)
-    fwd = np.sqrt(_populations(_ensemble_amplitudes(d, ensemble, times), slice(None)))
-    bwd = np.sqrt(_populations(_ensemble_amplitudes(d, ensemble, -times), slice(None)))
-    values = np.linalg.norm(fwd - bwd, axis=0)
+
+    def distance(amplitudes):
+        fwd, bwd = (np.sqrt(_populations(amplitudes(at), slice(None))) for at in (times, -times))
+        return np.linalg.norm(fwd - bwd, axis=0)
+
     # The distance is even in t, and pts_bures takes t >= 0 only.
-    _cross_check(values, state_spec, n, "pts-bures", lambda rho0:
-                 measures.pts_bures(d, rho0, abs(times[-1])))
+    values = _evaluate(graph_spec, state_spec, times, distance,
+                       lambda d, rho0: measures.pts_bures(d, rho0, abs(times[-1])), "pts-bures")
     return TraceSeries(times, values, label="pts-bures")
 
 
@@ -432,16 +441,14 @@ def concurrence_matrix_snapshots(
 ) -> list[np.ndarray]:
     """Full pairwise-concurrence matrix at each requested time, from one
     site_amplitudes call per ensemble member over all the times."""
-    n = graph_spec.n
-    d = graph_spec.decompose()
     times = np.asarray(times, dtype=float)
-    _check_phases(d, times, "snapshots")
-    members = _ensemble_amplitudes(d, state_spec.ensemble(n), times)
-    mats = [measures.concurrence_matrix(_density(members, k)) for k in range(times.size)]
-    _check_finite(mats, "snapshots")
-    _cross_check(mats, state_spec, n, "snapshots", lambda rho0:
-                 measures.concurrence_matrix(evolve_density(d, rho0, times[-1])))
-    return mats
+
+    def matrices(amplitudes):
+        members = amplitudes(times)
+        return [measures.concurrence_matrix(_density(members, k)) for k in range(times.size)]
+
+    return _evaluate(graph_spec, state_spec, times, matrices, lambda d, rho0:
+                     measures.concurrence_matrix(evolve_density(d, rho0, times[-1])), "snapshots")
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +525,15 @@ def optimize_theta(
         raise ValueError("need at least one theta candidate")
     grid = TimeGrid(0.0, horizon, dt)
     state = StateSpec("pair", i=1, j=2, phi=phi)
-    best: SweepRecord | None = None
-    best_key = None
-    for theta in candidates:
+    best = None
+    for theta in map(float, candidates):
         series = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
         peak = global_max(series)
-        record = SweepRecord(n, float(theta), peak.t_peak, peak.value, top_peaks(series))
-        key = (record.concurrence, -abs(record.theta), record.theta)
-        if best is None or key > best_key:
-            best, best_key = record, key
-    return best
+        key = (peak.value, -abs(theta), theta)
+        if best is None or key > best[0]:
+            best = key, peak, series
+    (_, _, theta), peak, series = best
+    return SweepRecord(n, theta, peak.t_peak, peak.value, top_peaks(series))
 
 
 def ctqw_long_time(

@@ -94,6 +94,18 @@ COMMANDS = {
                             "--times", "-1,2"],
     "snapshots-pair": ["snapshots", "--graph", "tri:7", "--state", "pair:2,3:0", "--times",
                        "1.5"],
+    # Snapshot sets of more than 3 times, so site_amplitudes' block rule applies:
+    # a non-uniform unsorted set, a uniform one and an unsorted pair state.
+    "snapshots-werner-unsorted": ["snapshots", "--graph", "tri:9", "--theta", "0.3", "--state",
+                                  "werner:0.4", "--times", "0.3,1.1,2.5,4,7.75,0.05"],
+    "snapshots-uniform": ["snapshots", "--graph", "tri:33", "--times", "0,1,2,3,4,5,6,7,8"],
+    "snapshots-cycle-unsorted": ["snapshots", "--graph", "cycle:7", "--state", "pair:1,3:0.2",
+                                 "--times", "3,1,2,0.5,9"],
+    # A mixed state at t = 1e7, where the phases are resolved but carry float
+    # error of about 1e-9 rad.
+    "trace-werner-fidelity-late": ["trace", *TRI5, "--theta", "0.5pi", "--state", "werner:0.5",
+                                   "--measure", "werner-fidelity", "--t",
+                                   "9999990:10000000:1"],
     "graph-export-tri": ["graph-export", "--graph", "tri:4", "--theta", "pi"],
     "graph-export-pentagram": ["graph-export", "--graph", "pentagram:5", "--theta", "0.5pi"],
     "graph-export-cycle": ["graph-export", "--graph", "cycle:6", "--theta", "0.3"],

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -258,6 +259,25 @@ class TestOccupation:
             assert np.abs(fwd - bwd).max() < 1e-9
 
 
+@contextlib.contextmanager
+def phase_widths():
+    """Yield the column count of every dynamics._phases call made inside.
+
+    site_amplitudes computes its fine block and its anchors first, so any
+    further call is a column group that took one phase per element.
+    """
+    widths = []
+    real = dynamics._phases
+
+    def counting(eigenvalues, times):
+        widths.append(len(times))
+        return real(eigenvalues, times)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_phases", counting)
+        yield widths
+
+
 class TestSiteAmplitudes:
     def test_matches_stacked_evolve_pure(self, chiral5):
         psi0 = states.spatial_pair(5, 1, 2, math.pi)
@@ -317,8 +337,9 @@ class TestSiteAmplitudes:
         psi0 = states.spatial_pair(5, 1, 2, 0.4)
         chunk = dynamics.AMPLITUDE_CHUNK
         times = np.cumsum(np.random.default_rng(3).uniform(0.001, 0.02, 2 * chunk + 3))
-        assert dynamics._grid_block(times, 2) == 0
-        amp = dynamics.site_amplitudes(chiral5, psi0, times, [4, 0])
+        with phase_widths() as widths:
+            amp = dynamics.site_amplitudes(chiral5, psi0, times, [4, 0])
+        assert len(widths) > 3 and sum(widths[2:]) == times.size
         for k in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, times.size - 1):
             psi = oracles.evolve_pure(chiral5, psi0, times[k])
             assert np.abs(amp[:, k] - psi[[4, 0]]).max() < 1e-12
@@ -355,10 +376,12 @@ class TestSiteAmplitudes:
         times = TimeGrid(t_start, t_start + (size - 0.5) * dt, dt).times()
         times = -times if negate else times
         assert times.size == size
-        block = dynamics._grid_block(times, n if rows is None else 2)
+        block = dynamics._grid_block(size, n if rows is None else 2)
         wide = max(math.isqrt(size), min(dynamics.FINE_BLOCK, size // 4))
         assert block == (math.isqrt(size) if rows else wide)
-        amp = dynamics.site_amplitudes(d, psi0, times, rows)
+        with phase_widths() as widths:
+            amp = dynamics.site_amplitudes(d, psi0, times, rows)
+        assert widths == [block, -(-size // block)]
         assert np.array_equal(amp, dynamics.site_amplitudes(d, psi0, times, rows))
         starts = np.arange(0, size, block)
         for k in {*starts, *(starts[1:] - 1), size - 1}:
@@ -370,26 +393,53 @@ class TestSiteAmplitudes:
     @example(-1e10, 4000, 2.5, True, True)
     @example(-1999.99, 4999, 0.8, False, False)
     @settings(max_examples=300, deadline=None)
-    def test_every_time_grid_is_factored(self, t_start, steps, step, in_ulps, negate):
-        # The fast path must not fall back on any grid TimeGrid accepts.
+    def test_every_time_grid_is_factored(self, chiral5, t_start, steps, step, in_ulps, negate):
+        # The fast path must not fall back on any grid TimeGrid accepts: the
+        # fine block and the anchors are the only phases computed.
         dt = step * np.spacing(abs(t_start)) if in_ulps else step
         try:
             grid = TimeGrid(t_start, t_start + steps * dt, dt)
         except ValueError:
             return
         times = -grid.times() if negate else grid.times()
-        assert dynamics._grid_block(times, 2) == math.isqrt(times.size)
-        wide = max(math.isqrt(times.size), min(dynamics.FINE_BLOCK, times.size // 4))
-        assert dynamics._grid_block(times, 3) == wide
+        size = times.size
+        wide = max(math.isqrt(size), min(dynamics.FINE_BLOCK, size // 4))
+        for rows, block in (([0, 4], math.isqrt(size)), (None, wide)):
+            assert dynamics._grid_block(size, 5 if rows is None else 2) == block
+            with phase_widths() as widths:
+                dynamics.site_amplitudes(chiral5, states.localized(5, 1), times, rows)
+            assert widths == [block, -(-size // block)]
 
-    def test_non_uniform_times_are_not_factored(self):
+    def test_non_uniform_times_are_not_factored(self, chiral5):
+        def widths_of(times, rows):
+            with phase_widths() as widths:
+                dynamics.site_amplitudes(chiral5, states.localized(5, 1), times, rows)
+            return widths
+
         times = 0.01 * np.arange(100.0)
-        assert dynamics._grid_block(times, 2) == 10
-        assert dynamics._grid_block(times, 5) == 25
+        assert widths_of(times, [0, 1]) == [10, 10]
+        assert widths_of(times, None) == [25, 4]
         times[57] += 1e-9
-        assert dynamics._grid_block(times, 2) == 0
-        assert dynamics._grid_block(times, 5) == 0
-        assert dynamics._grid_block(np.array([0.0, 0.5, 3.0, 7.0, 7.5]), 2) == 0
+        assert widths_of(times, [0, 1]) == [10, 10, 100]
+        assert widths_of(times, None) == [25, 4, 100]
+        assert widths_of(np.array([0.0, 0.5, 3.0, 7.0, 7.5]), [0, 1]) == [2, 3, 5]
+
+    @pytest.mark.parametrize("size, at", [(100, 57), (3 * dynamics.AMPLITUDE_CHUNK + 5,
+                                                     dynamics.AMPLITUDE_CHUNK + 57)])
+    def test_one_perturbed_time_takes_one_direct_group(self, chiral5, size, at):
+        # Only the group holding the perturbed time takes one phase per
+        # element; every column, on both sides of its edges, stays exact.
+        psi0 = states.spatial_pair(5, 1, 2, 0.4)
+        times = 0.01 * np.arange(float(size))
+        times[at] += 1e-9
+        block = math.isqrt(size)
+        group = block * max(1, dynamics.AMPLITUDE_CHUNK // block)
+        with phase_widths() as widths:
+            amp = dynamics.site_amplitudes(chiral5, psi0, times, [4, 0])
+        lo = at // group * group
+        assert widths == [block, -(-size // block), min(lo + group, size) - lo]
+        for k, t in enumerate(times):
+            assert np.abs(amp[:, k] - oracles.evolve_pure(chiral5, psi0, t)[[4, 0]]).max() < 1e-12
 
     @pytest.mark.parametrize("rows", [None, [3], [0, 4]])
     def test_empty_times(self, chiral5, rows):
@@ -411,13 +461,14 @@ class TestSiteAmplitudes:
         uniform = 0.01 * np.arange(200_001)
         # Sorted random times take the direct path, one phase per element.
         scattered = np.sort(np.random.default_rng(5).uniform(0.0, 2000.0, 200_001))
-        assert dynamics._grid_block(scattered, 2) == 0
-        for times in (uniform, scattered):
-            tracemalloc.start()
-            try:
-                amp = dynamics.site_amplitudes(d, psi0, times, [69, 70])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        for times, direct in ((uniform, 0), (scattered, 200_001)):
+            with phase_widths() as widths:
+                tracemalloc.start()
+                try:
+                    amp = dynamics.site_amplitudes(d, psi0, times, [69, 70])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert sum(widths[2:]) == direct
             assert amp.shape == (2, 200_001)
             assert peak < 32e6

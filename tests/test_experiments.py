@@ -164,6 +164,8 @@ class TestPhaseResolution:
         "pts-bures": lambda g, grid: bures_trace(g, BELL, grid),
         "snapshots": lambda g, grid: concurrence_matrix_snapshots(g, BELL, grid.times()),
         "werner": lambda g, grid: werner_trace(g, StateSpec("werner", b=0.5), grid),
+        "werner-transfer-fidelity": lambda g, grid: transfer_fidelity_trace(
+            g, StateSpec("werner", b=0.5), grid),
     }
 
     @pytest.mark.parametrize("trace", sorted(TRACES))
@@ -173,8 +175,10 @@ class TestPhaseResolution:
             with pytest.raises(ArithmeticError, match="phase resolution"):
                 self.TRACES[trace](self.GRAPH, grid)
 
-    @pytest.mark.parametrize("trace", ["concurrence", "occupation", "pts-bures", "snapshots"])
+    @pytest.mark.parametrize("trace", ["concurrence", "occupation", "pts-bures", "snapshots",
+                                       "werner", "werner-transfer-fidelity"])
     def test_phases_below_the_bound_pass(self, trace):
+        # A mixed state's cross-check allows the float spacing of these phases.
         grid = TimeGrid(0.999 * self.LIMIT, self.LIMIT * (1 - 1e-15), 1e4)
         self.TRACES[trace](self.GRAPH, grid)
 
@@ -315,6 +319,15 @@ class TestLongTimeSweeps:
         assert rec.theta in (-PI / 2, PI / 2)
         assert 0.0 <= rec.concurrence <= 1.0
         assert len(rec.top_peaks) == 3
+
+    def test_runner_up_peaks_are_found_for_the_winner_only(self, monkeypatch):
+        calls = []
+        real = experiments.top_peaks
+        monkeypatch.setattr(experiments, "top_peaks",
+                            lambda series, count=3: calls.append(count) or real(series, count))
+        table = sweep_table([5, 6], PI, 10.0, 0.02, tuple(np.linspace(-PI, PI, 16)))
+        assert len(calls) == 2
+        assert all(len(rec.top_peaks) == 3 for rec in table)
 
     def test_table_is_one_optimize_theta_per_size(self):
         table = sweep_table([5, 7], PI, 10.0, 0.02, (0.0,))
