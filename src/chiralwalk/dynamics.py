@@ -60,49 +60,41 @@ def check_density_matrix(rho, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and unitary eigenvector columns of a Hamiltonian."""
+    """Eigenvalues (ascending) and unitary eigenvector columns of a Hamiltonian,
+    with the largest entries of H V - V L and V^dag V - I they were checked by."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    residual: float
+    orthonormality: float
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
 
-def _fix_column_phases(V: np.ndarray) -> np.ndarray:
-    # Deterministic gauge: first nonzero component of each column real positive.
-    V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size:
-            a = col[idx[0]]
-            col *= np.conj(a) / abs(a)
-    return V
-
-
 def spectral_decompose(H) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix with a fixed phase convention.
+    """Eigendecompose a Hermitian matrix.
 
     The output is deterministic for identical input; eigenvalues ascend and
-    eigenvector columns are orthonormal even inside degenerate blocks.
+    eigenvector columns are orthonormal even inside degenerate blocks.  Each
+    column's phase is whatever eigh returns: no output depends on it, since
+    every value is built from V ... V^dag, where a column's phase cancels.
     """
     H = check_hermitian(H)
     eigenvalues, V = np.linalg.eigh(H)
     if not np.all(np.isfinite(eigenvalues)):
         raise ArithmeticError("eigendecomposition failed: the spectrum is not finite")
-    V = _fix_column_phases(V)
     scale = max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
-    resid = np.abs(H @ V - V * eigenvalues).max()
-    ortho = np.abs(V.conj().T @ V - np.eye(H.shape[0])).max()
+    resid = float(np.abs(H @ V - V * eigenvalues).max())
+    ortho = float(np.abs(V.conj().T @ V - np.eye(H.shape[0])).max())
     if not (resid <= RESIDUAL_TOL * scale and ortho <= RESIDUAL_TOL):
         raise ArithmeticError(
             f"eigendecomposition failed: residual {resid:.3e}, orthonormality {ortho:.3e}"
         )
     eigenvalues.setflags(write=False)
     V.setflags(write=False)
-    return SpectralDecomposition(eigenvalues, V)
+    return SpectralDecomposition(eigenvalues, V, resid, ortho)
 
 
 def propagator(d: SpectralDecomposition, t: float) -> np.ndarray:

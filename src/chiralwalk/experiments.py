@@ -31,6 +31,11 @@ PEAK_NOISE_FLOOR = 0.01
 LONG_TIME_HORIZON = 500.0
 LONG_TIME_DT = 0.02
 THETA_CANDIDATES = (-np.pi / 2, np.pi / 2)
+# The most the curvature bound M (s dt)^2 / 8 of a long-time search may add to
+# f = C^2, whose range is [0, 1], between two of its coarse samples s grid
+# steps apart (see _max_candidates).  M lies between about 19 and 65 on
+# tri:5..33, so at dt = 0.02 the search reads every 5th to 10th grid point.
+COARSE_SLACK = 0.1
 CROSS_CHECK_TOL = 1e-10
 # A phase lambda t is held to half the float spacing of |lambda t|, and each
 # amplitude, and so each value made from them, can be off by about as much.
@@ -507,6 +512,72 @@ def top_peaks(series: TraceSeries, count: int = 3) -> tuple[PeakResult, ...]:
 # long-time sweeps
 
 
+def _curvature_bound(d: SpectralDecomposition, psi, rows) -> float:
+    """M >= |f''| at every t, for f = C^2 = 4|z|^2 and z = p q* the product of the
+    amplitudes p, q of the two site rows ``rows`` (0-based) of the pure state ``psi``.
+
+    z is a sum of w_pk w*_ql e^{-i (lam_k - lam_l) t}, with w = V[rows] diag(V^dag psi),
+    so |z^(j)| <= Z_j = sum_kl |w_pk| |w_ql| |lam_k - lam_l|^j; and
+    f'' = 4 (z'' z* + 2 |z'|^2 + z z''*) gives M = 8 (Z_0 Z_2 + Z_1^2).
+    """
+    w = np.abs(d.eigenvectors[rows] * (d.eigenvectors.conj().T @ psi))
+    gaps = np.abs(np.subtract.outer(d.eigenvalues, d.eigenvalues))
+    z0, z1, z2 = (float(w[0] @ gaps ** j @ w[1]) for j in range(3))
+    return 8.0 * (z0 * z2 + z1 * z1)
+
+
+def _max_candidates(graph_spec: GraphSpec, state_spec: StateSpec,
+                    grid: TimeGrid) -> tuple[TraceSeries, float]:
+    """The end-pair concurrence of a pure state on the grid points where its grid
+    maximum may lie, and the rounding slack of that maximum.
+
+    Between grid points h apart, f = C^2 stays below max(f_a, f_b) + M h^2 / 8,
+    M from _curvature_bound.  C is first evaluated on every s-th grid point, s
+    the largest step with M (s dt)^2 / 8 <= COARSE_SLACK.  An interval between
+    two of them can hold the maximum only if its bound, plus the slack, reaches
+    the best of those samples.  Such live intervals, and the points after the
+    last stride, are evaluated on every grid point, padded by one point on each
+    side, in one site_amplitudes call.  If half the intervals or more are live,
+    every grid point is evaluated.  So the grid maximum and its two grid
+    neighbours are among the points returned, and global_max finds the point
+    and parabola of the full trace, up to rounding.
+
+    Each value is off by the rounding its phases carry, within the tolerance
+    the cross-check allows; the slack is four times that, for four such values
+    compared (two samples, or two refined peaks of two evaluations).
+    """
+    n = graph_spec.n
+    label = f"concurrence:{n - 1},{n}"
+    d = graph_spec.decompose()
+    times = grid.times()
+    slack = 4 * max(CROSS_CHECK_TOL, 4 * _check_phases(d, times, label))
+    ((_, psi),) = state_spec.ensemble(n)
+    rows = [n - 2, n - 1]
+
+    def concurrence(at):
+        p, q = site_amplitudes(d, psi, times[at], rows)
+        return np.clip(2.0 * np.abs(p * np.conj(q)), 0.0, 1.0)
+
+    size, bound = times.size, _curvature_bound(d, psi, rows)
+    step = math.sqrt(8.0 * COARSE_SLACK / bound) / grid.dt if bound > 0 else math.inf
+    stride = max(1, int(min(size - 1, step)))
+    at = np.arange(0, size, stride)
+    values = concurrence(at)
+    if stride > 1:
+        _check_finite(values, label)
+        h = stride * grid.dt
+        reach = np.sqrt(np.maximum(values[:-1], values[1:]) ** 2 + bound * h * h / 8.0)
+        live = at[np.flatnonzero(reach + slack >= values.max())]
+        if 2 * live.size >= reach.size:
+            at = np.arange(size)
+        else:
+            starts = np.append(live, at[-1]) if at[-1] < size - 1 else live
+            at = np.unique(np.concatenate(
+                [np.arange(max(a - 1, 0), min(a + stride + 2, size)) for a in starts]))
+        values = concurrence(at)
+    return TraceSeries(times[at], values, label=label), slack
+
+
 def optimize_theta(
     n: int,
     phi: float,
@@ -516,17 +587,29 @@ def optimize_theta(
 ) -> SweepRecord:
     """Best chiral phase for long-time transfer of the pair state (1, 2).
 
-    Runs a global-max search over [0, horizon] for every candidate theta and
-    keeps the winner; exact value ties break toward smaller |theta|, then
-    toward the positive sign.
+    Runs a global-max search over the grid on [0, horizon] for every candidate
+    theta and keeps the winner; exact value ties break toward smaller |theta|,
+    then toward the positive sign.  With several candidates, each is first
+    searched on the grid points where its maximum may lie (_max_candidates).
+    Only those whose maximum comes within the rounding slack of the best are
+    traced in full, and compared on their full traces, so the winner and its
+    record are those of a full scan of every candidate.
     """
-    candidates = tuple(theta_candidates)
+    candidates = tuple(map(float, theta_candidates))
     if not candidates:
         raise ValueError("need at least one theta candidate")
     grid = TimeGrid(0.0, horizon, dt)
     state = StateSpec("pair", i=1, j=2, phi=phi)
+    if len(candidates) > 1:
+        peaks, slack = [], 0.0
+        for theta in candidates:
+            series, rounding = _max_candidates(GraphSpec("tri", n, theta), state, grid)
+            peaks.append((global_max(series).value, theta))
+            slack = max(slack, rounding)
+        top = max(value for value, _ in peaks)
+        candidates = tuple(theta for value, theta in peaks if value + slack >= top)
     best = None
-    for theta in map(float, candidates):
+    for theta in candidates:
         series = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
         peak = global_max(series)
         key = (peak.value, -abs(theta), theta)

@@ -1,6 +1,7 @@
 """Digest every output of a fixed set of CLI runs, to compare two source trees.
 
 Usage: python tests/audit_outputs.py SRC_DIR OUT_DIR
+       python tests/audit_outputs.py compare OUT_A OUT_B
 
 Each command below runs as ``python -m chiralwalk`` in a fresh process with
 ``PYTHONPATH=SRC_DIR``, writing into ``OUT_DIR/<label>``; every manifest it
@@ -11,6 +12,12 @@ per output file.  Manifests are hashed without ``wall_time_s`` and
 trees and diff the printouts: equal digests mean byte-identical outputs.
 It exits 1 if a rerun does not reproduce its run byte for byte.
 
+``compare`` reads two such output directories.  It parses every CSV of both
+and prints, per CSV whose bytes differ, the largest difference between its
+numeric cells; other files are compared by digest.  It exits 1 if a file is
+in one tree only, if text cells or other files differ, or if two numbers
+differ by more than 1e-12 beyond their 12-significant-digit rounding.
+
 The file name has no ``test_`` prefix, so pytest does not collect it.
 """
 
@@ -18,12 +25,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 TRI5 = ["--graph", "tri:5"]
+# Sixteen irregular chiral phases, as in the benchmark's long-time table.
+SIXTEEN_THETAS = ("-3.0712,-2.6518,-2.2457,-1.8013,-1.3862,-0.9514,-0.5371,-0.1126,"
+                  "0.2893,0.7047,1.1175,1.5324,1.9631,2.4028,2.8114,3.1021")
 PAIR = ["--state", "pair:1,2:pi"]
 CONCURRENCE = ["--measure", "concurrence"]
 
@@ -82,6 +93,12 @@ COMMANDS = {
     "table-ctqw": ["table", "--mode", "ctqw", "--n", "4,5", "--horizon", "30"],
     "table-ctqw-dt": ["table", "--mode", "ctqw", "--n", "5", "--horizon", "50", "--dt",
                       "0.05", "--name", "flat"],
+    # The paper's long-time tables at full size: the chiral one with the
+    # benchmark's shape, and the plain walk.
+    "table-cqw-long": ["table", "--mode", "cqw", "--n", "5:33:2", "--horizon", "500",
+                       "--dt", "0.02", f"--theta-candidates={SIXTEEN_THETAS}"],
+    "table-ctqw-long": ["table", "--mode", "ctqw", "--n", "5:33:2", "--horizon", "500",
+                        "--dt", "0.02"],
     "scaling-svg": ["scaling", "--n", "5:9:2", "--t", "0:5:0.01", "--svg"],
     "scaling-state": ["scaling", "--theta", "-0.5pi", "--n", "5,7", "--state",
                       "pair:1,2:0.5pi", "--t", "0:8:0.02"],
@@ -151,7 +168,64 @@ def run(args: list[str], out: Path, env: dict, root: Path) -> dict[str, str]:
     return digests
 
 
+def _cells(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare_csv(a: Path, b: Path) -> tuple[float, bool]:
+    """Largest difference between the numeric cells of two CSVs, and whether
+    they agree: same shape and text, numbers within 1e-12 beyond rounding."""
+    rows_a, rows_b = _cells(a), _cells(b)
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return math.inf, False
+    largest, agree = 0.0, True
+    for cell_a, cell_b in zip((c for r in rows_a for c in r), (c for r in rows_b for c in r)):
+        x, y = _number(cell_a), _number(cell_b)
+        if x is None or y is None:
+            agree &= cell_a == cell_b
+            continue
+        delta = abs(x - y)
+        largest = max(largest, delta)
+        top = max(abs(x), abs(y))
+        # Each cell is rounded to 12 significant digits: one unit of the last
+        # digit between the two is rounding, not a change.
+        unit = 10.0 ** (math.floor(math.log10(top)) - 11) if top else 0.0
+        agree &= delta <= 1e-12 + unit
+    return largest, agree
+
+
+def compare(root_a: Path, root_b: Path) -> int:
+    """Print how the outputs under two audit directories differ; 1 if they disagree."""
+    files_a = {p.relative_to(root_a) for p in root_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(root_b) for p in root_b.rglob("*") if p.is_file()}
+    failed = False
+    for name in sorted(files_a ^ files_b):
+        print(f"ONLY IN {'A' if name in files_a else 'B'} {name}")
+        failed = True
+    for name in sorted(files_a & files_b):
+        a, b = root_a / name, root_b / name
+        if a.read_bytes() == b.read_bytes():
+            continue
+        if name.suffix == ".csv":
+            largest, agree = compare_csv(a, b)
+            print(f"{name} max |diff| {largest:.3g}{'' if agree else ' DISAGREE'}")
+            failed |= not agree
+        elif digest(a) != digest(b):
+            print(f"{name} DIFFERS")
+            failed = True
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2

@@ -27,7 +27,16 @@ import numpy as np
 import scipy.linalg
 
 from chiralwalk.dynamics import NORM_TOL, check_density_matrix, check_pure_state
-from chiralwalk.experiments import PeakResult
+from chiralwalk.experiments import (
+    GraphSpec,
+    PeakResult,
+    StateSpec,
+    SweepRecord,
+    TimeGrid,
+    concurrence_trace,
+    global_max,
+    top_peaks,
+)
 from chiralwalk.measures import PSD_TOL, _clamp01, _site_pair_indices, _sqrtm_psd, fidelity
 from chiralwalk.svgplot import _COLORS, _fmt, _ticks
 
@@ -267,6 +276,23 @@ def global_max_scan(series):
         return PeakResult(float(series.times[k]), float(v[k]))
     t, val = _parabola_peak(series.times, v, k)
     return PeakResult(t, val)
+
+
+def optimize_theta_scan(n: int, phi: float, theta_candidates, horizon: float, dt: float):
+    """optimize_theta by a full scan: one concurrence_trace over every grid point
+    and its global_max per candidate; the largest value wins, and exact ties
+    break toward smaller |theta|, then toward the positive sign."""
+    grid = TimeGrid(0.0, horizon, dt)
+    state = StateSpec("pair", i=1, j=2, phi=phi)
+    best = None
+    for theta in map(float, theta_candidates):
+        series = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
+        peak = global_max(series)
+        key = (peak.value, -abs(theta), theta)
+        if best is None or key > best[0]:
+            best = key, peak, series
+    (_, _, theta), peak, series = best
+    return SweepRecord(n, theta, peak.t_peak, peak.value, top_peaks(series))
 
 
 # ---------------------------------------------------------------------------

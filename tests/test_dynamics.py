@@ -56,12 +56,14 @@ class TestSpectralDecompose:
         assert np.abs(V.conj().T @ V - np.eye(5)).max() < 1e-10
         assert np.all(np.diff(lam) >= 0)
 
-    def test_phase_convention_first_component_real_positive(self, chiral5):
-        for k in range(5):
-            col = chiral5.eigenvectors[:, k]
-            lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-            assert abs(lead.imag) < 1e-14
-            assert lead.real > 0
+    def test_keeps_the_residual_and_orthonormality_it_checked(self, chiral5):
+        H = graphs.hamiltonian(graphs.triangular_chain(5, math.pi / 2, 1.0))
+        V, lam = chiral5.eigenvectors, chiral5.eigenvalues
+        assert chiral5.residual == np.abs(H @ V - V * lam).max()
+        assert chiral5.orthonormality == np.abs(V.conj().T @ V - np.eye(5)).max()
+        assert type(chiral5.residual) is float and type(chiral5.orthonormality) is float
+        assert 0.0 <= chiral5.residual <= dynamics.RESIDUAL_TOL
+        assert 0.0 <= chiral5.orthonormality <= dynamics.RESIDUAL_TOL
 
     def test_deterministic(self):
         H = graphs.hamiltonian(graphs.triangular_chain(7, 0.9, 1.0))

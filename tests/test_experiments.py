@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from chiralwalk import experiments, measures, states
+from chiralwalk import experiments, graphs, measures, states
 from chiralwalk.dynamics import evolve_density
 from chiralwalk.experiments import (
     GraphSpec,
@@ -357,6 +357,94 @@ class TestLongTimeSweeps:
         assert both.concurrence >= rec.concurrence
         assert len(both.top_peaks) == 3
         assert all(p.value <= both.concurrence + 1e-12 for p in both.top_peaks)
+
+
+def _amplitude_samples(monkeypatch) -> list[int]:
+    """Patch experiments.site_amplitudes to record the size of each result."""
+    sizes = []
+    real = experiments.site_amplitudes
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(experiments, "site_amplitudes", counted)
+    return sizes
+
+
+class TestPrunedLongTimeSearch:
+    """optimize_theta searches each candidate only where the curvature bound lets
+    its grid maximum lie, and must pick and report what a full scan picks."""
+
+    @given(st.integers(3, 15), st.lists(st.floats(-PI, PI), min_size=1, max_size=3),
+           st.sets(st.sampled_from(["zero", "shift", "supplement"])),
+           st.one_of(st.sampled_from([0.0, PI]), st.floats(0.0, 2 * PI)),
+           st.floats(1.0, 200.0), st.floats(0.005, 0.1))
+    @example(5, [PI / 2], {"shift"}, PI, 10.0, 0.02)  # 2pi-shifted exact tie
+    @example(5, [PI / 4], {"supplement"}, PI, 60.0, 0.02)  # a tie up to rounding
+    @example(15, [PI / 2, -PI / 2], set(), PI, 1.0, 0.01)  # every interval live
+    @settings(max_examples=40, deadline=None)
+    def test_picks_what_the_full_scan_picks(self, n, thetas, extras, phi, horizon, dt):
+        candidates = list(thetas)
+        if "zero" in extras:
+            candidates.append(0.0)
+        if "shift" in extras:
+            # Only a shift that reduces to the same phase builds the same graph.
+            shifted = thetas[0] - math.copysign(2 * PI, thetas[0])
+            if graphs.reduce_phase(shifted) == graphs.reduce_phase(thetas[0]):
+                candidates.append(shifted)
+        if "supplement" in extras:
+            # theta and pi - theta trace the same values for real states, up to rounding.
+            candidates.append(PI - thetas[0])
+        rec = optimize_theta(n, phi, candidates, horizon, dt)
+        ref = oracles.optimize_theta_scan(n, phi, candidates, horizon, dt)
+        assert rec.theta == ref.theta
+        assert abs(rec.t - ref.t) <= 1e-12
+        assert abs(rec.concurrence - ref.concurrence) <= 1e-12
+        assert rec.top_peaks == ref.top_peaks
+        grid, state = TimeGrid(0.0, horizon, dt), StateSpec("pair", i=1, j=2, phi=phi)
+        for theta in candidates:
+            sparse, _ = experiments._max_candidates(GraphSpec("tri", n, theta), state, grid)
+            full = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
+            assert sparse.times[np.argmax(sparse.values)] == full.times[np.argmax(full.values)]
+            assert abs(global_max(sparse).value - global_max(full).value) <= 1e-12
+
+    def test_every_interval_live_takes_the_full_grid(self, monkeypatch):
+        # Early on, the far end of tri:15 holds almost nothing, so the bound
+        # M h^2 / 8 dwarfs every sample and no interval can be ruled out.
+        sizes = _amplitude_samples(monkeypatch)
+        grid = TimeGrid(0.0, 1.0, 0.01)
+        series, _ = experiments._max_candidates(GraphSpec("tri", 15, PI / 2), BELL, grid)
+        assert np.array_equal(series.times, grid.times())
+        assert sizes[-1] == 2 * len(grid) and len(sizes) == 2
+
+    def test_far_fewer_samples_than_a_full_scan(self, monkeypatch):
+        sizes = _amplitude_samples(monkeypatch)
+        candidates = tuple(np.linspace(-PI, PI, 17)[:-1] + 0.1)
+        optimize_theta(33, PI, candidates, 500.0, 0.02)
+        assert sum(sizes) < 16 * 2 * len(TimeGrid(0.0, 500.0, 0.02)) / 3
+
+    @given(st.sampled_from(["tri", "cycle", "complete"]), st.integers(3, 12),
+           st.floats(-PI, PI), st.floats(0.0, 2 * PI),
+           st.lists(st.floats(0.0, 500.0), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_curvature_bound_holds(self, kind, n, theta, phi, times):
+        # f = C^2 = 4|p q*|^2 and its second derivative from the derivatives
+        # p^(j) = sum_k w_pk (-i lam_k)^j e^{-i lam_k t}, at each time.
+        d = GraphSpec(kind, n, theta).decompose()
+        psi = states.spatial_pair(n, 1, 2, phi)
+        rows = [n - 2, n - 1]
+        w = d.eigenvectors[rows] * (d.eigenvectors.conj().T @ psi)
+        bound = experiments._curvature_bound(d, psi, rows)
+        for t in times:
+            (a, b), (a1, b1), (a2, b2) = (
+                w @ ((-1j * d.eigenvalues) ** j * np.exp(-1j * d.eigenvalues * t))
+                for j in range(3))
+            z, z1 = a * np.conj(b), a1 * np.conj(b) + a * np.conj(b1)
+            z2 = a2 * np.conj(b) + 2 * a1 * np.conj(b1) + a * np.conj(b2)
+            f2 = 4 * (2 * (z2 * np.conj(z)).real + 2 * abs(z1) ** 2)
+            assert abs(f2) <= bound * (1 + 1e-12)
 
 
 REFERENCE_CQW = {
