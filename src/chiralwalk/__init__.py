@@ -6,14 +6,12 @@ from .graphs import (
     cycle_graph,
     graph_json_dict,
     hamiltonian,
-    reduce_phase,
     triangular_chain,
 )
 from .dynamics import (
     SpectralDecomposition,
     evolve_density,
     occupation,
-    propagator,
     site_amplitudes,
     spectral_decompose,
 )
@@ -24,7 +22,6 @@ from .states import (
     target_pure,
     target_werner,
     werner,
-    werner_ensemble,
 )
 from .measures import (
     concurrence_matrix,

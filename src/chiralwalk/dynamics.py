@@ -146,59 +146,69 @@ def _grid_block(size: int, rows: int) -> int:
     return max(block, min(FINE_BLOCK, size // 4)) if rows > 2 else block
 
 
+def _readout(d: SpectralDecomposition, psi, rows=None) -> np.ndarray:
+    """W = V[rows] diag(V^dag psi), so psi(t)[rows] = W e^{-i lam t}; rows default to all n."""
+    V = d.eigenvectors if rows is None else d.eigenvectors[rows]
+    return V * (d.eigenvectors.conj().T @ psi)
+
+
 def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
-    """Amplitudes of a pure state on a whole time grid, shape (r, len(times)).
+    """Amplitudes of a pure state (n,) on a whole time grid, shape (r, len(times)),
+    or of each of a stack of m pure states (m, n), shape (m, r, len(times)).
 
     Row k holds site ``rows[k]`` (0-based; default all n sites) and column j
-    holds it at times[j]: the rows of psi(t_j) = U(t_j) psi0.  The readout is
-    folded into W = V[rows] diag(c).
+    holds it at times[j]: the rows of psi(t_j) = U(t_j) psi, folded into W (_readout).
 
     The times are cut into blocks of B columns (see _grid_block) and each phase
     factored as e^{-i lam t_bB} e^{-i lam (t_m - t_0)}: n (T/B + B) sines and
-    cosines give the anchor phases and one shared fine block.  Groups of about
-    AMPLITUDE_CHUNK columns are then written one at a time.  A group whose every
-    times[bB + m] is times[bB] + (times[m] - times[0]) within GRID_SPACINGS
-    float spacings of max|t|, as on any uniform grid, is the anchor-weighted
-    readout times the fine block, corrected to first order for the deviations;
-    any other group takes one phase per element.  Memory is the r x T output
-    plus O(r n sqrt(T) + n AMPLITUDE_CHUNK).
+    cosines give the anchor phases and one shared fine block, once for all
+    states.  Groups of about AMPLITUDE_CHUNK columns are then written one at a
+    time, each state in turn.  A group whose every times[bB + m] is
+    times[bB] + (times[m] - times[0]) within GRID_SPACINGS float spacings of
+    max|t|, as on any uniform grid, is the anchor-weighted readout times the
+    fine block, corrected to first order for the deviations; any other group
+    takes one phase per element.  Each state's products have the shapes of a
+    call with that state alone, so its rows are the same bits.  Memory is the
+    m x r x T output plus O(m r n sqrt(T) + n AMPLITUDE_CHUNK).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-d array")
     if times.size and not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    psi0 = check_pure_state(psi0, d.n)
-    V = d.eigenvectors
+    psi0 = np.asarray(psi0, dtype=complex)
     if rows is not None:
         rows = np.asarray(rows, dtype=int)
         if rows.ndim != 1 or np.any((rows < 0) | (rows >= d.n)):
             raise IndexError(f"rows must be a 1-d list of site indices in 0..{d.n - 1}")
-        V = V[rows]
-    W = V * (d.eigenvectors.conj().T @ psi0)
-    r, size = W.shape[0], times.size
-    out = np.empty((r, size), dtype=complex)
+    W = np.stack([_readout(d, check_pure_state(psi, d.n), rows) for psi in np.atleast_2d(psi0)])
+    r, size = W.shape[1], times.size
+    out = np.empty((*W.shape[:2], size), dtype=complex)
+    amplitudes = out if psi0.ndim == 2 else out[0]
     block = _grid_block(size, r)
     if not block:
-        return out
+        return amplitudes
     fine = _phases(d.eigenvalues, times[:block] - times[0])
     anchors = _phases(d.eigenvalues, times[::block])
     # Rows r.. are the time derivative of rows ..r; they correct each column
     # to first order for the deviation of its time from anchor + offset.
-    readout = np.concatenate([W, -1j * W * d.eigenvalues])
+    readouts = np.concatenate([W, -1j * W * d.eigenvalues], axis=1)
     tol = GRID_SPACINGS * np.spacing(max(abs(times.max()), abs(times.min())))
     per = max(1, AMPLITUDE_CHUNK // block)
     for first in range(0, anchors.shape[1], per):
         lo, hi = first * block, min((first + per) * block, size)
         dev = _deviation(times, block, lo, hi)
-        if not np.abs(dev).max() <= tol:
-            np.matmul(W, _phases(d.eigenvalues, times[lo:hi]), out=out[:, lo:hi])
-            continue
-        weighted = readout[:, None, :] * anchors[:, first:first + per].T
-        blocks = (weighted.reshape(-1, d.n) @ fine).reshape(2 * r, -1)[:, :hi - lo]
-        np.multiply(blocks[r:], dev, out=blocks[r:])
-        np.add(blocks[:r], blocks[r:], out=out[:, lo:hi])
-    return out
+        exact = None if np.abs(dev).max() <= tol else _phases(d.eigenvalues, times[lo:hi])
+        for w, readout, member in zip(W, readouts, out):
+            if exact is not None:
+                np.matmul(w, exact, out=member[:, lo:hi])
+                continue
+            weighted = readout[:, None, :] * anchors[:, first:first + per].T
+            blocks = (weighted.reshape(-1, d.n) @ fine).reshape(2 * r, -1)[:, :hi - lo]
+            np.multiply(blocks[r:], dev, out=blocks[r:])
+            np.add(blocks[:r], blocks[r:], out=member[:, lo:hi])
+            del weighted, blocks  # freed before the next member's are made
+    return amplitudes
 
 
 def occupation(rho, i: int) -> float:

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import graphs, measures, states
+from . import dynamics, graphs, measures, states
 from .dynamics import (
     SpectralDecomposition,
     evolve_density,
@@ -21,9 +21,10 @@ from .dynamics import (
 )
 
 # Bounds the output bytes of a trace, which grow with the grid: 16 bytes per
-# readout row and time in the r x T complex amplitudes (160 MB per row at the
-# bound) and about 24 bytes per row of CSV text.  The phases of site_amplitudes
-# take n sqrt(T) values on a uniform grid (n x 3163 at the bound).
+# readout row and time in the m r x T complex amplitudes of an m-member
+# ensemble (160 MB per row at the bound) and about 24 bytes per row of CSV
+# text.  The phases of site_amplitudes take n sqrt(T) values on a uniform grid
+# (n x 3163 at the bound).
 MAX_GRID_POINTS = 10**7
 # Bounds the n x n complex Hamiltonian and eigenvectors at 268 MB each.
 MAX_SITES = 4096
@@ -287,19 +288,19 @@ def _check_finite(values, label: str) -> None:
 # traces
 
 
+def _member_sum(members, term) -> np.ndarray:
+    """sum_m w_m term(a_m) over the members (weights, amplitudes), one member at a time."""
+    return sum(w * term(amp) for w, amp in zip(*members))
+
+
 def _coherence(members, a: int, b: int) -> np.ndarray:
     """rho_ab(t) = sum_m w_m a_m,a(t) conj(a_m,b(t)), a and b rows of a_m."""
-    return sum(w * (amp[a] * np.conj(amp[b])) for w, amp in members)
+    return _member_sum(members, lambda amp: amp[a] * np.conj(amp[b]))
 
 
 def _populations(members, rows) -> np.ndarray:
     """rho_ss(t) = sum_m w_m |a_m,s(t)|^2 for the rows ``rows`` of a_m."""
-    return sum(w * np.abs(amp[rows]) ** 2 for w, amp in members)
-
-
-def _density(members, k: int) -> np.ndarray:
-    """rho(t_k) = sum_m w_m a_m(t_k) a_m(t_k)^dag, for members with all n rows."""
-    return sum(w * np.outer(amp[:, k], amp[:, k].conj()) for w, amp in members)
+    return _member_sum(members, lambda amp: np.abs(amp[rows]) ** 2)
 
 
 def _cross_check(values, state_spec: StateSpec, n: int, label: str, reference, tol) -> None:
@@ -323,20 +324,20 @@ def _evaluate(graph_spec: GraphSpec, state_spec: StateSpec, times: np.ndarray,
               measure, reference, label: str):
     """``measure(amplitudes)``, checked, from the pure-state ensemble of ``state_spec``.
 
-    ``amplitudes(at, rows=None)`` gives (w_m, a_m) per member: the site rows
-    ``rows`` (0-based, default all n) of psi_m at the times ``at``, in that
-    order, so the helpers above index a_m by position in ``rows``.  The
-    phases over ``times`` must be resolved and the values finite.  A mixed
-    state's last value must agree with ``reference(d, rho0)`` within
-    CROSS_CHECK_TOL or, if larger, 4 float spacings of the largest phase,
-    whose rounding every amplitude carries.
+    ``amplitudes(at, rows=None)`` gives the members (weights, a): the weights
+    w_m, as Python floats, and from one site_amplitudes call the (m, r, T)
+    stack of the site rows ``rows`` (0-based, default all n) of each psi_m at
+    the times ``at``, in that order, so the helpers above index a_m by
+    position in ``rows``.  The phases over ``times`` must be resolved and the
+    values finite.  A mixed state's last value must agree with
+    ``reference(d, rho0)`` within CROSS_CHECK_TOL or, if larger, 4 float
+    spacings of the largest phase, whose rounding every amplitude carries.
     """
     n = graph_spec.n
     d = graph_spec.decompose()
     spacing = _check_phases(d, times, label)
-    ensemble = state_spec.ensemble(n)
-    values = measure(lambda at, rows=None:
-                     [(w, site_amplitudes(d, psi, at, rows)) for w, psi in ensemble])
+    weights, stack = zip(*state_spec.ensemble(n))
+    values = measure(lambda at, rows=None: (weights, site_amplitudes(d, stack, at, rows)))
     _check_finite(values, label)
     _cross_check(values, state_spec, n, label, lambda rho0: reference(d, rho0),
                  max(CROSS_CHECK_TOL, 4 * spacing))
@@ -347,7 +348,7 @@ def _pointwise_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGri
                      rows, measure, reference, label: str) -> TraceSeries:
     """``measure`` over the grid, clipped into [0, 1], from the ensemble's amplitude rows.
 
-    ``measure(members)`` maps the (w_m, a_m) of the readout ``rows`` to one
+    ``measure(members)`` maps the members (weights, a) of the readout ``rows`` to one
     value per time; ``reference(rho)`` is the same value from a density
     matrix, against which a mixed state's last value is cross-checked.
     """
@@ -397,7 +398,7 @@ def transfer_fidelity_trace(
     bra = target[n - 2:].conj()
     return _pointwise_trace(
         graph_spec, state_spec, grid, [n - 2, n - 1],
-        lambda members: sum(w * np.abs(bra @ amp) ** 2 for w, amp in members),
+        lambda members: _member_sum(members, lambda amp: np.abs(bra @ amp) ** 2),
         lambda rho: measures.fidelity(rho, states.density_from_pure(target)),
         "transfer-fidelity")
 
@@ -431,7 +432,7 @@ def werner_trace(graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid) -
     n, b = graph_spec.n, state_spec.b
 
     def fidelity(members):  # rows 0 and 1 of each member are the target sites n-1 and n
-        (w_plus, plus), (w_minus, minus) = members
+        (w_plus, w_minus), (plus, minus) = members
         overlap = 0.5 * _populations(members, slice(None)).sum(axis=0)
         overlap += b * np.real(_coherence(members, 0, 1))
         return overlap + 2.0 * w_plus * w_minus * np.abs(plus[0] * minus[1] - plus[1] * minus[0])
@@ -445,12 +446,13 @@ def concurrence_matrix_snapshots(
     graph_spec: GraphSpec, state_spec: StateSpec, times
 ) -> list[np.ndarray]:
     """Full pairwise-concurrence matrix at each requested time, from one
-    site_amplitudes call per ensemble member over all the times."""
+    site_amplitudes call over all the times and ensemble members."""
     times = np.asarray(times, dtype=float)
 
     def matrices(amplitudes):
-        members = amplitudes(times)
-        return [measures.concurrence_matrix(_density(members, k)) for k in range(times.size)]
+        members = amplitudes(times)  # rho(t_k) = sum_m w_m a_m(t_k) a_m(t_k)^dag
+        return [measures.concurrence_matrix(_member_sum(members, lambda amp: np.outer(
+            amp[:, k], amp[:, k].conj()))) for k in range(times.size)]
 
     return _evaluate(graph_spec, state_spec, times, matrices, lambda d, rho0:
                      measures.concurrence_matrix(evolve_density(d, rho0, times[-1])), "snapshots")
@@ -520,7 +522,7 @@ def _curvature_bound(d: SpectralDecomposition, psi, rows) -> float:
     so |z^(j)| <= Z_j = sum_kl |w_pk| |w_ql| |lam_k - lam_l|^j; and
     f'' = 4 (z'' z* + 2 |z'|^2 + z z''*) gives M = 8 (Z_0 Z_2 + Z_1^2).
     """
-    w = np.abs(d.eigenvectors[rows] * (d.eigenvectors.conj().T @ psi))
+    w = np.abs(dynamics._readout(d, psi, rows))
     gaps = np.abs(np.subtract.outer(d.eigenvalues, d.eigenvalues))
     z0, z1, z2 = (float(w[0] @ gaps ** j @ w[1]) for j in range(3))
     return 8.0 * (z0 * z2 + z1 * z1)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import tempfile
 from itertools import chain, islice
 from pathlib import Path
@@ -89,23 +88,10 @@ def write_json(path: Path, obj) -> None:
 
 
 def version_string() -> str:
-    """Package version, decorated git-describe style when run from a checkout."""
-    try:
-        from importlib.metadata import version
+    """Package version from the installed metadata, or 0.1.0 when there is none."""
+    from importlib.metadata import PackageNotFoundError, version
 
-        base = version("chiralwalk")
-    except Exception:
-        base = "0.1.0"
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return f"{base}+g{out.stdout.strip()}"
-    except Exception:
-        pass
-    return base
+        return version("chiralwalk")
+    except PackageNotFoundError:
+        return "0.1.0"

@@ -123,6 +123,19 @@ COMMANDS = {
     "trace-werner-fidelity-late": ["trace", *TRI5, "--theta", "0.5pi", "--state", "werner:0.5",
                                    "--measure", "werner-fidelity", "--t",
                                    "9999990:10000000:1"],
+    # Mixed states over several column groups of site_amplitudes: the
+    # benchmark's Werner shape, a long tri:9 trace and a 9-time tri:33 set.
+    "trace-werner-fidelity-33": ["trace", "--graph", "tri:33", "--theta", "0.45pi", "--state",
+                                 "werner:0.4", "--measure", "werner-fidelity",
+                                 "--t", "0:20:0.01"],
+    "trace-pts-bures-werner-33": ["trace", "--graph", "tri:33", "--theta", "-0.35pi",
+                                  "--state", "werner:-0.6", "--measure", "pts-bures",
+                                  "--t", "0:20:0.01"],
+    "trace-concurrence-werner-long": ["trace", "--graph", "tri:9", "--theta", "0.5pi",
+                                      "--state", "werner:0.7", *CONCURRENCE,
+                                      "--t", "0:100:0.01"],
+    "snapshots-werner-uniform": ["snapshots", "--graph", "tri:33", "--theta", "0.5pi",
+                                 "--state", "werner:0.4", "--times", "0,1,2,3,4,5,6,7,8"],
     "graph-export-tri": ["graph-export", "--graph", "tri:4", "--theta", "pi"],
     "graph-export-pentagram": ["graph-export", "--graph", "pentagram:5", "--theta", "0.5pi"],
     "graph-export-cycle": ["graph-export", "--graph", "cycle:6", "--theta", "0.3"],

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from chiralwalk import cli, experiments, graphs, measures, states
 from chiralwalk.dynamics import evolve_density
 from chiralwalk.experiments import GraphSpec, StateSpec, TimeGrid, concurrence_trace
-from chiralwalk.io import format_number
+from chiralwalk.io import format_number, version_string
 
 
 class TestPhaseParsing:
@@ -150,6 +150,19 @@ class TestTraceCommand:
         assert manifest["parameters"]["graph"]["theta"] == cli.parse_phase("0.75pi")
         assert manifest["subcommand"] == "trace"
         assert "version" in manifest and "wall_time_s" in manifest
+
+    def test_version_needs_no_subprocess(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("no subprocess may start")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        rc = cli.main([
+            "trace", "--graph", "tri:5", "--state", "pair:1,2:pi", "--measure", "concurrence",
+            "--t", "0:1:0.5", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "trace.manifest.json").read_text())
+        assert manifest["version"] == version_string()
 
     def test_svg_is_valid_xml_with_polyline(self, tmp_path):
         cli.main([

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from chiralwalk import dynamics, graphs, states
-from chiralwalk.experiments import TimeGrid
+from chiralwalk.experiments import GraphSpec, TimeGrid
 
 S37 = math.sqrt(37.0)
 CHIRAL5_SPECTRUM = np.array(
@@ -447,6 +447,53 @@ class TestSiteAmplitudes:
     def test_empty_times(self, chiral5, rows):
         amp = dynamics.site_amplitudes(chiral5, states.localized(5, 1), [], rows)
         assert amp.shape == (5 if rows is None else len(rows), 0)
+
+    @given(
+        st.sampled_from(["tri", "cycle", "complete"]),
+        st.integers(3, 33),
+        st.floats(-math.pi, math.pi),
+        st.integers(1, 3),
+        st.sampled_from([None, 1, 2]),
+        st.sampled_from(["uniform", "negated", "random", "perturbed"]),
+        st.one_of(st.sampled_from([0, 1, 2, 3]),
+                  st.builds(lambda k, off: k * k + off, st.integers(2, 100), st.sampled_from([-1, 1]))),
+        st.integers(0, 2**32 - 1),
+    )
+    # Five column groups, one of them taking a phase per element.
+    @example("tri", 33, 1.5, 2, 2, "perturbed", 20001, 0)
+    @example("complete", 33, -0.4, 3, None, "negated", 4097, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_member_calls(self, kind, n, theta, m, readout, grid, size, seed):
+        # Each member of a stacked call is the same bits as a call with it
+        # alone, and the fine block and anchors are computed once for all.
+        d = GraphSpec(kind, n, theta).decompose()
+        rng = np.random.default_rng(seed)
+        stack = np.array([oracles.random_single_excitation_state(rng, n) for _ in range(m)])
+        rows = None if readout is None else list(rng.choice(n, readout, replace=False))
+        times = rng.uniform(-100.0, 100.0) + rng.uniform(1e-3, 0.1) * np.arange(float(size))
+        if grid == "negated":
+            times = -times
+        elif grid == "random":
+            times = np.sort(rng.uniform(-100.0, 100.0, size))
+        elif grid == "perturbed" and size:
+            times[rng.integers(size)] += 1e-9
+        with phase_widths() as widths:
+            out = dynamics.site_amplitudes(d, stack, times, rows)
+        assert out.shape == (m, n if rows is None else readout, size)
+        for member, psi in zip(out, stack):
+            with phase_widths() as lone:
+                alone = dynamics.site_amplitudes(d, psi, times, rows)
+            assert np.array_equal(member, alone)
+            assert lone == widths
+
+    @pytest.mark.parametrize("stack, message", [
+        (np.full((2, 6), 1 / math.sqrt(6)), "mismatch"),
+        (np.array([states.localized(5, 1), 2 * states.localized(5, 2)]), "normalized"),
+        (np.full((1, 2, 5), 1 / math.sqrt(5)), "1-d amplitude vector"),
+    ], ids=["wrong-n", "not-normalized", "3-d"])
+    def test_rejects_bad_stacks(self, chiral5, stack, message):
+        with pytest.raises(ValueError, match=message):
+            dynamics.site_amplitudes(chiral5, stack, [0.0, 1.0])
 
     @pytest.mark.parametrize("rows", [[5], [-1], [[0, 1]]])
     def test_rejects_bad_rows(self, chiral5, rows):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -727,3 +728,54 @@ class TestEnsembleOracle:
                             lambda d, psi, times, rows=None: real(d, psi, times, rows) * (1 + 1e-6))
         with pytest.raises(ArithmeticError, match="density-matrix value"):
             trace(GraphSpec("tri", 5, PI / 2), StateSpec("werner", b=0.5), TimeGrid(0, 1, 0.5))
+
+
+class TestOneEvaluationPerOutput:
+    """Every output reads its amplitudes, for all ensemble members, from one
+    site_amplitudes call (the Bures trace from one per sign of t)."""
+
+    @pytest.mark.parametrize("state", [BELL, StateSpec("werner", b=0.4)], ids=["pure", "werner"])
+    def test_one_call_per_output(self, state, monkeypatch):
+        sizes = _amplitude_samples(monkeypatch)
+        graph, grid = GraphSpec("tri", 5, PI / 2), TimeGrid(0.0, 2.0, 0.1)
+        m, size = (2 if state.kind == "werner" else 1), len(grid)
+        outputs = {
+            "concurrence": (lambda: concurrence_trace(graph, state, grid), [m * 2 * size]),
+            "occupation": (lambda: occupation_trace(graph, state, grid, 5), [m * size]),
+            "transfer-fidelity": (lambda: transfer_fidelity_trace(graph, state, grid),
+                                  [m * 2 * size]),
+            "pts-bures": (lambda: bures_trace(graph, state, grid), [m * 5 * size] * 2),
+            "snapshots": (lambda: concurrence_matrix_snapshots(graph, state, [0.5, 1.0, 2.0]),
+                          [m * 5 * 3]),
+        }
+        if state.kind == "werner":
+            outputs["werner-fidelity"] = (lambda: werner_trace(graph, state, grid), [m * 2 * size])
+        for name, (output, expected) in outputs.items():
+            sizes.clear()
+            output()
+            assert sizes == expected, name
+
+    @pytest.mark.parametrize("trace, rows", [(bures_trace, 33), (werner_trace, 2)],
+                             ids=["bures", "werner"])
+    def test_peak_memory_no_higher_than_member_calls(self, trace, rows, monkeypatch):
+        # The ensemble's stacked call against one site_amplitudes call per
+        # member.  Only the readouts W and their derivative rows, 3 m r n
+        # complex values, are held for all m members at once.
+        graph, state = GraphSpec("tri", 33, 0.45 * PI), StateSpec("werner", b=0.4)
+        grid = TimeGrid(0.0, 200.0, 0.01)
+
+        def traced():
+            trace(graph, state, TimeGrid(0.0, 1.0, 0.1))
+            tracemalloc.start()
+            try:
+                return trace(graph, state, grid), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stacked, stacked_peak = traced()
+        real = experiments.site_amplitudes
+        monkeypatch.setattr(experiments, "site_amplitudes", lambda d, stack, times, rows=None:
+                            [real(d, psi, times, rows) for psi in stack])
+        members, members_peak = traced()
+        assert np.array_equal(stacked.values, members.values)
+        assert stacked_peak <= members_peak + 3 * 2 * rows * 33 * 16
