@@ -1,5 +1,7 @@
 """Entanglement transfer via chiral and continuous-time quantum walks."""
 
+__version__ = "0.1.0"
+
 from .graphs import (
     WeightedGraph,
     complete_graph,

@@ -3,8 +3,10 @@
 Every run writes the requested CSV output plus a JSON manifest that captures
 the resolved parameters; ``chiralwalk rerun MANIFEST`` replays a manifest and
 reproduces the CSV byte for byte.  Flags and manifests pass the same load step
-(``load``) before anything runs.  Exit codes: 0 success, 1 numerical or
-runtime failure or an unwritable output, 2 usage error.
+(``load``), which parses them into specs; the library functions the runner
+calls check those values before they compute.  Exit codes: 0 success, 1
+numerical or runtime failure or an unwritable output, 2 usage error, whether
+the load step or a library function rejects the value.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, graphs, io, measures, svgplot
+from . import experiments, graphs, io, svgplot
 from .experiments import GraphSpec, StateSpec, TimeGrid, as_number, parse_phase
 
 
@@ -100,63 +102,54 @@ def check_name(name) -> str:
 
 
 # ---------------------------------------------------------------------------
-# measures: the check of a measure's argument, and its trace function
+# measures: the parse of a measure's argument, and its trace function
 
 
 def _is_int(text: str) -> bool:
     return text.strip().lstrip("-").isdigit()
 
 
-def _no_arg(arg: str, n: int, state: StateSpec) -> tuple:
+def _no_arg(arg: str) -> tuple:
     if arg:
         raise ValueError(f"measure takes no argument, got {arg!r}")
     return ()
 
 
-def _concurrence_arg(arg: str, n: int, state: StateSpec) -> tuple:
+def _concurrence_arg(arg: str) -> tuple:
     if not arg:
         return (None,)
     pair = arg.split(",")
     if len(pair) != 2 or not all(_is_int(p) for p in pair):
         raise ValueError(f"concurrence pair must be I,J, got {arg!r}")
-    i, j = int(pair[0]), int(pair[1])
-    measures._site_pair_indices(n, i, j)
-    return ((i, j),)
+    return ((int(pair[0]), int(pair[1])),)
 
 
-def _occupation_arg(arg: str, n: int, state: StateSpec) -> tuple:
+def _occupation_arg(arg: str) -> tuple:
     if not _is_int(arg):
         raise ValueError(f"occupation needs a site index, got {arg!r}")
-    if not 1 <= int(arg) <= n:
-        raise IndexError(f"occupation site {int(arg)} out of range 1..{n}")
     return (int(arg),)
 
 
-def _werner_arg(arg: str, n: int, state: StateSpec) -> tuple:
-    if state.kind != "werner":
-        raise ValueError(f"werner-fidelity needs a werner state, got {state.kind!r}")
-    return _no_arg(arg, n, state)
-
-
-def _transfer_arg(arg: str, n: int, state: StateSpec) -> tuple:
+def _transfer_arg(arg: str) -> tuple:
     return (parse_phase(arg) if arg else None,)
 
 
-# Measure kind -> (check, trace).  A check takes the argument after the colon,
-# the graph's n and the initial state, and returns the trace's arguments after
-# (graph, state, grid).  Traces are named rather than bound, so the function
-# called is the one experiments holds when a run is loaded.
+# Measure kind -> (parse, trace).  A parse takes the argument after the colon
+# and returns the trace's arguments after (graph, state, grid); the trace
+# checks their values against the graph and state.  Traces are named rather
+# than bound, so the function called is the one experiments holds when a run
+# is loaded.
 MEASURES = {
     "concurrence": (_concurrence_arg, "concurrence_trace"),
     "occupation": (_occupation_arg, "occupation_trace"),
     "pts-bures": (_no_arg, "bures_trace"),
-    "werner-fidelity": (_werner_arg, "werner_trace"),
+    "werner-fidelity": (_no_arg, "werner_trace"),
     "transfer-fidelity": (_transfer_arg, "transfer_fidelity_trace"),
 }
 
 
 # ---------------------------------------------------------------------------
-# the load step: one function per subcommand checks its manifest parameters and
+# the load step: one function per subcommand parses its manifest parameters and
 # returns its runner, run(out_dir, name) -> output file names
 
 
@@ -174,26 +167,8 @@ def _svg(params: dict) -> bool:
     return svg
 
 
-def _peak_grid(grid: TimeGrid) -> TimeGrid:
-    # A peak search needs a sample on each side of a maximum.
-    if len(grid) < 3:
-        raise ValueError(f"a peak search needs at least 3 grid points, got {len(grid)}")
-    return grid
-
-
-def _graph_and_state(params: dict) -> tuple[GraphSpec, StateSpec]:
-    graph = GraphSpec.from_dict(params["graph"])
-    state = StateSpec.from_dict(params["state"])
-    graph.build()
-    state.ensemble(graph.n)
-    return graph, state
-
-
 def _n_values(params: dict) -> list[int]:
-    n_values = [as_number(n, "n_values", int) for n in _list(params, "n_values")]
-    if not n_values:
-        raise ValueError("need at least one chain size")
-    return n_values
+    return [as_number(n, "n_values", int) for n in _list(params, "n_values")]
 
 
 def _graph_comment(g: GraphSpec) -> str:
@@ -227,14 +202,14 @@ def _write(out_dir: Path, name: str, tables, plot=None) -> list[str]:
 
 
 def _trace(params: dict):
-    graph, state = _graph_and_state(params)
+    graph, state = GraphSpec.from_dict(params["graph"]), StateSpec.from_dict(params["state"])
     measure = str(params["measure"])
     kind, _, arg = measure.partition(":")
     if kind not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    check, trace = MEASURES[kind]
+    parse, trace = MEASURES[kind]
     grid = TimeGrid.from_dict(params["grid"])
-    trace, trace_args, svg = getattr(experiments, trace), check(arg, graph.n, state), _svg(params)
+    trace, trace_args, svg = getattr(experiments, trace), parse(arg), _svg(params)
 
     def run(out_dir: Path, name: str) -> list[str]:
         series = trace(graph, state, grid, *trace_args)
@@ -256,14 +231,8 @@ def _table(params: dict):
     if mode not in ("cqw", "ctqw"):
         raise ValueError(f"table mode must be 'cqw' or 'ctqw', got {mode!r}")
     n_values = _n_values(params)
-    for n in n_values:
-        GraphSpec("tri", n).build()
-    grid = _peak_grid(
-        TimeGrid(0.0, as_number(params["horizon"], "horizon"), as_number(params["dt"], "dt"))
-    )
+    horizon, dt = as_number(params["horizon"], "horizon"), as_number(params["dt"], "dt")
     candidates = [parse_phase(t) for t in _list(params, "theta_candidates")]
-    if not candidates:
-        raise ValueError("need at least one theta candidate")
     # The plain walk runs at theta = 0 alone; other candidates would be recorded unused.
     if mode == "ctqw" and candidates != [0.0]:
         raise ValueError(f"ctqw mode takes theta candidates [0.0] only, got {candidates}")
@@ -271,17 +240,18 @@ def _table(params: dict):
 
     def run(out_dir: Path, name: str) -> list[str]:
         rows = []
-        for rec in experiments.sweep_table(n_values, phi, grid.t_end, grid.dt, candidates):
-            extra = list(rec.top_peaks[1:3]) + [None, None]
+        for rec in experiments.sweep_table(n_values, phi, horizon, dt, candidates):
+            # The row's maximum may be the last grid point, which is no interior peak.
+            extra = [p for p in rec.top_peaks if (p.t_peak, p.value) != (rec.t, rec.concurrence)]
             row = [rec.n, rec.t, rec.concurrence, rec.theta]
-            for peak in extra[:2]:
+            for peak in (extra + [None, None])[:2]:
                 row += [peak.t_peak, peak.value] if peak else ["", ""]
             row.append("even-n" if rec.n % 2 == 0 else "")
             rows.append(row)
         comments = [
             f"chiralwalk table mode={mode}",
-            f"phi={io.format_number(phi)} horizon={io.format_number(grid.t_end)} "
-            f"dt={io.format_number(grid.dt)}",
+            f"phi={io.format_number(phi)} horizon={io.format_number(horizon)} "
+            f"dt={io.format_number(dt)}",
             "theta candidates: " + ",".join(io.format_number(t) for t in candidates),
             "t2,c2,t3,c3 are the runner-up local maxima (near-tie audit)",
         ]
@@ -295,10 +265,7 @@ def _scaling(params: dict):
     theta = parse_phase(params["theta"])
     state = StateSpec.from_dict(params["state"])
     n_values = _n_values(params)
-    for n in n_values:
-        GraphSpec("tri", n, theta).build()
-        state.ensemble(n)
-    grid, svg = _peak_grid(TimeGrid.from_dict(params["grid"])), _svg(params)
+    grid, svg = TimeGrid.from_dict(params["grid"]), _svg(params)
 
     def run(out_dir: Path, name: str) -> list[str]:
         result = experiments.scaling_sweep(n_values, theta, state, grid)
@@ -323,12 +290,8 @@ def _scaling(params: dict):
 
 
 def _snapshots(params: dict):
-    graph, state = _graph_and_state(params)
+    graph, state = GraphSpec.from_dict(params["graph"]), StateSpec.from_dict(params["state"])
     times = [as_number(t, "times") for t in _list(params, "times")]
-    if not times:
-        raise ValueError("need at least one snapshot time")
-    if not all(map(math.isfinite, times)):
-        raise ValueError(f"snapshot times must be finite, got {times}")
     svg = _svg(params)
 
     def run(out_dir: Path, name: str) -> list[str]:
@@ -351,7 +314,6 @@ def _snapshots(params: dict):
 
 def _graph_export(params: dict):
     graph = GraphSpec.from_dict(params["graph"])
-    graph.build()
 
     def run(out_dir: Path, name: str) -> list[str]:
         g = graph.build()
@@ -379,12 +341,14 @@ COMMANDS = {
 
 
 def load(command, params: dict):
-    """Check a subcommand's parameters, in their manifest form.
+    """Parse a subcommand's parameters, in their manifest form, into specs.
 
-    Returns the runner bound to the checked values, ``run(out_dir, name) ->
-    output file names``, and the checked output name.  A bad parameter raises
-    ValueError, IndexError, KeyError or TypeError (a usage error); a runner
-    never sees a value this did not accept.
+    Returns the runner bound to the parsed values, ``run(out_dir, name) ->
+    output file names``, and the checked output name.  A parameter that does
+    not parse raises ValueError, IndexError, KeyError or TypeError (a usage
+    error).  The library functions the runner calls check each value before
+    they compute, and raise ValueError or IndexError for a bad one, which
+    ``main`` reports as the same usage error.
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown subcommand {command!r}")
@@ -569,10 +533,12 @@ def main(argv=None) -> int:
             "outputs": outputs,
             "wall_time_s": round(time.perf_counter() - started, 6),
         })
-    except (OSError, ValueError, IndexError, ArithmeticError, MemoryError,
-            np.linalg.LinAlgError) as exc:
+    # LinAlgError is a ValueError, but a numerical failure: it must match first.
+    except (OSError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"chiralwalk: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    except (ValueError, IndexError) as exc:
+        parser.error(f"{context}{exc}")
     for fname in outputs:
         print(out_dir / fname)
     return 0

@@ -310,7 +310,7 @@ def _cross_check(values, state_spec: StateSpec, n: int, label: str, reference, t
     computed from the initial density matrix by the density-matrix
     definition, within ``tol``; otherwise ArithmeticError.
     """
-    if state_spec.kind != "werner" or not len(values):
+    if state_spec.kind != "werner":
         return
     delta = float(np.max(np.abs(values[-1] - reference(state_spec.build_density(n)))))
     if not delta <= tol:
@@ -334,9 +334,9 @@ def _evaluate(graph_spec: GraphSpec, state_spec: StateSpec, times: np.ndarray,
     spacings of the largest phase, whose rounding every amplitude carries.
     """
     n = graph_spec.n
+    weights, stack = zip(*state_spec.ensemble(n))
     d = graph_spec.decompose()
     spacing = _check_phases(d, times, label)
-    weights, stack = zip(*state_spec.ensemble(n))
     values = measure(lambda at, rows=None: (weights, site_amplitudes(d, stack, at, rows)))
     _check_finite(values, label)
     _cross_check(values, state_spec, n, label, lambda rho0: reference(d, rho0),
@@ -448,6 +448,10 @@ def concurrence_matrix_snapshots(
     """Full pairwise-concurrence matrix at each requested time, from one
     site_amplitudes call over all the times and ensemble members."""
     times = np.asarray(times, dtype=float)
+    if not times.size:
+        raise ValueError("need at least one snapshot time")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"snapshot times must be finite, got {times.tolist()}")
 
     def matrices(amplitudes):
         members = amplitudes(times)  # rho(t_k) = sum_m w_m a_m(t_k) a_m(t_k)^dag
@@ -514,6 +518,25 @@ def top_peaks(series: TraceSeries, count: int = 3) -> tuple[PeakResult, ...]:
 # long-time sweeps
 
 
+def _peak_grid(grid: TimeGrid) -> TimeGrid:
+    """``grid``, if it holds a sample on each side of a maximum, as a peak search needs."""
+    if len(grid) < 3:
+        raise ValueError(f"a peak search needs at least 3 grid points, got {len(grid)}")
+    return grid
+
+
+def _chain_sizes(n_values, state_spec: StateSpec) -> list[int]:
+    """The sizes of a sweep over triangular chains, each checked, with the state
+    on it, before any size runs."""
+    sizes = list(map(int, n_values))
+    if not sizes:
+        raise ValueError("need at least one chain size")
+    for n in sizes:
+        GraphSpec("tri", n).build()
+        state_spec.ensemble(n)
+    return sizes
+
+
 def _curvature_bound(d: SpectralDecomposition, psi, rows) -> float:
     """M >= |f''| at every t, for f = C^2 = 4|z|^2 and z = p q* the product of the
     amplitudes p, q of the two site rows ``rows`` (0-based) of the pure state ``psi``.
@@ -550,10 +573,10 @@ def _max_candidates(graph_spec: GraphSpec, state_spec: StateSpec,
     """
     n = graph_spec.n
     label = f"concurrence:{n - 1},{n}"
+    ((_, psi),) = state_spec.ensemble(n)
     d = graph_spec.decompose()
     times = grid.times()
     slack = 4 * max(CROSS_CHECK_TOL, 4 * _check_phases(d, times, label))
-    ((_, psi),) = state_spec.ensemble(n)
     rows = [n - 2, n - 1]
 
     def concurrence(at):
@@ -597,10 +620,12 @@ def optimize_theta(
     traced in full, and compared on their full traces, so the winner and its
     record are those of a full scan of every candidate.
     """
+    grid = _peak_grid(TimeGrid(0.0, horizon, dt))
     candidates = tuple(map(float, theta_candidates))
     if not candidates:
         raise ValueError("need at least one theta candidate")
-    grid = TimeGrid(0.0, horizon, dt)
+    for theta in candidates:  # every phase is checked before any candidate runs
+        graphs.reduce_phase(theta)
     state = StateSpec("pair", i=1, j=2, phi=phi)
     if len(candidates) > 1:
         peaks, slack = [], 0.0
@@ -637,8 +662,9 @@ def sweep_table(
 ) -> list[SweepRecord]:
     """One SweepRecord per chain size, in the order given; theta_candidates
     (0.0,) gives the plain walk."""
+    sizes = _chain_sizes(n_values, StateSpec("pair", i=1, j=2, phi=phi))
     candidates = tuple(theta_candidates)
-    return [optimize_theta(int(n), phi, candidates, horizon, dt) for n in n_values]
+    return [optimize_theta(n, phi, candidates, horizon, dt) for n in sizes]
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +678,9 @@ def scaling_sweep(
     grid: TimeGrid = SCALING_GRID,
 ) -> ScalingResult:
     """First transfer peak per chain size plus a linear fit of time vs size."""
+    sizes, grid = _chain_sizes(n_values, state_spec), _peak_grid(grid)
     entries = []
-    for n in map(int, n_values):
+    for n in sizes:
         peak = first_peak(concurrence_trace(GraphSpec("tri", n, theta), state_spec, grid))
         if not peak.found:
             raise ArithmeticError(f"no transfer peak found for n = {n} within the grid")

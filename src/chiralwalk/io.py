@@ -8,6 +8,8 @@ import tempfile
 from itertools import chain, islice
 from pathlib import Path
 
+from . import __version__
+
 CSV_PRECISION = 12
 CSV_BLOCK_ROWS = 1024  # rows formatted and written per chunk
 
@@ -88,10 +90,5 @@ def write_json(path: Path, obj) -> None:
 
 
 def version_string() -> str:
-    """Package version from the installed metadata, or 0.1.0 when there is none."""
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("chiralwalk")
-    except PackageNotFoundError:
-        return "0.1.0"
+    """The package version, which pyproject.toml also reads from ``__version__``."""
+    return __version__

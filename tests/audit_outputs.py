@@ -93,6 +93,8 @@ COMMANDS = {
     "table-ctqw": ["table", "--mode", "ctqw", "--n", "4,5", "--horizon", "30"],
     "table-ctqw-dt": ["table", "--mode", "ctqw", "--n", "5", "--horizon", "50", "--dt",
                       "0.05", "--name", "flat"],
+    # The row's maximum is the last grid point, not one of the interior peaks.
+    "table-cqw-end-maximum": ["table", "--mode", "cqw", "--n", "5", "--horizon", "8.64"],
     # The paper's long-time tables at full size: the chiral one with the
     # benchmark's shape, and the plain walk.
     "table-cqw-long": ["table", "--mode", "cqw", "--n", "5:33:2", "--horizon", "500",
@@ -154,6 +156,12 @@ COMMANDS = {
     "reject-pair-site": ["trace", *TRI5, "--state", "pair:1,9", *CONCURRENCE,
                          "--t", "0:1:0.5"],
     "reject-graph-kind": ["graph-export", "--graph", "blob:3"],
+    "reject-occupation-site": ["trace", *TRI5, "--state", "localized:1", "--measure",
+                               "occupation:7", "--t", "0:1:0.5"],
+    "reject-werner-fidelity-pair": ["trace", *TRI5, *PAIR, "--measure", "werner-fidelity",
+                                    "--t", "0:1:0.5"],
+    "reject-table-2-points": ["table", "--mode", "cqw", "--n", "5", "--horizon", "0.02"],
+    "reject-snapshots-nan": ["snapshots", "--times", "nan"],
 }
 
 

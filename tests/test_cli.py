@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import chiralwalk
 from chiralwalk import cli, experiments, graphs, measures, states
 from chiralwalk.dynamics import evolve_density
 from chiralwalk.experiments import GraphSpec, StateSpec, TimeGrid, concurrence_trace
@@ -397,6 +398,19 @@ class TestTableCommand:
             -math.pi / 2, math.pi / 2
         ]
 
+    @pytest.mark.parametrize("horizon,runner_ups", [(8.64, slice(0, 2)), (20.0, slice(1, 3))])
+    def test_runner_ups_are_the_best_peaks_but_the_rows_own(self, tmp_path, horizon,
+                                                            runner_ups):
+        # At horizon 8.64 the row's maximum is the last grid point, which is no
+        # interior peak; at 20 it is the highest interior peak.
+        assert cli.main(["table", "--mode", "cqw", "--n", "5", "--horizon", str(horizon),
+                         "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "table-cqw.csv").read_text().splitlines()[-1].split(",")
+        rec = experiments.optimize_theta(5, math.pi, horizon=horizon)
+        assert (rec.t == horizon) == (runner_ups.start == 0)
+        assert row[4:8] == [format_number(x) for p in rec.top_peaks[runner_ups]
+                            for x in (p.t_peak, p.value)]
+
     def test_table_rerun_reproduces_csv_bytes(self, tmp_path):
         cli.main(["table", "--mode", "ctqw", "--n", "5", "--horizon", "20",
                   "--out", str(tmp_path)])
@@ -751,6 +765,63 @@ def test_out_of_memory_exits_1(tmp_path, monkeypatch, command, error):
     assert "Traceback" not in stderr
     assert stderr == f"chiralwalk: error: {str(error) or 'MemoryError'}\n"
     assert files_under(tmp_path) == set()
+
+
+@pytest.mark.parametrize("error,code", [
+    (np.linalg.LinAlgError("Eigenvalues did not converge"), 1),
+    (ValueError("site index 9 out of range 1..5"), 2),
+    (IndexError("site index 9 out of range 1..5"), 2),
+])
+def test_runner_error_exit_codes(tmp_path, monkeypatch, base_manifests, error, code):
+    # A ValueError or IndexError from a runner is a value a library function
+    # rejected: a usage error, as from the load step.  LinAlgError is a
+    # ValueError too, but a numerical failure.
+    def fail(params):
+        def run(out_dir, name):
+            raise error
+
+        return run
+
+    monkeypatch.setitem(cli.COMMANDS, "trace", fail)
+    manifest = tmp_path / "trace.json"
+    manifest.write_text(json.dumps(base_manifests["trace"]))
+    for argv, context in ((BASE_RUNS["trace"], ""),
+                          (["rerun", str(manifest)], f"cannot load manifest {str(manifest)!r}: ")):
+        got, stderr = run_cli(argv + ["--out", str(tmp_path / "out")])
+        assert got == code
+        *usage, message = stderr.splitlines()
+        assert message == f"chiralwalk: error: {context if code == 2 else ''}{error}"
+        assert bool(usage) == (code == 2)
+        assert all(line.startswith(("usage: ", " ")) for line in usage)
+    assert files_under(tmp_path) == {manifest}
+
+
+def test_bad_state_is_rejected_before_the_eigensolve(tmp_path, monkeypatch):
+    def refuse(H):
+        raise AssertionError("decomposed before the state was checked")
+
+    monkeypatch.setattr(experiments, "spectral_decompose", refuse)
+    code, stderr = run_cli(["trace", "--graph", "tri:512", "--state", "pair:1,600",
+                            "--measure", "concurrence", "--t", "0:1:0.5",
+                            "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert stderr.splitlines()[-1] == "chiralwalk: error: sites (1, 600) out of range 1..512"
+    assert files_under(tmp_path) == set()
+
+
+def test_version_is_the_package_constant(tmp_path):
+    # The version is written once, as chiralwalk.__version__, which
+    # pyproject.toml reads too; a run does not import the package metadata.
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = BASE_RUNS["trace"] + ["--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; from chiralwalk import cli; cli.main({argv!r}); "
+                               "print('importlib.metadata' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
+    manifest = json.loads((tmp_path / "trace.manifest.json").read_text())
+    assert manifest["version"] == chiralwalk.__version__ == version_string()
 
 
 def _top_level_modules(statement: str) -> set:

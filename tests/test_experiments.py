@@ -518,6 +518,56 @@ class TestScaling:
         assert result.slope > 0
 
 
+class TestInputsRejectedBeforeCompute:
+    """Each library entry point rejects a bad value before any eigendecomposition."""
+
+    @pytest.fixture(autouse=True)
+    def no_decompose(self, monkeypatch):
+        def refuse(H):
+            raise AssertionError("decomposed before the inputs were checked")
+
+        monkeypatch.setattr(experiments, "spectral_decompose", refuse)
+
+    @pytest.mark.parametrize("horizon,dt", [(0.01, 0.02), (0.02, 0.02), (0.9, 0.5)])
+    def test_optimize_theta_needs_3_grid_points(self, horizon, dt):
+        with pytest.raises(ValueError, match="at least 3 grid points"):
+            optimize_theta(5, PI, horizon=horizon, dt=dt)
+
+    @pytest.mark.parametrize("candidates", [(0.5, math.nan), (0.5, -math.inf)])
+    def test_optimize_theta_checks_every_candidate_first(self, candidates):
+        with pytest.raises(ValueError):
+            optimize_theta(5, PI, candidates, horizon=10.0)
+
+    @pytest.mark.parametrize("n_values", [[], [5, 2], [5, 300000]])
+    def test_sweep_table_checks_every_size_first(self, n_values):
+        with pytest.raises(ValueError):
+            sweep_table(n_values, PI, 10.0, 0.02)
+
+    @pytest.mark.parametrize("n_values,state,error", [
+        ([], BELL, ValueError),
+        ([7, 2], BELL, ValueError),
+        ([7, 5], StateSpec("pair", i=1, j=6), IndexError),
+        ([5, 7], StateSpec("werner", b=2.0), ValueError),
+    ])
+    def test_scaling_sweep_checks_every_size_and_state_first(self, n_values, state, error):
+        with pytest.raises(error):
+            scaling_sweep(n_values, PI / 2, state, TimeGrid(0, 5, 0.01))
+
+    def test_scaling_sweep_needs_3_grid_points(self):
+        with pytest.raises(ValueError, match="at least 3 grid points"):
+            scaling_sweep([5], PI / 2, grid=TimeGrid(0, 0.05, 0.05))
+
+    @pytest.mark.parametrize("times", [[], [math.nan], [0.5, math.inf]])
+    def test_snapshots_need_finite_times(self, times):
+        with pytest.raises(ValueError, match="snapshot time"):
+            concurrence_matrix_snapshots(GraphSpec("tri", 5, PI / 2), BELL, times)
+
+    def test_trace_checks_the_state_first(self):
+        with pytest.raises(IndexError):
+            concurrence_trace(GraphSpec("tri", 5), StateSpec("pair", i=1, j=9),
+                              TimeGrid(0, 1, 0.5))
+
+
 class TestWernerTrace:
     def test_t0_matches_direct_fidelity(self):
         for b in (-0.25, 0.0, 0.5, 1.0):
