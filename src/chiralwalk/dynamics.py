@@ -21,11 +21,12 @@ FINE_BLOCK = 256  # fine-block columns of a short grid read on many rows
 
 
 def check_hermitian(H) -> np.ndarray:
-    """Validate and return H as a complex Hermitian ndarray."""
+    """Validate and return H, a matrix or a stack (..., n, n) of them, as a complex
+    Hermitian ndarray; the deviation reported is the largest over the stack."""
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    dev = np.abs(H - H.conj().T).max()
+    dev = np.abs(H - H.conj().swapaxes(-1, -2)).max()
     if not dev <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return H
@@ -47,6 +48,8 @@ def check_pure_state(psi, n: int | None = None) -> np.ndarray:
 def check_density_matrix(rho, n: int | None = None) -> np.ndarray:
     """Validate a unit-trace positive-semidefinite density matrix."""
     rho = check_hermitian(rho)
+    if rho.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     if n is not None and rho.shape[0] != n:
         raise ValueError(f"dimension mismatch: state has {rho.shape[0]} sites, expected {n}")
     tr = float(np.real(np.trace(rho)))
@@ -61,39 +64,54 @@ def check_density_matrix(rho, n: int | None = None) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and unitary eigenvector columns of a Hamiltonian,
-    with the largest entries of H V - V L and V^dag V - I they were checked by."""
+    with the largest entries of H V - V L and V^dag V - I they were checked by.
+
+    A stack of Hamiltonians (..., n, n) gives stacked fields: eigenvalues
+    (..., n), eigenvectors (..., n, n), and a residual and orthonormality per
+    member; ``member(k)`` is the decomposition of one of them.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual: float
-    orthonormality: float
+    residual: float | np.ndarray
+    orthonormality: float | np.ndarray
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
+
+    def member(self, k) -> SpectralDecomposition:
+        return SpectralDecomposition(self.eigenvalues[k], self.eigenvectors[k],
+                                     float(self.residual[k]), float(self.orthonormality[k]))
 
 
 def spectral_decompose(H) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix.
+    """Eigendecompose a Hermitian matrix, or each member of a stack (..., n, n).
 
     The output is deterministic for identical input; eigenvalues ascend and
     eigenvector columns are orthonormal even inside degenerate blocks.  Each
     column's phase is whatever eigh returns: no output depends on it, since
     every value is built from V ... V^dag, where a column's phase cancels.
+    eigh decomposes a stack member by member, so each member gets the bits of
+    a lone call.  Every member is checked as a lone call checks it, and the
+    first that fails is reported.
     """
     H = check_hermitian(H)
     eigenvalues, V = np.linalg.eigh(H)
     if not np.all(np.isfinite(eigenvalues)):
         raise ArithmeticError("eigendecomposition failed: the spectrum is not finite")
-    scale = max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
-    resid = float(np.abs(H @ V - V * eigenvalues).max())
-    ortho = float(np.abs(V.conj().T @ V - np.eye(H.shape[0])).max())
-    if not (resid <= RESIDUAL_TOL * scale and ortho <= RESIDUAL_TOL):
-        raise ArithmeticError(
-            f"eigendecomposition failed: residual {resid:.3e}, orthonormality {ortho:.3e}"
-        )
+    scale = np.maximum(1.0, np.abs(eigenvalues).max(axis=-1, initial=0.0))
+    resid = np.abs(H @ V - V * eigenvalues[..., None, :]).max(axis=(-2, -1))
+    ortho = np.abs(V.conj().swapaxes(-1, -2) @ V - np.eye(H.shape[-1])).max(axis=(-2, -1))
+    failed = ~((resid <= RESIDUAL_TOL * scale) & (ortho <= RESIDUAL_TOL))
+    if np.any(failed):
+        k = np.argmax(failed)
+        raise ArithmeticError(f"eigendecomposition failed: residual {resid.flat[k]:.3e}, "
+                              f"orthonormality {ortho.flat[k]:.3e}")
     eigenvalues.setflags(write=False)
     V.setflags(write=False)
+    if H.ndim == 2:
+        resid, ortho = float(resid), float(ortho)
     return SpectralDecomposition(eigenvalues, V, resid, ortho)
 
 
@@ -115,9 +133,12 @@ def evolve_density(d: SpectralDecomposition, rho0, t: float) -> np.ndarray:
 
 
 def _phases(eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """e^{-i lam t} for every eigenvalue (rows) and time (columns), as cos - i sin:
-    the same bits as np.exp(-1j * lam t)."""
-    angles = np.multiply.outer(eigenvalues, times)
+    """e^{-i lam t} for every eigenvalue (rows) and time (columns)."""
+    return _exp_minus_i(np.multiply.outer(eigenvalues, times))
+
+
+def _exp_minus_i(angles: np.ndarray) -> np.ndarray:
+    """e^{-i angles} as cos - i sin: the same bits as np.exp(-1j * angles)."""
     phases = np.empty(angles.shape, dtype=complex)
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
@@ -147,9 +168,11 @@ def _grid_block(size: int, rows: int) -> int:
 
 
 def _readout(d: SpectralDecomposition, psi, rows=None) -> np.ndarray:
-    """W = V[rows] diag(V^dag psi), so psi(t)[rows] = W e^{-i lam t}; rows default to all n."""
-    V = d.eigenvectors if rows is None else d.eigenvectors[rows]
-    return V * (d.eigenvectors.conj().T @ psi)
+    """W = V[rows] diag(V^dag psi), so psi(t)[rows] = W e^{-i lam t}; rows default to
+    all n.  A stacked decomposition gives one W per member, (..., r, n)."""
+    V = d.eigenvectors
+    coefficients = V.conj().swapaxes(-1, -2) @ psi
+    return (V if rows is None else V[..., rows, :]) * coefficients[..., None, :]
 
 
 def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:

@@ -34,9 +34,14 @@ LONG_TIME_DT = 0.02
 THETA_CANDIDATES = (-np.pi / 2, np.pi / 2)
 # The most the curvature bound M (s dt)^2 / 8 of a long-time search may add to
 # f = C^2, whose range is [0, 1], between two of its coarse samples s grid
-# steps apart (see _max_candidates).  M lies between about 19 and 65 on
+# steps apart (see _candidate_series).  M lies between about 19 and 65 on
 # tri:5..33, so at dt = 0.02 the search reads every 5th to 10th grid point.
 COARSE_SLACK = 0.1
+# Theta candidates a long-time search decomposes and reads as one stack.  It
+# bounds what the search holds at once, whatever the number of candidates:
+# the stacked eigenvectors, the coarse values and the live (candidate, point)
+# pairs, 16 bytes each.
+CANDIDATE_SLICE = 16
 CROSS_CHECK_TOL = 1e-10
 # A phase lambda t is held to half the float spacing of |lambda t|, and each
 # amplitude, and so each value made from them, can be off by about as much.
@@ -537,70 +542,138 @@ def _chain_sizes(n_values, state_spec: StateSpec) -> list[int]:
     return sizes
 
 
-def _curvature_bound(d: SpectralDecomposition, psi, rows) -> float:
+def _curvature_bound(d: SpectralDecomposition, psi, rows) -> np.ndarray:
     """M >= |f''| at every t, for f = C^2 = 4|z|^2 and z = p q* the product of the
-    amplitudes p, q of the two site rows ``rows`` (0-based) of the pure state ``psi``.
+    amplitudes p, q of the two site rows ``rows`` (0-based) of the pure state ``psi``;
+    one M per member of a stacked decomposition.
 
     z is a sum of w_pk w*_ql e^{-i (lam_k - lam_l) t}, with w = V[rows] diag(V^dag psi),
     so |z^(j)| <= Z_j = sum_kl |w_pk| |w_ql| |lam_k - lam_l|^j; and
-    f'' = 4 (z'' z* + 2 |z'|^2 + z z''*) gives M = 8 (Z_0 Z_2 + Z_1^2).
+    f'' = 4 (z'' z* + 2 |z'|^2 + z z''*) gives M = 8 (Z_0 Z_2 + Z_1^2).  Since
+    Z_1^2 <= M / 8, C = 2|z| also has |C'| <= 2 Z_1 <= sqrt(M / 2).
     """
     w = np.abs(dynamics._readout(d, psi, rows))
-    gaps = np.abs(np.subtract.outer(d.eigenvalues, d.eigenvalues))
-    z0, z1, z2 = (float(w[0] @ gaps ** j @ w[1]) for j in range(3))
+    lam = d.eigenvalues
+    gaps = np.abs(lam[..., :, None] - lam[..., None, :])
+    z0, z1, z2 = ((w[..., 0, None, :] @ gaps ** j @ w[..., 1, :, None])[..., 0, 0]
+                  for j in range(3))
     return 8.0 * (z0 * z2 + z1 * z1)
 
 
-def _max_candidates(graph_spec: GraphSpec, state_spec: StateSpec,
-                    grid: TimeGrid) -> tuple[TraceSeries, float]:
-    """The end-pair concurrence of a pure state on the grid points where its grid
-    maximum may lie, and the rounding slack of that maximum.
+def _concurrence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """C = 2|p q*| of the end-pair amplitudes p and q, clipped into [0, 1]."""
+    return np.clip(2.0 * np.abs(p * np.conj(q)), 0.0, 1.0)
 
-    Between grid points h apart, f = C^2 stays below max(f_a, f_b) + M h^2 / 8,
-    M from _curvature_bound.  C is first evaluated on every s-th grid point, s
-    the largest step with M (s dt)^2 / 8 <= COARSE_SLACK.  An interval between
-    two of them can hold the maximum only if its bound, plus the slack, reaches
-    the best of those samples.  Such live intervals, and the points after the
-    last stride, are evaluated on every grid point, padded by one point on each
-    side, in one site_amplitudes call.  If half the intervals or more are live,
-    every grid point is evaluated.  So the grid maximum and its two grid
-    neighbours are among the points returned, and global_max finds the point
-    and parabola of the full trace, up to rounding.
+
+def _coarse_concurrence(d: SpectralDecomposition, W: np.ndarray,
+                        times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C of every member of a stacked decomposition, read out by W (m, 2, n), at the
+    factored times t'_{bB+j} = times[bB] + (times[j] - times[0]), B = isqrt(T);
+    the (m, T) values and t'.
+
+    e^{-i lam t'} = e^{-i lam times[bB]} e^{-i lam (times[j] - times[0])} holds
+    exactly, so each group of blocks is one batched product of the
+    anchor-weighted readouts with the fine block, over at most AMPLITUDE_CHUNK
+    columns of all members together (one block each, if B m is more).
+    """
+    size, (m, r, n) = times.size, W.shape
+    block = math.isqrt(size)
+    offsets = times[:block] - times[0]
+    anchors = dynamics._phases(d.eigenvalues, times[::block])
+    fine = dynamics._phases(d.eigenvalues, offsets)
+    values = np.empty((m, size))
+    per = max(1, dynamics.AMPLITUDE_CHUNK // (block * m))
+    for first in range(0, anchors.shape[-1], per):
+        lo, hi = first * block, min((first + per) * block, size)
+        weighted = W[:, :, None, :] * anchors[:, None, :, first:first + per].swapaxes(-1, -2)
+        p, q = (weighted.reshape(m, -1, n) @ fine).reshape(m, r, -1)[..., :hi - lo].swapaxes(0, 1)
+        values[:, lo:hi] = _concurrence(p, q)
+    return values, np.add.outer(times[::block], offsets).ravel()[:size]
+
+
+def _pair_concurrence(d: SpectralDecomposition, W: np.ndarray, owners: np.ndarray,
+                      times: np.ndarray) -> np.ndarray:
+    """C of member owners[j] at times[j], for each pair j, from exact phases,
+    AMPLITUDE_CHUNK pairs at a time."""
+    values = np.empty(times.size)
+    for lo in range(0, times.size, dynamics.AMPLITUDE_CHUNK):
+        k, at = owners[lo:lo + dynamics.AMPLITUDE_CHUNK], times[lo:lo + dynamics.AMPLITUDE_CHUNK]
+        phases = dynamics._exp_minus_i(d.eigenvalues[k] * at[:, None])
+        p, q = (np.einsum("jl,jl->j", W[k, row], phases) for row in (0, 1))
+        values[lo:lo + at.size] = _concurrence(p, q)
+    return values
+
+
+def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid):
+    """The end-pair concurrence of the pure state ``psi`` on tri:n at each phase in
+    ``thetas``, on the grid points where its grid maximum may lie, as an iterator
+    of one TraceSeries per phase, and the rounding slack of those maxima.
+
+    The Hamiltonians are decomposed as one stack.  Between points h apart,
+    f = C^2 stays below max(f_a, f_b) + M h^2 / 8, M from _curvature_bound.
+    Every member is first read on every s-th grid point, s the largest step
+    with M (s dt)^2 / 8 <= COARSE_SLACK for the largest M, at the factored
+    times t' of _coarse_concurrence.  An interval between two of them can hold
+    the member's maximum only if its bound, over the largest spacing of t',
+    plus the slack and the drift sqrt(M / 2) max|t' - t| that C can make
+    between t' and its grid time t, reaches the best of the member's samples.
+    Such live intervals, and the points after the last stride, are read on
+    every grid point, padded by one point on each side, in one pass over all
+    (member, point) pairs.  A member with half its intervals or more live is
+    read on every grid point, through site_amplitudes, when its series is
+    taken.  So the grid maximum and its two grid neighbours are among the
+    points of each series, and global_max finds the point and parabola of the
+    full trace, up to rounding.
 
     Each value is off by the rounding its phases carry, within the tolerance
     the cross-check allows; the slack is four times that, for four such values
     compared (two samples, or two refined peaks of two evaluations).
     """
-    n = graph_spec.n
     label = f"concurrence:{n - 1},{n}"
-    ((_, psi),) = state_spec.ensemble(n)
-    d = graph_spec.decompose()
-    times = grid.times()
+    times, rows = grid.times(), [n - 2, n - 1]
+    d = spectral_decompose(np.stack(
+        [graphs.hamiltonian(GraphSpec("tri", n, theta).build()) for theta in thetas]))
     slack = 4 * max(CROSS_CHECK_TOL, 4 * _check_phases(d, times, label))
-    rows = [n - 2, n - 1]
-
-    def concurrence(at):
-        p, q = site_amplitudes(d, psi, times[at], rows)
-        return np.clip(2.0 * np.abs(p * np.conj(q)), 0.0, 1.0)
-
-    size, bound = times.size, _curvature_bound(d, psi, rows)
-    step = math.sqrt(8.0 * COARSE_SLACK / bound) / grid.dt if bound > 0 else math.inf
+    W, bound = dynamics._readout(d, psi, rows), _curvature_bound(d, psi, rows)
+    size, top = times.size, bound.max()
+    step = math.sqrt(8.0 * COARSE_SLACK / top) / grid.dt if top > 0 else math.inf
     stride = max(1, int(min(size - 1, step)))
-    at = np.arange(0, size, stride)
-    values = concurrence(at)
+    full = np.ones(len(thetas), dtype=bool)
     if stride > 1:
-        _check_finite(values, label)
-        h = stride * grid.dt
-        reach = np.sqrt(np.maximum(values[:-1], values[1:]) ** 2 + bound * h * h / 8.0)
-        live = at[np.flatnonzero(reach + slack >= values.max())]
-        if 2 * live.size >= reach.size:
-            at = np.arange(size)
-        else:
-            starts = np.append(live, at[-1]) if at[-1] < size - 1 else live
-            at = np.unique(np.concatenate(
-                [np.arange(max(a - 1, 0), min(a + stride + 2, size)) for a in starts]))
-        values = concurrence(at)
-    return TraceSeries(times[at], values, label=label), slack
+        at = np.arange(0, size, stride)
+        coarse, factored = _coarse_concurrence(d, W, times[at])
+        _check_finite(coarse, label)
+        h = np.diff(factored).max()
+        drift = np.sqrt(bound / 2) * np.abs(factored - times[at]).max()
+        reach = np.maximum(coarse[:, :-1], coarse[:, 1:])
+        reach *= reach
+        reach += bound[:, None] * h * h / 8.0
+        needed = coarse.max(axis=1, keepdims=True) - (slack + drift)[:, None]
+        live = np.sqrt(reach, out=reach) >= needed
+        del reach
+        full = 2 * live.sum(axis=1) >= live.shape[1]
+        tail = np.full((len(thetas), 1), at[-1] < size - 1)
+        members, starts = np.nonzero(np.hstack([live, tail]) & ~full[:, None])
+        # Each interval's grid points, padded by one on each side, from after
+        # the last point of the member's interval before it.
+        hi = np.minimum(at[starts] + stride + 1, size - 1)
+        lo = np.maximum(at[starts] - 1, np.where(np.diff(members, prepend=-1) == 0,
+                                                 np.roll(hi, 1) + 1, 0))
+        lengths = hi - lo + 1
+        ends = np.r_[0, np.cumsum(lengths)]
+        points = np.arange(ends[-1]) + np.repeat(lo - ends[:-1], lengths)
+        bounds = ends[np.searchsorted(members, np.arange(len(thetas) + 1))]
+        owners = np.repeat(np.arange(len(thetas)), np.diff(bounds))
+        values = _pair_concurrence(d, W, owners, times[points])
+
+    def series(k):
+        if full[k]:
+            p, q = site_amplitudes(d.member(k), psi, times, rows)
+            return TraceSeries(times, _concurrence(p, q), label=label)
+        kept = slice(bounds[k], bounds[k + 1])
+        return TraceSeries(times[points[kept]], values[kept], label=label)
+
+    return map(series, range(len(thetas))), slack
 
 
 def optimize_theta(
@@ -614,11 +687,12 @@ def optimize_theta(
 
     Runs a global-max search over the grid on [0, horizon] for every candidate
     theta and keeps the winner; exact value ties break toward smaller |theta|,
-    then toward the positive sign.  With several candidates, each is first
-    searched on the grid points where its maximum may lie (_max_candidates).
-    Only those whose maximum comes within the rounding slack of the best are
-    traced in full, and compared on their full traces, so the winner and its
-    record are those of a full scan of every candidate.
+    then toward the positive sign.  With several candidates, they are first
+    searched as stacks of up to CANDIDATE_SLICE, on the grid points where each
+    one's maximum may lie (_candidate_series).  Only those whose maximum comes
+    within the rounding slack of the best are traced in full, and compared on
+    their full traces, so the winner and its record are those of a full scan
+    of every candidate.
     """
     grid = _peak_grid(TimeGrid(0.0, horizon, dt))
     candidates = tuple(map(float, theta_candidates))
@@ -628,13 +702,17 @@ def optimize_theta(
         graphs.reduce_phase(theta)
     state = StateSpec("pair", i=1, j=2, phi=phi)
     if len(candidates) > 1:
+        ((_, psi),) = state.ensemble(n)
         peaks, slack = [], 0.0
-        for theta in candidates:
-            series, rounding = _max_candidates(GraphSpec("tri", n, theta), state, grid)
-            peaks.append((global_max(series).value, theta))
+        for first in range(0, len(candidates), CANDIDATE_SLICE):
+            stack, rounding = _candidate_series(
+                n, psi, candidates[first:first + CANDIDATE_SLICE], grid)
+            peaks += [global_max(s).value for s in stack]
             slack = max(slack, rounding)
-        top = max(value for value, _ in peaks)
-        candidates = tuple(theta for value, theta in peaks if value + slack >= top)
+            del stack  # freed before the next stack is read
+        top = max(peaks)
+        candidates = tuple(theta for value, theta in zip(peaks, candidates)
+                           if value + slack >= top)
     best = None
     for theta in candidates:
         series = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
@@ -677,7 +755,8 @@ def scaling_sweep(
     state_spec: StateSpec = TRANSFER_STATE,
     grid: TimeGrid = SCALING_GRID,
 ) -> ScalingResult:
-    """First transfer peak per chain size plus a linear fit of time vs size."""
+    """First transfer peak per chain size plus a linear fit of time vs size; the fit
+    is NaN unless there are two distinct sizes."""
     sizes, grid = _chain_sizes(n_values, state_spec), _peak_grid(grid)
     entries = []
     for n in sizes:
@@ -687,7 +766,7 @@ def scaling_sweep(
         entries.append((n, peak.t_peak, peak.value))
     ns = np.array([e[0] for e in entries], dtype=float)
     tmax = np.array([e[1] for e in entries])
-    if len(entries) >= 2:
+    if np.unique(ns).size >= 2:  # a line through one distinct size is undetermined
         slope, intercept = np.polyfit(ns, tmax, 1)
         resid = tmax - (slope * ns + intercept)
         total = tmax - tmax.mean()

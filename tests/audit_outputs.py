@@ -101,11 +101,17 @@ COMMANDS = {
                        "--dt", "0.02", f"--theta-candidates={SIXTEEN_THETAS}"],
     "table-ctqw-long": ["table", "--mode", "ctqw", "--n", "5:33:2", "--horizon", "500",
                         "--dt", "0.02"],
+    # 64 candidates, four stacks per size, holding theta / pi - theta pairs
+    # that tie up to rounding.
+    "table-cqw-grid64": ["table", "--mode", "cqw", "--n", "5:15:2", "--horizon", "200",
+                         "--theta-candidates", "grid:64"],
     "scaling-svg": ["scaling", "--n", "5:9:2", "--t", "0:5:0.01", "--svg"],
     "scaling-state": ["scaling", "--theta", "-0.5pi", "--n", "5,7", "--state",
                       "pair:1,2:0.5pi", "--t", "0:8:0.02"],
     "scaling-one-size": ["scaling", "--n", "5", "--t", "0:5:0.01"],
     "scaling-default-grid": ["scaling", "--n", "5,7"],
+    # One distinct size twice: no fit.
+    "scaling-duplicate-sizes": ["scaling", "--n", "5,5"],
     "snapshots-svg": ["snapshots", "--times", "0,0.5,1", "--svg"],
     "snapshots-werner-cycle-svg": ["snapshots", "--graph", "cycle:6", "--theta", "0.25pi",
                                    "--state", "werner:0.4", "--times", "0.3,2", "--svg"],

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -87,6 +88,67 @@ class TestSpectralDecompose:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             dynamics.spectral_decompose(np.zeros((2, 3)))
+
+
+class TestStackedSpectralDecompose:
+    """A stack (..., n, n) is decomposed member by member, with a lone call's bits
+    and checks."""
+
+    @staticmethod
+    def _assert_members_are_lone_calls(stack):
+        d = dynamics.spectral_decompose(stack)
+        for k in np.ndindex(stack.shape[:-2]):
+            lone = dynamics.spectral_decompose(stack[k])
+            assert np.array_equal(d.eigenvalues[k], lone.eigenvalues)
+            assert np.array_equal(d.eigenvectors[k], lone.eigenvectors)
+            member = d.member(k)
+            assert np.array_equal(member.eigenvalues, lone.eigenvalues)
+            assert np.array_equal(member.eigenvectors, lone.eigenvectors)
+            assert type(member.residual) is float and type(member.orthonormality) is float
+            assert member.residual <= dynamics.RESIDUAL_TOL
+            assert member.orthonormality <= dynamics.RESIDUAL_TOL
+        assert d.n == stack.shape[-1]
+        assert d.residual.shape == d.orthonormality.shape == stack.shape[:-2]
+
+    @given(st.integers(2, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_hermitian_members_equal_lone_calls(self, n, count, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+        self._assert_members_are_lone_calls(A + A.conj().swapaxes(-1, -2))
+
+    def test_tri33_members_equal_lone_calls(self):
+        thetas = np.random.default_rng(33).uniform(-math.pi, math.pi, 16)
+        stack = np.stack([graphs.hamiltonian(graphs.triangular_chain(33, t)) for t in thetas])
+        self._assert_members_are_lone_calls(stack)
+        self._assert_members_are_lone_calls(stack.reshape(4, 4, 33, 33))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.triu(graphs.hamiltonian(graphs.triangular_chain(5, 0.4))), ValueError),
+        (np.full((5, 5), np.nan), ValueError),
+        (graphs.hamiltonian(graphs.triangular_chain(5, 0.0, 1e308)), ArithmeticError),
+    ], ids=["non-hermitian", "nan", "overflow"])
+    def test_one_bad_member_fails_with_the_lone_message(self, bad, error):
+        good = graphs.hamiltonian(graphs.triangular_chain(5, 0.4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error) as lone:
+                dynamics.spectral_decompose(bad)
+            with pytest.raises(error, match=re.escape(str(lone.value))):
+                dynamics.spectral_decompose(np.stack([good, bad, good]))
+
+    def test_lone_fields_unchanged(self, chiral5):
+        # The fields a lone call had before stacks were accepted.
+        H = graphs.hamiltonian(graphs.triangular_chain(5, math.pi / 2, 1.0))
+        eigenvalues, V = np.linalg.eigh(H)
+        assert np.array_equal(chiral5.eigenvalues, eigenvalues)
+        assert np.array_equal(chiral5.eigenvectors, V)
+        assert chiral5.residual == float(np.abs(H @ V - V * eigenvalues).max())
+        assert chiral5.orthonormality == float(np.abs(V.conj().T @ V - np.eye(5)).max())
+        assert chiral5.n == 5
+
+    def test_density_matrix_check_still_takes_one_matrix(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            dynamics.check_density_matrix(np.stack([np.eye(2) / 2] * 2))
 
 
 class TestNonFiniteInput:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -374,9 +375,14 @@ def _amplitude_samples(monkeypatch) -> list[int]:
     return sizes
 
 
+def _pair_state(n, phi=PI):
+    return states.spatial_pair(n, 1, 2, phi)
+
+
 class TestPrunedLongTimeSearch:
-    """optimize_theta searches each candidate only where the curvature bound lets
-    its grid maximum lie, and must pick and report what a full scan picks."""
+    """optimize_theta searches the candidates as one stack, each only where the
+    curvature bound lets its grid maximum lie, and must pick and report what a
+    full scan picks."""
 
     @given(st.integers(3, 15), st.lists(st.floats(-PI, PI), min_size=1, max_size=3),
            st.sets(st.sampled_from(["zero", "shift", "supplement"])),
@@ -405,26 +411,72 @@ class TestPrunedLongTimeSearch:
         assert abs(rec.concurrence - ref.concurrence) <= 1e-12
         assert rec.top_peaks == ref.top_peaks
         grid, state = TimeGrid(0.0, horizon, dt), StateSpec("pair", i=1, j=2, phi=phi)
-        for theta in candidates:
-            sparse, _ = experiments._max_candidates(GraphSpec("tri", n, theta), state, grid)
+        stack, _ = experiments._candidate_series(n, _pair_state(n, phi), candidates, grid)
+        for theta, sparse in zip(candidates, stack, strict=True):
             full = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
             assert sparse.times[np.argmax(sparse.values)] == full.times[np.argmax(full.values)]
             assert abs(global_max(sparse).value - global_max(full).value) <= 1e-12
 
     def test_every_interval_live_takes_the_full_grid(self, monkeypatch):
         # Early on, the far end of tri:15 holds almost nothing, so the bound
-        # M h^2 / 8 dwarfs every sample and no interval can be ruled out.
+        # M h^2 / 8 dwarfs every sample and no interval can be ruled out.  The
+        # candidate is then read on the whole grid by site_amplitudes, with the
+        # bits of its full trace.
         sizes = _amplitude_samples(monkeypatch)
         grid = TimeGrid(0.0, 1.0, 0.01)
-        series, _ = experiments._max_candidates(GraphSpec("tri", 15, PI / 2), BELL, grid)
-        assert np.array_equal(series.times, grid.times())
-        assert sizes[-1] == 2 * len(grid) and len(sizes) == 2
+        (series,), _ = experiments._candidate_series(15, _pair_state(15), [PI / 2], grid)
+        assert sizes == [2 * len(grid)]
+        full = concurrence_trace(GraphSpec("tri", 15, PI / 2), BELL, grid)
+        assert np.array_equal(series.times, full.times)
+        assert np.array_equal(series.values, full.values)
 
     def test_far_fewer_samples_than_a_full_scan(self, monkeypatch):
-        sizes = _amplitude_samples(monkeypatch)
+        # (candidate, time) values read by the coarse pass, the live pass and
+        # the full traces of the contenders; a full scan reads 16 len(grid).
+        counts = []
+        for name, size in (("_coarse_concurrence", lambda out: out[0].size),
+                           ("_pair_concurrence", lambda out: out.size),
+                           ("site_amplitudes", lambda out: out.size // 2)):
+            def counted(*args, real=getattr(experiments, name), size=size):
+                out = real(*args)
+                counts.append(size(out))
+                return out
+            monkeypatch.setattr(experiments, name, counted)
         candidates = tuple(np.linspace(-PI, PI, 17)[:-1] + 0.1)
-        optimize_theta(33, PI, candidates, 500.0, 0.02)
-        assert sum(sizes) < 16 * 2 * len(TimeGrid(0.0, 500.0, 0.02)) / 3
+        grid = TimeGrid(0.0, 500.0, 0.02)
+        optimize_theta(33, PI, candidates, grid.t_end, grid.dt)
+        assert sum(counts) < 16 * len(grid) / 3
+
+    def test_refined_peak_beats_a_larger_raw_sample(self, monkeypatch):
+        # On this coarse grid theta = 0.54 has the larger grid sample and
+        # theta = -0.18 the larger refined peak: candidates are ranked by their
+        # refined peaks, so only -0.18 is a contender and it wins.
+        grid, state = TimeGrid(0.0, 20.0, 0.1), StateSpec("pair", i=1, j=2, phi=PI)
+        a, b = (concurrence_trace(GraphSpec("tri", 3, theta), state, grid) for theta in (0.54, -0.18))
+        assert a.values.max() > b.values.max() + 1e-3
+        assert global_max(b).value > global_max(a).value + 1e-3
+        traced = []
+        real = experiments.concurrence_trace
+        monkeypatch.setattr(experiments, "concurrence_trace",
+                            lambda graph, *args: traced.append(graph.theta) or real(graph, *args))
+        rec = optimize_theta(3, PI, (0.54, -0.18), grid.t_end, grid.dt)
+        assert traced == [-0.18]
+        assert rec == oracles.optimize_theta_scan(3, PI, (0.54, -0.18), grid.t_end, grid.dt)
+
+    @pytest.mark.parametrize("count, horizon, parent_mib", [(16, 500.0, 2.6), (64, 500.0, 1.6),
+                                                            (16, 5000.0, 15.3)])
+    def test_peak_memory_bounded(self, count, horizon, parent_mib):
+        # Peaks of the per-candidate search this one replaced, plus 8 MiB: the
+        # candidates are read CANDIDATE_SLICE at a time, in groups of columns.
+        candidates = tuple(np.linspace(-PI, PI, count + 1)[:-1] + 0.1)
+        optimize_theta(33, PI, candidates[:2], 1.0, 0.02)
+        tracemalloc.start()
+        try:
+            optimize_theta(33, PI, candidates, horizon, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (parent_mib + 8) * 2**20
 
     @given(st.sampled_from(["tri", "cycle", "complete"]), st.integers(3, 12),
            st.floats(-PI, PI), st.floats(0.0, 2 * PI),
@@ -446,6 +498,20 @@ class TestPrunedLongTimeSearch:
             z2 = a2 * np.conj(b) + 2 * a1 * np.conj(b1) + a * np.conj(b2)
             f2 = 4 * (2 * (z2 * np.conj(z)).real + 2 * abs(z1) ** 2)
             assert abs(f2) <= bound * (1 + 1e-12)
+            # |C'| <= 2 |z'|, the drift bound of the factored coarse times.
+            assert 2 * abs(z1) <= math.sqrt(bound / 2) * (1 + 1e-12)
+
+    @given(st.integers(3, 33), st.lists(st.floats(-PI, PI), min_size=1, max_size=16),
+           st.floats(0.0, 2 * PI))
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_curvature_bound_is_each_members(self, n, thetas, phi):
+        psi, rows = _pair_state(n, phi), [n - 2, n - 1]
+        graphs_ = [GraphSpec("tri", n, theta) for theta in thetas]
+        stacked = experiments._curvature_bound(
+            experiments.spectral_decompose(np.stack([graphs.hamiltonian(g.build())
+                                                     for g in graphs_])), psi, rows)
+        lone = [experiments._curvature_bound(g.decompose(), psi, rows) for g in graphs_]
+        assert np.allclose(stacked, lone, rtol=1e-12, atol=0)
 
 
 REFERENCE_CQW = {
@@ -511,6 +577,15 @@ class TestScaling:
         assert n == 5
         assert t == pytest.approx(peak.t_peak, abs=1e-12)
         assert c == pytest.approx(peak.value, abs=1e-12)
+
+    @pytest.mark.parametrize("sizes", [[5], [5, 5]])
+    def test_no_fit_through_one_distinct_size(self, sizes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = scaling_sweep(sizes, PI / 2, grid=TimeGrid(0, 10, 0.01))
+        assert len(result.entries) == len(sizes)
+        assert math.isnan(result.slope) and math.isnan(result.intercept)
+        assert math.isnan(result.r_squared)
 
     def test_linear_fit_small_set(self):
         result = scaling_sweep([5, 7, 9, 11], PI / 2, grid=TimeGrid(0, 6, 0.005))
