@@ -204,6 +204,9 @@ def _write(out_dir: Path, name: str, tables, plot=None) -> list[str]:
 def _trace(params: dict):
     graph, state = GraphSpec.from_dict(params["graph"]), StateSpec.from_dict(params["state"])
     measure = str(params["measure"])
+    # The measure is echoed into the CSV comments, where a line break would end them.
+    if any(c.isspace() or not c.isprintable() for c in measure):
+        raise ValueError(f"measure must hold no whitespace or control characters, got {measure!r}")
     kind, _, arg = measure.partition(":")
     if kind not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -215,8 +218,7 @@ def _trace(params: dict):
         series = trace(graph, state, grid, *trace_args)
         comments = ["chiralwalk trace", _graph_comment(graph), _state_comment(state),
                     f"measure: {measure}", _grid_comment(grid)]
-        # Python floats, not numpy scalars: the same text, formatted faster.
-        rows = zip(series.times.tolist(), series.values.tolist())
+        rows = np.column_stack((series.times, series.values))
         plot = (lambda: svgplot.line_plot(
             [(series.label, series.times, series.values)],
             title=f"{graph.kind}:{graph.n}", xlabel="t", ylabel=series.label,
@@ -321,7 +323,7 @@ def _graph_export(params: dict):
         io.write_json(out_dir / f"{name}.graph.json", graphs.graph_json_dict(g))
         n = g.n_vertices
         header = [f"{part}{j + 1}" for j in range(n) for part in ("re", "im")]
-        rows = np.stack([H.real, H.imag], axis=-1).reshape(n, 2 * n).tolist()
+        rows = np.stack([H.real, H.imag], axis=-1).reshape(n, 2 * n)
         comments = ["chiralwalk graph-export", _graph_comment(graph),
                     "columns interleave re,im per vertex"]
         return [f"{name}.graph.json"] + _write(

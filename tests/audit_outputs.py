@@ -142,6 +142,14 @@ COMMANDS = {
     "trace-concurrence-werner-long": ["trace", "--graph", "tri:9", "--theta", "0.5pi",
                                       "--state", "werner:0.7", *CONCURRENCE,
                                       "--t", "0:100:0.01"],
+    # The long-trace benchmark's shape at a fixed phase, and a trace with
+    # exponent notation in both columns, negative times, and values below
+    # 1e-11 at t = 0, which the CSV float kernel hands to '%.12g'.
+    "trace-concurrence-tri71-long-svg": ["trace", "--graph", "tri:71", "--theta", "0.4pi",
+                                         "--state", "pair:1,2:0.3pi", *CONCURRENCE,
+                                         "--t", "0:2000:0.01", "--svg"],
+    "trace-occupation-tiny-times": ["trace", *TRI5, "--theta", "0.5pi", *PAIR, "--measure",
+                                    "occupation:3", "--t=-0.001:0.001:0.00001"],
     "snapshots-werner-uniform": ["snapshots", "--graph", "tri:33", "--theta", "0.5pi",
                                  "--state", "werner:0.4", "--times", "0,1,2,3,4,5,6,7,8"],
     "graph-export-tri": ["graph-export", "--graph", "tri:4", "--theta", "pi"],

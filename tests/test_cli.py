@@ -656,6 +656,11 @@ USAGE_ERRORS = {
                       {"graph": {**TRI2, "n": 5, "magnitude": math.inf}}),
     "werner-fidelity-of-pair": ("trace", ["--measure", "werner-fidelity"],
                                 {"measure": "werner-fidelity"}),
+    # The measure is echoed into the CSV comments, so it may not break a line.
+    "measure-trailing-newline": ("trace", ["--measure", "occupation:3\n"],
+                                 {"measure": "occupation:3\n"}),
+    "measure-inner-space": ("trace", ["--measure", "concurrence: 1,2"],
+                            {"measure": "concurrence: 1,2"}),
     "trace-tri-300000": ("trace", ["--graph", "tri:300000"], {"graph": {**TRI2, "n": 300000}}),
     "table-n-1-2": ("table", ["--n", "1,2"], {"n_values": [1, 2]}),
     "table-n-300000": ("table", ["--n", "5,300000"], {"n_values": [5, 300000]}),
@@ -842,6 +847,17 @@ def test_cli_start_imports_only_stdlib_beyond_numpy():
     assert "chiralwalk" in extra
     assert {m for m in extra if m not in sys.stdlib_module_names} == {"chiralwalk"}
     assert not loaded & {"concurrent", "multiprocessing"}
+
+
+def test_cli_start_builds_no_csv_kernel_tables():
+    # The CSV float kernel builds its tables on the first float write.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import chiralwalk.cli as cli; "
+         "print(cli.io._kernel_tables.cache_info().currsize)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.split() == ["0"]
 
 
 # argparse alone reads each of these values, given as its own argument, as an option.
