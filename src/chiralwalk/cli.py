@@ -106,39 +106,44 @@ def check_name(name) -> str:
 
 
 def _is_int(text: str) -> bool:
-    return text.strip().lstrip("-").isdigit()
+    """Whether ``text`` is an optional '-' and ASCII digits only: str.isdigit
+    and int also take other scripts' digits, which outputs would echo."""
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
 
 
 def _no_arg(arg: str) -> tuple:
     if arg:
         raise ValueError(f"measure takes no argument, got {arg!r}")
-    return ()
+    return (), ""
 
 
 def _concurrence_arg(arg: str) -> tuple:
     if not arg:
-        return (None,)
+        return (None,), ""
     pair = arg.split(",")
     if len(pair) != 2 or not all(_is_int(p) for p in pair):
         raise ValueError(f"concurrence pair must be I,J, got {arg!r}")
-    return ((int(pair[0]), int(pair[1])),)
+    i, j = int(pair[0]), int(pair[1])
+    return ((i, j),), f"{i},{j}"
 
 
 def _occupation_arg(arg: str) -> tuple:
     if not _is_int(arg):
         raise ValueError(f"occupation needs a site index, got {arg!r}")
-    return (int(arg),)
+    return (int(arg),), str(int(arg))
 
 
 def _transfer_arg(arg: str) -> tuple:
-    return (parse_phase(arg) if arg else None,)
+    return (parse_phase(arg) if arg else None,), arg
 
 
 # Measure kind -> (parse, trace).  A parse takes the argument after the colon
-# and returns the trace's arguments after (graph, state, grid); the trace
-# checks their values against the graph and state.  Traces are named rather
-# than bound, so the function called is the one experiments holds when a run
-# is loaded.
+# and returns the trace's arguments after (graph, state, grid), and the
+# argument's canonical text, with each integer as str(int) writes it ('03' as
+# '3'), so that equal traces record equal measures.  The trace checks the
+# values against the graph and state.  Traces are named rather than bound, so
+# the function called is the one experiments holds when a run is loaded.
 MEASURES = {
     "concurrence": (_concurrence_arg, "concurrence_trace"),
     "occupation": (_occupation_arg, "occupation_trace"),
@@ -211,8 +216,11 @@ def _trace(params: dict):
     if kind not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     parse, trace = MEASURES[kind]
+    trace_args, arg = parse(arg)
+    # The canonical form goes into the outputs and, through params, the manifest.
+    measure = params["measure"] = f"{kind}:{arg}" if arg else kind
     grid = TimeGrid.from_dict(params["grid"])
-    trace, trace_args, svg = getattr(experiments, trace), parse(arg), _svg(params)
+    trace, svg = getattr(experiments, trace), _svg(params)
 
     def run(out_dir: Path, name: str) -> list[str]:
         series = trace(graph, state, grid, *trace_args)
@@ -350,7 +358,8 @@ def load(command, params: dict):
     not parse raises ValueError, IndexError, KeyError or TypeError (a usage
     error).  The library functions the runner calls check each value before
     they compute, and raise ValueError or IndexError for a bad one, which
-    ``main`` reports as the same usage error.
+    ``main`` reports as the same usage error.  A trace's measure is written
+    back into ``params`` in its canonical form, which the manifest records.
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown subcommand {command!r}")

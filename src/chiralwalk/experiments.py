@@ -565,24 +565,69 @@ def _concurrence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.clip(2.0 * np.abs(p * np.conj(q)), 0.0, 1.0)
 
 
-def _coarse_concurrence(d: SpectralDecomposition, W: np.ndarray,
+def _screen_phases(eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{-i lam t} in complex64 for every eigenvalue (rows) and time (columns): each
+    angle is reduced by a whole number of turns into about [-pi, pi] in float64,
+    then its cos and sin are taken in float32."""
+    angles = np.multiply.outer(eigenvalues, times)
+    angles -= np.rint(angles / graphs.TWO_PI) * graphs.TWO_PI
+    angles = angles.astype(np.float32)
+    phases = np.empty(angles.shape, dtype=np.complex64)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
+    np.negative(phases.imag, out=phases.imag)
+    return phases
+
+
+def _screen_rounding(eigenvalues: np.ndarray, W: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """eps >= |C - C'| for every value C of _coarse_concurrence(eigenvalues, W, times),
+    C' the same value from the same float64 angles in exact arithmetic; one eps
+    per member.
+
+    With u = 2^-24, the unit roundoff of float32, each phase is off by at most
+    8u + |lam t| 2^-52 + 2^-50:
+    - the float64 reduction x - k fl(2 pi): the subtraction is exact, fl(2 pi)
+      lies within 2^-54 relative of 2 pi, and k fl(2 pi) is rounded to 2^-53;
+    - the rounding of the reduced angle, |x| <= 4, into float32: 2u;
+    - float32 cos and sin, 2u each: 2 sqrt(2) u together.
+    The largest |lam t| is max|lam| 2 max|t|, as the offsets t - t_0 reach
+    2 max|t|.  A term W_l e^{-i lam_l t'} of p = sum_l W_l e^{-i lam_l t'} is
+    then off by eta = (1 + 4u) (1 + phase)^2 (1 + 3nu) - 1 relative to |W_l|:
+    W's rounding (u) and its product with the anchor phase (3u), the anchor
+    and fine phases, and the sum of 2n real products per part
+    (sqrt(2) gamma_2n <= 3nu).  So |p - p'| <= eta S_p, S_p = sum_l |W_pl|,
+    and C = 2|p q*| is off by at most 2 S_p S_q ((1 + eta)^2 (1 + 4u) - 1),
+    the 4u for rounding p q* and its modulus.  C' itself carries the rounding
+    of the float64 angles, which the slack of _candidate_series covers.
+    """
+    u = 2.0 ** -24
+    top = np.abs(eigenvalues).max(axis=-1) * 2 * np.abs(times).max()
+    phase = 8 * u + top * 2.0 ** -52 + 2.0 ** -50
+    eta = (1 + 4 * u) * (1 + phase) ** 2 * (1 + 3 * eigenvalues.shape[-1] * u) - 1
+    sums = np.abs(W).sum(axis=-1)
+    return 2 * sums[..., 0] * sums[..., 1] * ((1 + eta) ** 2 * (1 + 4 * u) - 1)
+
+
+def _coarse_concurrence(eigenvalues: np.ndarray, W: np.ndarray,
                         times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C of every member of a stacked decomposition, read out by W (m, 2, n), at the
-    factored times t'_{bB+j} = times[bB] + (times[j] - times[0]), B = isqrt(T);
-    the (m, T) values and t'.
+    """C, in float32, of every member of a stacked spectrum read out by W (m, 2, n),
+    at the factored times t'_{bB+j} = times[bB] + (times[j] - times[0]),
+    B = isqrt(T); the (m, T) values and t'.  Each value is within
+    _screen_rounding of its exact value at t'.
 
     e^{-i lam t'} = e^{-i lam times[bB]} e^{-i lam (times[j] - times[0])} holds
-    exactly, so each group of blocks is one batched product of the
-    anchor-weighted readouts with the fine block, over at most AMPLITUDE_CHUNK
-    columns of all members together (one block each, if B m is more).
+    exactly, so each group of blocks is one batched complex64 product of the
+    anchor-weighted readouts with the fine block (_screen_phases), over at most
+    AMPLITUDE_CHUNK columns per member (one block, if B is more).
     """
     size, (m, r, n) = times.size, W.shape
     block = math.isqrt(size)
     offsets = times[:block] - times[0]
-    anchors = dynamics._phases(d.eigenvalues, times[::block])
-    fine = dynamics._phases(d.eigenvalues, offsets)
-    values = np.empty((m, size))
-    per = max(1, dynamics.AMPLITUDE_CHUNK // (block * m))
+    anchors = _screen_phases(eigenvalues, times[::block])
+    fine = _screen_phases(eigenvalues, offsets)
+    W = W.astype(np.complex64)
+    values = np.empty((m, size), dtype=np.float32)
+    per = max(1, dynamics.AMPLITUDE_CHUNK // block)
     for first in range(0, anchors.shape[-1], per):
         lo, hi = first * block, min((first + per) * block, size)
         weighted = W[:, :, None, :] * anchors[:, None, :, first:first + per].swapaxes(-1, -2)
@@ -604,35 +649,57 @@ def _pair_concurrence(d: SpectralDecomposition, W: np.ndarray, owners: np.ndarra
     return values
 
 
-def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid):
+def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: float = -math.inf):
     """The end-pair concurrence of the pure state ``psi`` on tri:n at each phase in
-    ``thetas``, on the grid points where its grid maximum may lie, as an iterator
-    of one TraceSeries per phase, and the rounding slack of those maxima.
+    ``thetas``, read where a maximum that can win may lie: an iterator of one
+    TraceSeries, or None, per phase, and the rounding slack.
 
-    The Hamiltonians are decomposed as one stack.  Between points h apart,
-    f = C^2 stays below max(f_a, f_b) + M h^2 / 8, M from _curvature_bound.
-    Every member is first read on every s-th grid point, s the largest step
-    with M (s dt)^2 / 8 <= COARSE_SLACK for the largest M, at the factored
-    times t' of _coarse_concurrence.  An interval between two of them can hold
-    the member's maximum only if its bound, over the largest spacing of t',
-    plus the slack and the drift sqrt(M / 2) max|t' - t| that C can make
-    between t' and its grid time t, reaches the best of the member's samples.
-    Such live intervals, and the points after the last stride, are read on
-    every grid point, padded by one point on each side, in one pass over all
-    (member, point) pairs.  A member with half its intervals or more live is
-    read on every grid point, through site_amplitudes, when its series is
-    taken.  So the grid maximum and its two grid neighbours are among the
-    points of each series, and global_max finds the point and parabola of the
-    full trace, up to rounding.
+    ``best`` is a refined peak (a global_max value) already found, or -inf.  A
+    phase gets None only if the refined peak of its full trace lies more than
+    the slack below ``best``, or below that of another phase of this stack, so
+    that it cannot win.  Every other phase's series holds its grid maximum
+    with both grid neighbours, so global_max finds on it the grid point,
+    earliest-wins tie-break and parabola of the full trace, up to rounding.
+
+    The Hamiltonians are built as one stack (graphs.triangular_chain_hamiltonians)
+    and decomposed together.  Between points h apart, f = C^2 stays below
+    max(f_a, f_b) + M h^2 / 8, M from _curvature_bound, and |C'| <= L =
+    sqrt(M / 2).  Each member is screened on every s-th grid point, s the
+    largest step with M (s dt)^2 / 8 <= COARSE_SLACK for the largest M, at the
+    factored times t' of _coarse_concurrence, in single precision.  A screened
+    value is within err = eps + L max|t' - t| of the grid value it stands for:
+    eps from _screen_rounding, and the drift of C between t' and its grid time
+    t.  So on the grid points between two screened points C is at most
+    U = sqrt(max(f_a, f_b) + M h^2 / 8) + err, h the largest spacing of t'.  A
+    refined peak exceeds its grid sample by at most the overshoot L dt / 8: if
+    the middle of three samples is the largest, a and b its rises over its
+    neighbours, the parabola through them rises (a - b)^2 / (8 (a + b)) <=
+    max(a, b) / 8 above it.  So each member's largest screened value less err
+    is below its grid maximum and its refined peak, and ``best`` is raised to
+    the largest of these.
+
+    An interval is live if U reaches both the member's largest screened value
+    less err and the slack, as it may then hold the member's grid maximum, and
+    ``best`` less the overshoot and four slacks, as a grid point in it may then
+    carry a refined peak near ``best``.  The live intervals, and the points
+    after the last stride, are read on every grid point, padded by one point
+    on each side, in one double-precision pass over all (member, point) pairs.
+    A member with half its intervals or more live is read on every grid point,
+    through site_amplitudes, when its series is taken.  Any other member whose
+    read values all lie more than the overshoot and three slacks below
+    ``best`` gets None: its grid maximum is one of them, or lies in an interval
+    that is not live and so lower still.  Otherwise that maximum was read.
 
     Each value is off by the rounding its phases carry, within the tolerance
     the cross-check allows; the slack is four times that, for four such values
-    compared (two samples, or two refined peaks of two evaluations).
+    compared (two samples, or two refined peaks of two evaluations).  The
+    extra slacks of the test against ``best`` cover the rounding between the
+    screen, the values read here and the full traces.
     """
     label = f"concurrence:{n - 1},{n}"
     times, rows = grid.times(), [n - 2, n - 1]
-    d = spectral_decompose(np.stack(
-        [graphs.hamiltonian(GraphSpec("tri", n, theta).build()) for theta in thetas]))
+    GraphSpec("tri", n)  # the site guard, before the stack is built
+    d = spectral_decompose(graphs.triangular_chain_hamiltonians(n, thetas))
     slack = 4 * max(CROSS_CHECK_TOL, 4 * _check_phases(d, times, label))
     W, bound = dynamics._readout(d, psi, rows), _curvature_bound(d, psi, rows)
     size, top = times.size, bound.max()
@@ -641,19 +708,27 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid):
     full = np.ones(len(thetas), dtype=bool)
     if stride > 1:
         at = np.arange(0, size, stride)
-        coarse, factored = _coarse_concurrence(d, W, times[at])
+        coarse, factored = _coarse_concurrence(d.eigenvalues, W, times[at])
         _check_finite(coarse, label)
-        h = np.diff(factored).max()
-        drift = np.sqrt(bound / 2) * np.abs(factored - times[at]).max()
-        reach = np.maximum(coarse[:, :-1], coarse[:, 1:])
-        reach *= reach
-        reach += bound[:, None] * h * h / 8.0
-        needed = coarse.max(axis=1, keepdims=True) - (slack + drift)[:, None]
-        live = np.sqrt(reach, out=reach) >= needed
-        del reach
+        lipschitz, h = np.sqrt(bound / 2), np.diff(factored).max()
+        err = (lipschitz * np.abs(factored - times[at]).max()
+               + _screen_rounding(d.eigenvalues, W, times[at]))
+        overshoot = lipschitz * grid.dt / 8
+        peaks = coarse.max(axis=1).astype(float)
+        best = max(best, (peaks - err).max())
+        needed = np.maximum(peaks - 2 * err - slack, best - 4 * slack - overshoot - err)
+        # sqrt(max(f_a, f_b) + M h^2 / 8) >= needed holds where the larger of
+        # C_a, C_b reaches sqrt(needed^2 - M h^2 / 8), and everywhere when
+        # needed is not positive.
+        needed = np.maximum(needed, 0.0)
+        level = np.sqrt(np.maximum(needed * needed - bound * h * h / 8.0, 0.0))
+        above = coarse >= level[:, None]
+        segments = np.empty(coarse.shape, dtype=bool)  # live intervals, then the tail
+        live = np.logical_or(above[:, :-1], above[:, 1:], out=segments[:, :-1])
+        segments[:, -1] = at[-1] < size - 1
         full = 2 * live.sum(axis=1) >= live.shape[1]
-        tail = np.full((len(thetas), 1), at[-1] < size - 1)
-        members, starts = np.nonzero(np.hstack([live, tail]) & ~full[:, None])
+        segments[full] = False
+        members, starts = np.divmod(np.flatnonzero(segments), segments.shape[1])
         # Each interval's grid points, padded by one on each side, from after
         # the last point of the member's interval before it.
         hi = np.minimum(at[starts] + stride + 1, size - 1)
@@ -665,12 +740,15 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid):
         bounds = ends[np.searchsorted(members, np.arange(len(thetas) + 1))]
         owners = np.repeat(np.arange(len(thetas)), np.diff(bounds))
         values = _pair_concurrence(d, W, owners, times[points])
+        low = best - 3 * slack - overshoot
 
     def series(k):
         if full[k]:
             p, q = site_amplitudes(d.member(k), psi, times, rows)
             return TraceSeries(times, _concurrence(p, q), label=label)
         kept = slice(bounds[k], bounds[k + 1])
+        if not values[kept].max(initial=-math.inf) >= low[k]:
+            return None
         return TraceSeries(times[points[kept]], values[kept], label=label)
 
     return map(series, range(len(thetas))), slack
@@ -688,11 +766,12 @@ def optimize_theta(
     Runs a global-max search over the grid on [0, horizon] for every candidate
     theta and keeps the winner; exact value ties break toward smaller |theta|,
     then toward the positive sign.  With several candidates, they are first
-    searched as stacks of up to CANDIDATE_SLICE, on the grid points where each
-    one's maximum may lie (_candidate_series).  Only those whose maximum comes
-    within the rounding slack of the best are traced in full, and compared on
-    their full traces, so the winner and its record are those of a full scan
-    of every candidate.
+    searched as stacks of up to CANDIDATE_SLICE (_candidate_series), each
+    stack against the best refined peak of the stacks before it, and read
+    only where a maximum may lie that comes within the rounding slack of the
+    best.  Only the candidates whose refined peak comes within the slack of
+    the best are traced in full, and compared on their full traces, so the
+    winner and its record are those of a full scan of every candidate.
     """
     grid = _peak_grid(TimeGrid(0.0, horizon, dt))
     candidates = tuple(map(float, theta_candidates))
@@ -706,8 +785,9 @@ def optimize_theta(
         peaks, slack = [], 0.0
         for first in range(0, len(candidates), CANDIDATE_SLICE):
             stack, rounding = _candidate_series(
-                n, psi, candidates[first:first + CANDIDATE_SLICE], grid)
-            peaks += [global_max(s).value for s in stack]
+                n, psi, candidates[first:first + CANDIDATE_SLICE], grid,
+                max(peaks, default=-math.inf))
+            peaks += [-math.inf if s is None else global_max(s).value for s in stack]
             slack = max(slack, rounding)
             del stack  # freed before the next stack is read
         top = max(peaks)
@@ -766,7 +846,7 @@ def scaling_sweep(
         entries.append((n, peak.t_peak, peak.value))
     ns = np.array([e[0] for e in entries], dtype=float)
     tmax = np.array([e[1] for e in entries])
-    if np.unique(ns).size >= 2:  # a line through one distinct size is undetermined
+    if len(set(sizes)) >= 2:  # a line through one distinct size is undetermined
         slope, intercept = np.polyfit(ns, tmax, 1)
         resid = tmax - (slope * ns + intercept)
         total = tmax - tmax.mean()

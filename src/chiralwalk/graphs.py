@@ -71,6 +71,21 @@ def triangular_chain(n: int, theta, magnitude: float = 1.0) -> WeightedGraph:
     return WeightedGraph(n, tuple(edges))
 
 
+def triangular_chain_hamiltonians(n: int, thetas) -> np.ndarray:
+    """hamiltonian(triangular_chain(n, theta)) for every theta, bit for bit, as one
+    (len(thetas), n, n) stack: each weight is broadcast onto the chain's
+    lower-triangle band (the first two subdiagonals) and its conjugate onto the
+    transposed band."""
+    if n < 3:
+        raise ValueError(f"triangular chain needs n >= 3, got {n}")
+    w = np.exp(1j * np.array([reduce_phase(theta) for theta in thetas]))
+    band = np.tri(n, k=-1, dtype=bool) & ~np.tri(n, k=-3, dtype=bool)
+    H = np.zeros((w.size, n, n), dtype=complex)
+    H[:, band] = w[:, None]
+    H.swapaxes(-1, -2)[:, band] = np.conj(w)[:, None]
+    return H
+
+
 def cycle_graph(n: int, theta) -> WeightedGraph:
     """Ring with nearest-neighbor edges (i, i+1) plus the wrap edge (1, n)."""
     if n < 3:

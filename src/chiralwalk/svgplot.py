@@ -46,14 +46,15 @@ def _m4_indices(columns: np.ndarray, ys: np.ndarray) -> np.ndarray:
     lengths = np.diff(np.append(starts, size))
     run = np.repeat(np.arange(starts.size), lengths)
     index = np.arange(size)
-    kept = [starts, starts + lengths - 1]
+    keep = np.zeros(size, dtype=bool)
+    keep[starts] = keep[starts + lengths - 1] = True
     for reduce in (np.minimum, np.maximum):
         extreme = reduce.reduceat(ys, starts)
         # The first sample of each run that attains it; a run whose extreme
         # is NaN has none and keeps only its ends.
         hit = np.minimum.reduceat(np.where(ys == extreme[run], index, size), starts)
-        kept.append(hit[hit < size])
-    return np.unique(np.concatenate(kept))
+        keep[hit[hit < size]] = True
+    return np.flatnonzero(keep)
 
 
 def line_plot(

@@ -105,6 +105,12 @@ COMMANDS = {
     # that tie up to rounding.
     "table-cqw-grid64": ["table", "--mode", "cqw", "--n", "5:15:2", "--horizon", "200",
                          "--theta-candidates", "grid:64"],
+    # An exact tie across two stacks: the 16th candidate is pi/2 - 2pi and the
+    # 17th is pi/2, the winner at n = 5, whose refined peak must meet the best
+    # carried over from the first stack to be kept.
+    "table-cqw-tie-across-stacks": ["table", "--mode", "cqw", "--n", "5,9", "--horizon", "60",
+                                    "--theta-candidates=" + SIXTEEN_THETAS.rsplit(",", 1)[0]
+                                    + f",{math.pi / 2 - 2 * math.pi!r},0.5pi"],
     "scaling-svg": ["scaling", "--n", "5:9:2", "--t", "0:5:0.01", "--svg"],
     "scaling-state": ["scaling", "--theta", "-0.5pi", "--n", "5,7", "--state",
                       "pair:1,2:0.5pi", "--t", "0:8:0.02"],

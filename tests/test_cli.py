@@ -661,6 +661,11 @@ USAGE_ERRORS = {
                                  {"measure": "occupation:3\n"}),
     "measure-inner-space": ("trace", ["--measure", "concurrence: 1,2"],
                             {"measure": "concurrence: 1,2"}),
+    # Digits of other scripts, which int() reads, are no site index.
+    "occupation-fullwidth-digit": ("trace", ["--measure", "occupation:\uff13"],
+                                   {"measure": "occupation:\uff13"}),
+    "concurrence-arabic-indic-digits": ("trace", ["--measure", "concurrence:\u0664,\u0665"],
+                                        {"measure": "concurrence:\u0664,\u0665"}),
     "trace-tri-300000": ("trace", ["--graph", "tri:300000"], {"graph": {**TRI2, "n": 300000}}),
     "table-n-1-2": ("table", ["--n", "1,2"], {"n_values": [1, 2]}),
     "table-n-300000": ("table", ["--n", "5,300000"], {"n_values": [5, 300000]}),
@@ -827,6 +832,48 @@ def test_version_is_the_package_constant(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
     manifest = json.loads((tmp_path / "trace.manifest.json").read_text())
     assert manifest["version"] == chiralwalk.__version__ == version_string()
+
+
+@pytest.mark.parametrize("typed,canonical", [
+    ("occupation:03", "occupation:3"), ("concurrence:04,005", "concurrence:4,5"),
+])
+def test_integer_measure_arguments_are_written_canonically(tmp_path, typed, canonical):
+    argv = ["trace", "--graph", "tri:5", "--state", "pair:1,2", "--t", "0:1:0.25"]
+    outputs = {}
+    for measure in (typed, canonical):
+        out = tmp_path / measure.replace(":", "-")
+        assert run_cli(argv + ["--measure", measure, "--out", str(out)])[0] == 0
+        manifest = json.loads((out / "trace.manifest.json").read_text())
+        outputs[measure] = (out / "trace.csv").read_bytes(), manifest["parameters"]
+    assert outputs[typed] == outputs[canonical]
+    assert f"# measure: {canonical}\n".encode() in outputs[typed][0]
+    assert outputs[typed][1]["measure"] == canonical
+    # A manifest that holds the typed form replays to the canonical outputs.
+    manifest = json.loads((tmp_path / canonical.replace(":", "-") / "trace.manifest.json")
+                          .read_text())
+    manifest["parameters"]["measure"] = typed
+    (tmp_path / "typed.json").write_text(json.dumps(manifest))
+    assert run_cli(["rerun", str(tmp_path / "typed.json"), "--out", str(tmp_path / "re")])[0] == 0
+    again = json.loads((tmp_path / "re" / "trace.manifest.json").read_text())
+    assert ((tmp_path / "re" / "trace.csv").read_bytes(), again["parameters"]) \
+        == outputs[canonical]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--graph", "tri:9", "--state", "pair:1,2", "--measure", "concurrence",
+     "--t", "0:50:0.01", "--svg"],
+    ["scaling", "--n", "5,5,7", "--t", "0:5:0.01", "--svg"],
+])
+def test_runs_do_not_load_numpy_ma(tmp_path, argv):
+    # numpy.ma costs a cold process 12-19 ms; np.unique is one function that loads it.
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = argv + ["--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; from chiralwalk import cli; cli.main({argv!r}); "
+                               "print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def _top_level_modules(statement: str) -> set:

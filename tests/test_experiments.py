@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from chiralwalk import experiments, graphs, measures, states
+from chiralwalk import dynamics, experiments, graphs, measures, states
 from chiralwalk.dynamics import evolve_density
 from chiralwalk.experiments import (
     GraphSpec,
@@ -411,11 +411,72 @@ class TestPrunedLongTimeSearch:
         assert abs(rec.concurrence - ref.concurrence) <= 1e-12
         assert rec.top_peaks == ref.top_peaks
         grid, state = TimeGrid(0.0, horizon, dt), StateSpec("pair", i=1, j=2, phi=phi)
-        stack, _ = experiments._candidate_series(n, _pair_state(n, phi), candidates, grid)
-        for theta, sparse in zip(candidates, stack, strict=True):
-            full = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
+        stack, slack = experiments._candidate_series(n, _pair_state(n, phi), candidates, grid)
+        fulls = [concurrence_trace(GraphSpec("tri", n, theta), state, grid) for theta in candidates]
+        top = max(global_max(full).value for full in fulls)
+        for sparse, full in zip(stack, fulls, strict=True):
+            if sparse is None:  # dropped: its refined peak cannot win
+                assert global_max(full).value < top - slack
+                continue
+            # kept: it carries its own grid maximum, and so its refined peak
             assert sparse.times[np.argmax(sparse.values)] == full.times[np.argmax(full.values)]
             assert abs(global_max(sparse).value - global_max(full).value) <= 1e-12
+
+    def test_an_earlier_stack_prunes_a_later_one(self, monkeypatch):
+        # 17 candidates make two stacks.  The last one, alone in the second
+        # stack, is kept when it is searched on its own, but the best refined
+        # peak of the first stack rules it out there.
+        grid, psi = TimeGrid(0.0, 60.0, 0.02), _pair_state(5)
+        candidates = (PI / 2, *np.linspace(-3.0, 3.0, 15), 0.3)
+        (alone,), _ = experiments._candidate_series(5, psi, candidates[16:], grid)
+        assert alone is not None
+        calls, traced = [], []
+        search, trace = experiments._candidate_series, experiments.concurrence_trace
+
+        def recorded(*args):
+            stack, slack = search(*args)
+            calls.append((args[4], list(stack)))
+            return iter(calls[-1][1]), slack
+
+        monkeypatch.setattr(experiments, "_candidate_series", recorded)
+        monkeypatch.setattr(experiments, "concurrence_trace",
+                            lambda graph, *args: traced.append(graph.theta) or trace(graph, *args))
+        rec = optimize_theta(5, PI, candidates, grid.t_end, grid.dt)
+        (first_best, first), (second_best, second) = calls
+        assert first_best == -math.inf and len(first) == 16
+        assert second_best == max(global_max(s).value for s in first if s is not None)
+        assert second == [None]
+        assert traced == [PI / 2]
+        assert rec == oracles.optimize_theta_scan(5, PI, candidates, grid.t_end, grid.dt)
+
+    @given(st.integers(2, 40), st.integers(1, 4), st.floats(0.1, 8.0), st.floats(0.0, 33.0),
+           st.floats(1e-3, 1.0), st.integers(3, 600), st.integers(0, 2**32 - 1))
+    @example(33, 4, 4.0, 11.0, 0.02, 5001, 7)  # the table's screen at n = 33
+    @example(40, 2, 8.0, 33.0, 0.5, 400, 1)  # angles at the phase-resolution guard
+    @settings(max_examples=60, deadline=None)
+    def test_screen_is_within_its_rounding_bound(self, n, m, scale, log_angle, dt, size, seed):
+        # Random spectra and readouts W = V[rows] diag(V^dag psi), on grids whose
+        # largest angle |lam t| reaches 2^log_angle, up to the 2^33 that
+        # PHASE_RESOLUTION lets through: every single-precision value of the
+        # screen lies within eps of the same factored product in float64.
+        rng = np.random.default_rng(seed)
+        lam = np.sort(rng.uniform(-scale, scale, (m, n)), axis=-1)
+        lam[:, -1] = scale
+        V = np.linalg.qr(rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n)))[0]
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        W = V[:, :2] * (V.conj().swapaxes(-1, -2) @ psi)[:, None, :]
+        t_end = 2.0 ** log_angle / scale
+        times = t_end - dt * np.arange(size)[::-1]
+        screened, _ = experiments._coarse_concurrence(lam, W, times)
+        block = math.isqrt(size)
+        anchors = dynamics._phases(lam, times[::block])
+        fine = dynamics._phases(lam, times[:block] - times[0])
+        p, q = np.einsum("mrl,mla,mlb->rmab", W, anchors, fine).reshape(2, m, -1)[..., :size]
+        exact = np.clip(2 * np.abs(p * np.conj(q)), 0.0, 1.0)
+        eps = experiments._screen_rounding(lam, W, times)
+        assert screened.dtype == np.float32
+        assert np.all(np.abs(screened - exact) <= eps[:, None])
 
     def test_every_interval_live_takes_the_full_grid(self, monkeypatch):
         # Early on, the far end of tri:15 holds almost nothing, so the bound
@@ -462,6 +523,23 @@ class TestPrunedLongTimeSearch:
         rec = optimize_theta(3, PI, (0.54, -0.18), grid.t_end, grid.dt)
         assert traced == [-0.18]
         assert rec == oracles.optimize_theta_scan(3, PI, (0.54, -0.18), grid.t_end, grid.dt)
+
+    @pytest.mark.parametrize("thetas, horizon", [
+        ((-1.15, 1.2), 50.0), ((-1.36, -1.17), 20.0), ((0.19, -0.35), 100.0),
+        ((1.23, -2.32), 20.0),
+    ])
+    def test_a_later_stack_wins_by_its_refined_peak(self, monkeypatch, thetas, horizon):
+        # In stacks of one, the refined peak of the first candidate is the bar
+        # of the second.  The second's grid maximum lies below that bar, its
+        # refined peak above it: only the overshoot the bar allows for keeps it.
+        monkeypatch.setattr(experiments, "CANDIDATE_SLICE", 1)
+        grid, state = TimeGrid(0.0, horizon, 0.05), StateSpec("pair", i=1, j=2, phi=PI)
+        first, second = (concurrence_trace(GraphSpec("tri", 3, theta), state, grid)
+                         for theta in thetas)
+        assert second.values.max() < global_max(first).value < global_max(second).value
+        rec = optimize_theta(3, PI, thetas, grid.t_end, grid.dt)
+        assert rec.theta == thetas[1]
+        assert rec == oracles.optimize_theta_scan(3, PI, thetas, grid.t_end, grid.dt)
 
     @pytest.mark.parametrize("count, horizon, parent_mib", [(16, 500.0, 2.6), (64, 500.0, 1.6),
                                                             (16, 5000.0, 15.3)])

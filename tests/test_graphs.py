@@ -167,6 +167,18 @@ class TestBuilders:
         assert np.abs(H.imag).max() == 0.0
         assert np.abs(H - H.T).max() == 0.0
 
+    @given(st.sampled_from([3, 5, 17, 33]), st.lists(angles, min_size=1, max_size=20))
+    def test_hamiltonian_stack_is_the_per_theta_builds(self, n, thetas):
+        stack = graphs.triangular_chain_hamiltonians(n, thetas)
+        lone = [graphs.hamiltonian(graphs.triangular_chain(n, theta)) for theta in thetas]
+        assert stack.tobytes() == np.stack(lone).tobytes()
+
+    def test_hamiltonian_stack_checks_the_chain(self):
+        with pytest.raises(ValueError):
+            graphs.triangular_chain_hamiltonians(2, [0.0])
+        with pytest.raises(ValueError):
+            graphs.triangular_chain_hamiltonians(5, [math.nan])
+
     @given(st.integers(3, 10), angles)
     def test_negated_phase_transposes(self, n, theta):
         H = graphs.hamiltonian(graphs.triangular_chain(n, theta, 1.0))
