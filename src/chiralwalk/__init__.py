@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .graphs import (
-    WeightedGraph,
     complete_graph,
     cycle_graph,
     graph_json_dict,

@@ -104,6 +104,9 @@ class GraphSpec:
                 f"unknown graph kind {self.kind!r}; expected one of {', '.join(GRAPH_KINDS)}"
             )
         object.__setattr__(self, "kind", GRAPH_KINDS[self.kind])
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"graph size must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if not self.n <= MAX_SITES:
             raise ValueError(f"graph of {self.n} sites exceeds the site guard {MAX_SITES}")
         # Only the triangular chain has a hopping magnitude; elsewhere it would
@@ -533,12 +536,14 @@ def _peak_grid(grid: TimeGrid) -> TimeGrid:
 def _chain_sizes(n_values, state_spec: StateSpec) -> list[int]:
     """The sizes of a sweep over triangular chains, each checked, with the state
     on it, before any size runs."""
-    sizes = list(map(int, n_values))
+    sizes = []
+    for n in n_values:
+        graph = GraphSpec("tri", n)
+        graph.build()
+        state_spec.ensemble(graph.n)
+        sizes.append(graph.n)
     if not sizes:
         raise ValueError("need at least one chain size")
-    for n in sizes:
-        GraphSpec("tri", n).build()
-        state_spec.ensemble(n)
     return sizes
 
 
@@ -661,8 +666,9 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     with both grid neighbours, so global_max finds on it the grid point,
     earliest-wins tie-break and parabola of the full trace, up to rounding.
 
-    The Hamiltonians are built as one stack (graphs.triangular_chain_hamiltonians)
-    and decomposed together.  Between points h apart, f = C^2 stays below
+    The Hamiltonians are built as one (len(thetas), n, n) stack, by
+    graphs.hamiltonian on the chain built with the whole phase list, and
+    decomposed together.  Between points h apart, f = C^2 stays below
     max(f_a, f_b) + M h^2 / 8, M from _curvature_bound, and |C'| <= L =
     sqrt(M / 2).  Each member is screened on every s-th grid point, s the
     largest step with M (s dt)^2 / 8 <= COARSE_SLACK for the largest M, at the
@@ -699,7 +705,7 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     label = f"concurrence:{n - 1},{n}"
     times, rows = grid.times(), [n - 2, n - 1]
     GraphSpec("tri", n)  # the site guard, before the stack is built
-    d = spectral_decompose(graphs.triangular_chain_hamiltonians(n, thetas))
+    d = spectral_decompose(graphs.hamiltonian(graphs.triangular_chain(n, thetas)))
     slack = 4 * max(CROSS_CHECK_TOL, 4 * _check_phases(d, times, label))
     W, bound = dynamics._readout(d, psi, rows), _curvature_bound(d, psi, rows)
     size, top = times.size, bound.max()

@@ -23,99 +23,71 @@ def reduce_phase(theta: float) -> float:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Vertex count plus a directed-edge weight table.
+    """Vertex count, 0/1 edge pattern and the one weight every edge carries.
 
-    Each edge is stored once as ``(m, n, weight)`` with ``1 <= m < n``; the
-    reverse direction carries the complex-conjugate weight implicitly, so a
-    Hermitian Hamiltonian is guaranteed by construction.  ``weight`` is the
-    matrix element at row ``n``, column ``m`` (the lower triangle).
+    Each edge is stored once as a 1-based pair ``(m, n)`` with ``m < n``.
+    ``weight`` is the matrix element at row ``n``, column ``m`` (the lower
+    triangle); the reverse direction carries its complex conjugate, so a
+    Hermitian Hamiltonian is guaranteed by construction.  A builder given a
+    list of phases stores one weight per phase, as a 1-d array.
     """
 
     n_vertices: int
-    edges: tuple[tuple[int, int, complex], ...]
+    edges: tuple[tuple[int, int], ...]
+    weight: complex | np.ndarray
 
-    def __post_init__(self):
-        if int(self.n_vertices) < 1:
-            raise ValueError(f"need at least one vertex, got {self.n_vertices}")
-        object.__setattr__(self, "n_vertices", int(self.n_vertices))
-        clean = []
-        seen = set()
-        for m, n, w in self.edges:
-            m, n, w = int(m), int(n), complex(w)
-            if m == n:
-                raise ValueError(f"self-edge ({m}, {n}) is not allowed")
-            if not (1 <= m < n <= self.n_vertices):
-                raise ValueError(
-                    f"edge ({m}, {n}) out of range for {self.n_vertices} vertices"
-                )
-            if (m, n) in seen:
-                raise ValueError(f"duplicate edge ({m}, {n})")
-            seen.add((m, n))
-            clean.append((m, n, w))
-        object.__setattr__(self, "edges", tuple(clean))
+
+def _weight(theta, magnitude: float = 1.0):
+    """``magnitude * exp(i*theta)``, or a 1-d array of them for a list of phases."""
+    if not 0 < magnitude < math.inf:
+        raise ValueError(f"magnitude must be positive and finite, got {magnitude}")
+    if np.ndim(theta):
+        # One scalar product per phase: numpy's array multiply may fuse it into
+        # an FMA, which rounds an underflowing part to a differently signed zero.
+        return np.array([_weight(t, magnitude) for t in theta], dtype=complex)
+    return magnitude * np.exp(1j * reduce_phase(theta))
 
 
 def triangular_chain(n: int, theta, magnitude: float = 1.0) -> WeightedGraph:
-    """Linear chain of triangle plaquettes: edges (i, i+1) and (i, i+2).
+    """Linear chain of triangle plaquettes: edges (i, i+1), then (i, i+2).
 
     Every lower-triangle matrix element H[n][m] (n > m) equals
     ``magnitude * exp(i*theta)``; theta = pi/2 puts +i below the diagonal.
     """
     if n < 3:
         raise ValueError(f"triangular chain needs n >= 3, got {n}")
-    if not 0 < magnitude < math.inf:
-        raise ValueError(f"magnitude must be positive and finite, got {magnitude}")
-    w = magnitude * np.exp(1j * reduce_phase(theta))
-    edges = [(i, i + 1, w) for i in range(1, n)]
-    edges += [(i, i + 2, w) for i in range(1, n - 1)]
-    return WeightedGraph(n, tuple(edges))
-
-
-def triangular_chain_hamiltonians(n: int, thetas) -> np.ndarray:
-    """hamiltonian(triangular_chain(n, theta)) for every theta, bit for bit, as one
-    (len(thetas), n, n) stack: each weight is broadcast onto the chain's
-    lower-triangle band (the first two subdiagonals) and its conjugate onto the
-    transposed band."""
-    if n < 3:
-        raise ValueError(f"triangular chain needs n >= 3, got {n}")
-    w = np.exp(1j * np.array([reduce_phase(theta) for theta in thetas]))
-    band = np.tri(n, k=-1, dtype=bool) & ~np.tri(n, k=-3, dtype=bool)
-    H = np.zeros((w.size, n, n), dtype=complex)
-    H[:, band] = w[:, None]
-    H.swapaxes(-1, -2)[:, band] = np.conj(w)[:, None]
-    return H
+    edges = [(i, i + 1) for i in range(1, n)] + [(i, i + 2) for i in range(1, n - 1)]
+    return WeightedGraph(n, tuple(edges), _weight(theta, magnitude))
 
 
 def cycle_graph(n: int, theta) -> WeightedGraph:
     """Ring with nearest-neighbor edges (i, i+1) plus the wrap edge (1, n)."""
     if n < 3:
         raise ValueError(f"cycle graph needs n >= 3, got {n}")
-    w = np.exp(1j * reduce_phase(theta))
-    edges = [(i, i + 1, w) for i in range(1, n)] + [(1, n, w)]
-    return WeightedGraph(n, tuple(edges))
+    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    return WeightedGraph(n, tuple(edges), _weight(theta))
 
 
 def complete_graph(n: int, theta) -> WeightedGraph:
-    """All-to-all graph; for n = 5 this is the pentagram."""
+    """All-to-all graph, edges in row-major order; for n = 5 this is the pentagram."""
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
-    w = np.exp(1j * reduce_phase(theta))
-    edges = [(m, k, w) for m in range(1, n + 1) for k in range(m + 1, n + 1)]
-    return WeightedGraph(n, tuple(edges))
+    edges = [(m, k) for m in range(1, n + 1) for k in range(m + 1, n + 1)]
+    return WeightedGraph(n, tuple(edges), _weight(theta))
 
 
 def hamiltonian(g: WeightedGraph) -> np.ndarray:
-    """Hermitian hopping Hamiltonian of the graph (zero diagonal)."""
-    H = np.zeros((g.n_vertices, g.n_vertices), dtype=complex)
-    for m, n, w in g.edges:
-        H[n - 1, m - 1] = w
-        H[m - 1, n - 1] = np.conj(w)
+    """Hermitian hopping Hamiltonian of the graph (zero diagonal): (n, n), or
+    (k, n, n) for a graph built with k phases."""
+    w = np.asarray(g.weight)[..., None]
+    cols, rows = np.array(g.edges).T - 1
+    H = np.zeros(w.shape[:-1] + (g.n_vertices, g.n_vertices), dtype=complex)
+    H[..., rows, cols] = w
+    H[..., cols, rows] = np.conj(w)
     return H
 
 
 def graph_json_dict(g: WeightedGraph) -> dict:
     """JSON-serializable form: {n, edges: [[m, n, re, im], ...]}."""
-    return {
-        "n": g.n_vertices,
-        "edges": [[m, n, w.real, w.imag] for m, n, w in g.edges],
-    }
+    w = complex(g.weight)
+    return {"n": g.n_vertices, "edges": [[m, n, w.real, w.imag] for m, n in g.edges]}

@@ -164,6 +164,11 @@ COMMANDS = {
     "graph-export-magnitude": ["graph-export", "--graph", "tri:5", "--magnitude", "2",
                                "--theta=-0.75pi"],
     "graph-export-complete": ["graph-export", "--graph", "complete:4", "--name", "k4"],
+    # Each kind at its smallest size.
+    "graph-export-tri-smallest": ["graph-export", "--graph", "tri:3", "--theta", "0.5pi"],
+    "graph-export-cycle-smallest": ["graph-export", "--graph", "cycle:3", "--theta", "-0.3"],
+    "graph-export-complete-smallest": ["graph-export", "--graph", "complete:2", "--theta",
+                                       "0.25pi"],
     # rejected runs: exit 1 or 2, nothing written
     "reject-ctqw-candidates": ["table", "--mode", "ctqw", "--n", "5", "--horizon", "20",
                                "--theta-candidates", "grid:16"],
@@ -176,6 +181,11 @@ COMMANDS = {
     "reject-pair-site": ["trace", *TRI5, "--state", "pair:1,9", *CONCURRENCE,
                          "--t", "0:1:0.5"],
     "reject-graph-kind": ["graph-export", "--graph", "blob:3"],
+    "reject-tri-size": ["graph-export", "--graph", "tri:2"],
+    "reject-cycle-size": ["graph-export", "--graph", "cycle:2"],
+    "reject-complete-size": ["graph-export", "--graph", "complete:1"],
+    "reject-magnitude": ["graph-export", "--graph", "tri:5", "--magnitude", "0"],
+    "reject-site-guard": ["graph-export", "--graph", "tri:4097"],
     "reject-occupation-site": ["trace", *TRI5, "--state", "localized:1", "--measure",
                                "occupation:7", "--t", "0:1:0.5"],
     "reject-werner-fidelity-pair": ["trace", *TRI5, *PAIR, "--measure", "werner-fidelity",

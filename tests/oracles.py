@@ -11,6 +11,11 @@ package's axis tick helpers).
 ``site_amplitudes`` does so for a whole grid at once and is checked against
 it column by column.
 
+The graph builders below (``edge_table``, ``hamiltonian_edge_loop`` and
+``graph_json_text``) were the package's: each edge carries its own weight
+and the Hamiltonian and the export are filled one edge at a time.  They
+share only ``reduce_phase`` with the package's pattern builders.
+
 The general measures below the brute-force ones (``reduced_pair``,
 ``check_pair_density``, ``concurrence_wootters`` with its spin flip ``_YY``,
 ``bures_distance``, ``diagonal_bures`` and ``transfer_fidelity_pure``) were
@@ -21,6 +26,7 @@ validators, ``measures.fidelity`` and its Hermitian square root.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -37,6 +43,7 @@ from chiralwalk.experiments import (
     global_max,
     top_peaks,
 )
+from chiralwalk.graphs import reduce_phase
 from chiralwalk.measures import PSD_TOL, _clamp01, _site_pair_indices, _sqrtm_psd, fidelity
 from chiralwalk.svgplot import _COLORS, _fmt, _ticks
 
@@ -129,6 +136,40 @@ def random_density_matrix(rng: np.random.Generator, n: int, rank: int = 2) -> np
         psi = random_single_excitation_state(rng, n)
         rho += w * np.outer(psi, psi.conj())
     return rho
+
+
+# ---------------------------------------------------------------------------
+# graph builders
+
+
+def edge_table(kind: str, n: int, theta: float, magnitude: float = 1.0) -> list:
+    """The ``(m, k, weight)`` edges of a tri, cycle or complete graph, m < k,
+    in export order: tri offset 1 then offset 2, cycle offset 1 then (1, n),
+    complete row-major.  Only tri scales its weight by ``magnitude``."""
+    w = np.exp(1j * reduce_phase(theta))
+    if kind == "tri":
+        w = magnitude * w
+        pairs = [(i, i + 1) for i in range(1, n)] + [(i, i + 2) for i in range(1, n - 1)]
+    elif kind == "cycle":
+        pairs = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    else:
+        pairs = [(m, k) for m in range(1, n + 1) for k in range(m + 1, n + 1)]
+    return [(m, k, complex(w)) for m, k in pairs]
+
+
+def hamiltonian_edge_loop(n: int, edges) -> np.ndarray:
+    """The Hamiltonian filled edge by edge: the weight at row k, column m, and
+    its conjugate at row m, column k."""
+    H = np.zeros((n, n), dtype=complex)
+    for m, k, w in edges:
+        H[k - 1, m - 1] = w
+        H[m - 1, k - 1] = np.conj(w)
+    return H
+
+
+def graph_json_text(n: int, edges) -> str:
+    """The graph-export JSON object, {n, edges: [[m, k, re, im], ...]}, as text."""
+    return json.dumps({"n": n, "edges": [[m, k, w.real, w.imag] for m, k, w in edges]})
 
 
 # ---------------------------------------------------------------------------

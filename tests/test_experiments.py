@@ -339,6 +339,10 @@ class TestLongTimeSweeps:
         with pytest.raises(ValueError):
             optimize_theta(5, PI, ())
 
+    def test_numpy_sizes_are_recorded_as_ints(self):
+        (record,) = sweep_table(np.array([5]), PI, 10.0, 0.02, (0.0,))
+        assert type(record.n) is int and record == ctqw_long_time(5, PI, horizon=10.0)
+
     def test_tie_break_prefers_smaller_magnitude(self):
         # 2pi-shifted candidates give bit-identical traces, forcing a tie.
         rec = optimize_theta(5, PI, (PI / 2 - 2 * PI, PI / 2), horizon=10.0)
@@ -706,6 +710,13 @@ class TestInputsRejectedBeforeCompute:
         with pytest.raises(error):
             scaling_sweep(n_values, PI / 2, state, TimeGrid(0, 5, 0.01))
 
+    @pytest.mark.parametrize("n_values", [[5.9], [5, 7.0], [True]])
+    def test_sweeps_reject_a_non_integral_size(self, n_values):
+        with pytest.raises(ValueError, match="graph size must be an integer"):
+            sweep_table(n_values, PI, 20.0)
+        with pytest.raises(ValueError, match="graph size must be an integer"):
+            scaling_sweep(n_values, PI / 2)
+
     def test_scaling_sweep_needs_3_grid_points(self):
         with pytest.raises(ValueError, match="at least 3 grid points"):
             scaling_sweep([5], PI / 2, grid=TimeGrid(0, 0.05, 0.05))
@@ -846,6 +857,17 @@ class TestGraphSpec:
         assert a.kind == "pentagram"
         assert a.build() == GraphSpec("pentagram", 4, 0.3).build()
         assert GraphSpec.from_dict({"kind": "complete", "n": 4, "theta": 0.3}) == a
+
+    @pytest.mark.parametrize("n", [5.5, 5.0, np.float64(5), True, "5", None])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="graph size must be an integer"):
+            GraphSpec("tri", n)
+
+    @pytest.mark.parametrize("n", [np.int64(5), np.uint8(5)])
+    def test_numpy_integer_size_is_read_as_int(self, n):
+        spec = GraphSpec("tri", n, 0.3)
+        assert type(spec.n) is int and spec == GraphSpec("tri", 5, 0.3)
+        assert spec.build() == GraphSpec("tri", 5, 0.3).build()
 
 
 class TestStateSpec:
