@@ -62,6 +62,11 @@ def parse_grid(text: str) -> TimeGrid:
     return TimeGrid(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
+# Bounds the candidate list grid:K builds, and the manifest records, at about
+# 32 MB of Python floats and 24 MB of manifest text.
+MAX_THETA_GRID = 10**6
+
+
 def parse_theta_candidates(text: str) -> list[float]:
     """Comma list of phases, or ``grid:K`` for K points evenly over (-pi, pi]."""
     s = str(text).strip()
@@ -69,6 +74,8 @@ def parse_theta_candidates(text: str) -> list[float]:
         k = int(s[5:])
         if k < 1:
             raise ValueError(f"grid size must be positive, got {k}")
+        if k > MAX_THETA_GRID:
+            raise ValueError(f"grid of {k} phases exceeds the candidate guard {MAX_THETA_GRID}")
         return [-math.pi + 2 * math.pi * step / k for step in range(1, k + 1)]
     values = [parse_phase(t) for t in s.split(",") if t != ""]
     if not values:
@@ -88,6 +95,9 @@ def parse_int_list(text: str) -> list[int]:
             raise ValueError(f"cannot parse size list {text!r}")
         if step < 1 or hi < lo:
             raise ValueError(f"bad size range {text!r}")
+        # Both ends are checked as sweep sizes are, so the site guard bounds the list.
+        GraphSpec("tri", hi)
+        GraphSpec("tri", lo).build()
         return list(range(lo, hi + 1, step))
     return [int(x) for x in s.split(",") if x != ""]
 

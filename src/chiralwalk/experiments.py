@@ -19,6 +19,7 @@ from .dynamics import (
     site_amplitudes,
     spectral_decompose,
 )
+from .graphs import PHASE_RESOLUTION
 
 # Bounds the output bytes of a trace, which grow with the grid: 16 bytes per
 # readout row and time in the m r x T complex amplitudes of an m-member
@@ -39,16 +40,10 @@ THETA_CANDIDATES = (-np.pi / 2, np.pi / 2)
 COARSE_SLACK = 0.1
 # Theta candidates a long-time search decomposes and reads as one stack.  It
 # bounds what the search holds at once, whatever the number of candidates:
-# the stacked eigenvectors, the coarse values and the live (candidate, point)
-# pairs, 16 bytes each.
+# the stacked eigenvectors and the coarse values.  The candidates' live
+# points are read one candidate at a time.
 CANDIDATE_SLICE = 16
 CROSS_CHECK_TOL = 1e-10
-# A phase lambda t is held to half the float spacing of |lambda t|, and each
-# amplitude, and so each value made from them, can be off by about as much.
-# A trace whose largest |lambda t| has a spacing above this many radians is
-# refused, since the last 6 of the 12 digits its CSV prints would be made up
-# by rounding: |lambda t| below 2^33, about 8.6e9, passes.
-PHASE_RESOLUTION = 1e-6
 # Graph kind -> the kind outputs record; "complete" is another name for "pentagram".
 GRAPH_KINDS = {"tri": "tri", "cycle": "cycle", "pentagram": "pentagram",
                "complete": "pentagram"}
@@ -641,19 +636,6 @@ def _coarse_concurrence(eigenvalues: np.ndarray, W: np.ndarray,
     return values, np.add.outer(times[::block], offsets).ravel()[:size]
 
 
-def _pair_concurrence(d: SpectralDecomposition, W: np.ndarray, owners: np.ndarray,
-                      times: np.ndarray) -> np.ndarray:
-    """C of member owners[j] at times[j], for each pair j, from exact phases,
-    AMPLITUDE_CHUNK pairs at a time."""
-    values = np.empty(times.size)
-    for lo in range(0, times.size, dynamics.AMPLITUDE_CHUNK):
-        k, at = owners[lo:lo + dynamics.AMPLITUDE_CHUNK], times[lo:lo + dynamics.AMPLITUDE_CHUNK]
-        phases = dynamics._exp_minus_i(d.eigenvalues[k] * at[:, None])
-        p, q = (np.einsum("jl,jl->j", W[k, row], phases) for row in (0, 1))
-        values[lo:lo + at.size] = _concurrence(p, q)
-    return values
-
-
 def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: float = -math.inf):
     """The end-pair concurrence of the pure state ``psi`` on tri:n at each phase in
     ``thetas``, read where a maximum that can win may lie: an iterator of one
@@ -687,14 +669,15 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     An interval is live if U reaches both the member's largest screened value
     less err and the slack, as it may then hold the member's grid maximum, and
     ``best`` less the overshoot and four slacks, as a grid point in it may then
-    carry a refined peak near ``best``.  The live intervals, and the points
-    after the last stride, are read on every grid point, padded by one point
-    on each side, in one double-precision pass over all (member, point) pairs.
-    A member with half its intervals or more live is read on every grid point,
-    through site_amplitudes, when its series is taken.  Any other member whose
-    read values all lie more than the overshoot and three slacks below
-    ``best`` gets None: its grid maximum is one of them, or lies in an interval
-    that is not live and so lower still.  Otherwise that maximum was read.
+    carry a refined peak near ``best``.  When a member's series is taken, its
+    live intervals, padded by one grid point on each side, and the points
+    after the last stride are read on every grid point by one site_amplitudes
+    call.  A member whose every interval is live, and every member of a
+    stride-1 search, so reads the whole grid and gets its full trace.  A
+    member whose read values all lie more than the overshoot and three slacks
+    below ``best`` gets None: its grid maximum is one of them, or lies in an
+    interval that is not live and so lower still.  Otherwise that maximum was
+    read.
 
     Each value is off by the rounding its phases carry, within the tolerance
     the cross-check allows; the slack is four times that, for four such values
@@ -711,9 +694,12 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     size, top = times.size, bound.max()
     step = math.sqrt(8.0 * COARSE_SLACK / top) / grid.dt if top > 0 else math.inf
     stride = max(1, int(min(size - 1, step)))
-    full = np.ones(len(thetas), dtype=bool)
+    at = np.arange(0, size, stride)
+    # Each member's segments: the intervals between screened points, then the
+    # tail after the last one.  A stride-1 search reads them all.
+    segments = np.ones((len(thetas), at.size), dtype=bool)
+    low = np.full(len(thetas), -math.inf)
     if stride > 1:
-        at = np.arange(0, size, stride)
         coarse, factored = _coarse_concurrence(d.eigenvalues, W, times[at])
         _check_finite(coarse, label)
         lipschitz, h = np.sqrt(bound / 2), np.diff(factored).max()
@@ -729,33 +715,23 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
         needed = np.maximum(needed, 0.0)
         level = np.sqrt(np.maximum(needed * needed - bound * h * h / 8.0, 0.0))
         above = coarse >= level[:, None]
-        segments = np.empty(coarse.shape, dtype=bool)  # live intervals, then the tail
-        live = np.logical_or(above[:, :-1], above[:, 1:], out=segments[:, :-1])
+        np.logical_or(above[:, :-1], above[:, 1:], out=segments[:, :-1])
         segments[:, -1] = at[-1] < size - 1
-        full = 2 * live.sum(axis=1) >= live.shape[1]
-        segments[full] = False
-        members, starts = np.divmod(np.flatnonzero(segments), segments.shape[1])
-        # Each interval's grid points, padded by one on each side, from after
-        # the last point of the member's interval before it.
-        hi = np.minimum(at[starts] + stride + 1, size - 1)
-        lo = np.maximum(at[starts] - 1, np.where(np.diff(members, prepend=-1) == 0,
-                                                 np.roll(hi, 1) + 1, 0))
-        lengths = hi - lo + 1
-        ends = np.r_[0, np.cumsum(lengths)]
-        points = np.arange(ends[-1]) + np.repeat(lo - ends[:-1], lengths)
-        bounds = ends[np.searchsorted(members, np.arange(len(thetas) + 1))]
-        owners = np.repeat(np.arange(len(thetas)), np.diff(bounds))
-        values = _pair_concurrence(d, W, owners, times[points])
         low = best - 3 * slack - overshoot
+    pad = np.arange(-1, stride + 2)  # a segment's grid points, padded by one on each side
 
     def series(k):
-        if full[k]:
-            p, q = site_amplitudes(d.member(k), psi, times, rows)
-            return TraceSeries(times, _concurrence(p, q), label=label)
-        kept = slice(bounds[k], bounds[k + 1])
-        if not values[kept].max(initial=-math.inf) >= low[k]:
+        if not segments[k].any():  # no value read: none can reach low[k]
             return None
-        return TraceSeries(times[points[kept]], values[kept], label=label)
+        points = slice(None)  # every interval live: the whole grid
+        if not segments[k, :-1].all():
+            points = np.zeros(size, dtype=bool)
+            points[np.clip(at[segments[k]][:, None] + pad, 0, size - 1)] = True
+        p, q = site_amplitudes(d.member(k), psi, times[points], rows)
+        values = _concurrence(p, q)
+        if not values.max() >= low[k]:
+            return None
+        return TraceSeries(times[points], values, label=label)
 
     return map(series, range(len(thetas))), slack
 

@@ -8,6 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# A phase lambda t is held to half the float spacing of |lambda t|, and each
+# amplitude, and so each value made from them, can be off by about as much.
+# A trace whose largest |lambda t| has a spacing above this many radians is
+# refused, since the last 6 of the 12 digits its CSV prints would be made up
+# by rounding: |lambda t| below 2^33, about 8.6e9, passes.  A chiral phase is
+# held to the same bound.
+PHASE_RESOLUTION = 1e-6
 
 
 def reduce_phase(theta: float) -> float:
@@ -15,6 +22,10 @@ def reduce_phase(theta: float) -> float:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"phase must be finite, got {theta!r}")
+    # TWO_PI lies |sin(TWO_PI)|, about 2.45e-16, below 2 pi, so each whole turn
+    # taken off theta moves the result that far: |theta| to about 2.6e10 passes.
+    if abs(theta) / TWO_PI * abs(math.sin(TWO_PI)) > PHASE_RESOLUTION:
+        raise ValueError(f"phase {theta!r} cannot be reduced within the phase resolution")
     r = math.remainder(theta, TWO_PI)
     if r <= -math.pi:
         r += TWO_PI

@@ -111,6 +111,10 @@ COMMANDS = {
     "table-cqw-tie-across-stacks": ["table", "--mode", "cqw", "--n", "5,9", "--horizon", "60",
                                     "--theta-candidates=" + SIXTEEN_THETAS.rsplit(",", 1)[0]
                                     + f",{math.pi / 2 - 2 * math.pi!r},0.5pi"],
+    # On tri:9 with phi = 0 the two candidates have 48% and 60% of their
+    # coarse intervals live.
+    "table-cqw-half-live": ["table", "--mode", "cqw", "--n", "9", "--phi", "0", "--horizon",
+                            "5.6", "--dt", "0.01", "--theta-candidates=-0.155,-2.852"],
     "scaling-svg": ["scaling", "--n", "5:9:2", "--t", "0:5:0.01", "--svg"],
     "scaling-state": ["scaling", "--theta", "-0.5pi", "--n", "5,7", "--state",
                       "pair:1,2:0.5pi", "--t", "0:8:0.02"],

@@ -100,6 +100,19 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             cli.parse_theta_candidates("")
 
+    # Each list is refused before it is built: 1e8 Python numbers would not fit.
+    @pytest.mark.parametrize("text, message", [
+        ("5:100000000", "graph of 100000000 sites exceeds the site guard 4096"),
+        ("-100000000:5", "triangular chain needs n >= 3, got -100000000"),
+    ])
+    def test_size_range_is_guarded_before_it_is_built(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            cli.parse_int_list(text)
+
+    def test_theta_grid_is_guarded_before_it_is_built(self):
+        with pytest.raises(ValueError, match="candidate guard"):
+            cli.parse_theta_candidates(f"grid:{cli.MAX_THETA_GRID + 1}")
+
 
 class TestTraceCommand:
     def test_csv_matches_library(self, tmp_path):
@@ -956,7 +969,7 @@ def test_werner_fidelity_uses_the_given_graph(tmp_path, graph, magnitude):
 FUZZ_FLAGS = {
     "--graph": (["tri:5", "tri:9", "cycle:5", "complete:4", "pentagram:5", "tri:3"],
                 ["tri:2", "tri:x", "blob:3", "tri", "tri:-1", "tri:300000"]),
-    "--theta": (["0", "0.5pi", "-pi", "-0.4pi", "1.3"], ["x", "nan", "inf"]),
+    "--theta": (["0", "0.5pi", "-pi", "-0.4pi", "1.3"], ["x", "nan", "inf", "1e300"]),
     "--magnitude": (["1", "2", "1e307", "1e308"], ["0", "-1", "inf", "nan", "x"]),
     "--state": (["pair:1,2:pi", "pair:2,3", "localized:3", "werner:0.5", "werner:-1",
                  '{"kind": "werner", "b": 0.5}',
@@ -971,11 +984,15 @@ FUZZ_FLAGS = {
             ["0:0:0.1", "1:0:0.1", "0:1:-0.1", "0:1:0", "0:1e9:0.1", "nan:1:0.1", "0:2",
              "a:b:c"]),
     "--mode": (["cqw", "ctqw"], ["xyz"]),
-    "--n": (["5", "3,4", "5:9:2", "3:5"], ["1,2", "9:5", "", "x", "5:9:2:1", "5,300000"]),
+    # 5:100000000 and grid:100000000 must be rejected before their lists are
+    # built, which would hold about 5e7 and 1e8 Python numbers.
+    "--n": (["5", "3,4", "5:9:2", "3:5"],
+            ["1,2", "9:5", "", "x", "5:9:2:1", "5,300000", "5:100000000"]),
     "--phi": (["pi", "0", "-0.5pi"], ["x"]),
     "--horizon": (["10", "2"], ["0", "-1", "1e9", "nan", "x"]),
     "--dt": (["0.5", "1"], ["0", "-1", "nan"]),
-    "--theta-candidates": (["-0.5pi,0.5pi", "grid:4"], ["grid:0", "", "x", "grid:x"]),
+    "--theta-candidates": (["-0.5pi,0.5pi", "grid:4"],
+                           ["grid:0", "", "x", "grid:x", "grid:100000000"]),
     "--times": (["0.5", "0,1", "-1"], ["nan", "", "x", "inf"]),
     "--name": (["run"], ["../x", "", ".", "a/b", "a\\b"]),
 }

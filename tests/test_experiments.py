@@ -395,6 +395,7 @@ class TestPrunedLongTimeSearch:
     @example(5, [PI / 2], {"shift"}, PI, 10.0, 0.02)  # 2pi-shifted exact tie
     @example(5, [PI / 4], {"supplement"}, PI, 60.0, 0.02)  # a tie up to rounding
     @example(15, [PI / 2, -PI / 2], set(), PI, 1.0, 0.01)  # every interval live
+    @example(9, [-0.155, -2.852], set(), 0.0, 5.6, 0.01)  # 48% and 60% of intervals live
     @settings(max_examples=40, deadline=None)
     def test_picks_what_the_full_scan_picks(self, n, thetas, extras, phi, horizon, dt):
         candidates = list(thetas)
@@ -496,11 +497,11 @@ class TestPrunedLongTimeSearch:
         assert np.array_equal(series.values, full.values)
 
     def test_far_fewer_samples_than_a_full_scan(self, monkeypatch):
-        # (candidate, time) values read by the coarse pass, the live pass and
-        # the full traces of the contenders; a full scan reads 16 len(grid).
+        # (candidate, time) values read by the coarse pass, and by site_amplitudes
+        # for the live reads and the full traces of the contenders; a full scan
+        # reads 16 len(grid).
         counts = []
         for name, size in (("_coarse_concurrence", lambda out: out[0].size),
-                           ("_pair_concurrence", lambda out: out.size),
                            ("site_amplitudes", lambda out: out.size // 2)):
             def counted(*args, real=getattr(experiments, name), size=size):
                 out = real(*args)

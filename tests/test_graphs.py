@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ PENTAGRAM_CHIRAL = 1j * np.array(
 angles = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
 # Phases whose rounding or sign of zero a builder could get wrong, and random ones.
 phases = st.sampled_from([0.0, -0.0, math.pi, -math.pi, 3 * math.pi, 1e10]) | angles
+PI_50 = Fraction("3.1415926535897932384626433832795028841971693993751")
 KIND_MINIMUM = {"tri": 3, "cycle": 3, "complete": 2}
 
 
@@ -86,6 +88,21 @@ class TestPhase:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             graphs.reduce_phase(float("nan"))
+
+    @pytest.mark.parametrize("theta", [2.6e10, -2.6e10, 1e12, 1e300])
+    def test_phase_beyond_the_resolution_rejected(self, theta):
+        # Reduced by whole turns of fl(2 pi), theta = 1e12 would be off by 3.9e-5.
+        with pytest.raises(ValueError, match="phase resolution"):
+            graphs.reduce_phase(theta)
+        with pytest.raises(ValueError, match="phase resolution"):
+            graphs.cycle_graph(3, theta)
+
+    @pytest.mark.parametrize("theta", [1e10, 2.5e10, -2.5e10])
+    def test_phase_within_the_resolution_reduces_closely(self, theta):
+        # Against the reduction by a 50-digit 2 pi, in exact arithmetic.
+        two_pi = 2 * PI_50
+        off = (Fraction(graphs.reduce_phase(theta)) - Fraction(theta)) % two_pi
+        assert min(off, two_pi - off) <= graphs.PHASE_RESOLUTION
 
 
 class TestBuilders:
