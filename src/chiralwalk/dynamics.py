@@ -45,6 +45,19 @@ def check_pure_state(psi, n: int | None = None) -> np.ndarray:
     return psi
 
 
+def check_sites(n: int, *sites) -> tuple[int, ...]:
+    """The 0-based indices of 1-based ``sites``, each an integer (not a bool) in
+    1..n; the two sites of a pair must differ."""
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 1 <= s <= n
+               for s in sites):
+        shown = ", ".join(map(str, sites))
+        label = f"site index {shown}" if len(sites) == 1 else f"sites ({shown})"
+        raise IndexError(f"{label} out of range 1..{n}")
+    if len(sites) == 2 and sites[0] == sites[1]:
+        raise ValueError(f"pair sites must differ, got i = j = {sites[0]}")
+    return tuple(int(s) - 1 for s in sites)
+
+
 def check_density_matrix(rho, n: int | None = None) -> np.ndarray:
     """Validate a unit-trace positive-semidefinite density matrix."""
     rho = check_hermitian(rho)
@@ -138,8 +151,9 @@ def _phases(eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def _exp_minus_i(angles: np.ndarray) -> np.ndarray:
-    """e^{-i angles} as cos - i sin: the same bits as np.exp(-1j * angles)."""
-    phases = np.empty(angles.shape, dtype=complex)
+    """e^{-i angles} as cos - i sin: the same bits as np.exp(-1j * angles); float32
+    angles give complex64."""
+    phases = np.empty(angles.shape, dtype=np.result_type(angles, np.complex64))
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
     np.negative(phases.imag, out=phases.imag)
@@ -201,9 +215,11 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
         raise ValueError("times must be finite")
     psi0 = np.asarray(psi0, dtype=complex)
     if rows is not None:
-        rows = np.asarray(rows, dtype=int)
-        if rows.ndim != 1 or np.any((rows < 0) | (rows >= d.n)):
-            raise IndexError(f"rows must be a 1-d list of site indices in 0..{d.n - 1}")
+        rows = np.asarray(rows)
+        if not rows.size:
+            rows = rows.astype(int)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= d.n)):
+            raise IndexError(f"rows must be a 1-d list of integer site indices in 0..{d.n - 1}")
     W = np.stack([_readout(d, check_pure_state(psi, d.n), rows) for psi in np.atleast_2d(psi0)])
     r, size = W.shape[1], times.size
     out = np.empty((*W.shape[:2], size), dtype=complex)
@@ -237,10 +253,8 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
 def occupation(rho, i: int) -> float:
     """Occupation probability of site i (1-based), clamped to [0, 1]."""
     rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0]
-    if not 1 <= i <= n:
-        raise IndexError(f"site index {i} out of range 1..{n}")
-    p = float(np.real(rho[i - 1, i - 1]))
+    (a,) = check_sites(rho.shape[0], i)
+    p = float(np.real(rho[a, a]))
     if not -NORM_TOL <= p <= 1.0 + NORM_TOL:
         raise ValueError(f"diagonal element {p!r} is not a probability")
     return min(max(p, 0.0), 1.0)

@@ -372,7 +372,7 @@ def concurrence_trace(
     """Pairwise concurrence C_{i,j}(t) = 2|rho_ij(t)| over the grid; default pair (n-1, n)."""
     n = graph_spec.n
     i, j = pair if pair is not None else (n - 1, n)
-    a, b = measures._site_pair_indices(n, i, j)
+    a, b = dynamics.check_sites(n, i, j)
     return _pointwise_trace(
         graph_spec, state_spec, grid, [a, b],
         lambda members: 2.0 * np.abs(_coherence(members, 0, 1)),
@@ -383,12 +383,10 @@ def occupation_trace(
     graph_spec: GraphSpec, state_spec: StateSpec, grid: TimeGrid, site: int
 ) -> TraceSeries:
     """Occupation probability P_site(t) = rho_ss(t) over the grid."""
-    n = graph_spec.n
-    if not 1 <= site <= n:
-        raise IndexError(f"site index {site} out of range 1..{n}")
     return _pointwise_trace(
-        graph_spec, state_spec, grid, [site - 1], lambda members: _populations(members, 0),
-        lambda rho: occupation(rho, site), f"occupation:{site}")
+        graph_spec, state_spec, grid, dynamics.check_sites(graph_spec.n, site),
+        lambda members: _populations(members, 0), lambda rho: occupation(rho, site),
+        f"occupation:{site}")
 
 
 def transfer_fidelity_trace(
@@ -511,6 +509,8 @@ def global_max(series: TraceSeries) -> PeakResult:
 
 def top_peaks(series: TraceSeries, count: int = 3) -> tuple[PeakResult, ...]:
     """The ``count`` highest interior local maxima, best first; earlier times win ties."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"peak count must be a non-negative integer, got {count!r}")
     t, val = _refine(series.times, series.values,
                      np.flatnonzero(_interior_maxima(series.values)) + 1)
     best = np.lexsort((t, -val))[:count]
@@ -542,18 +542,17 @@ def _chain_sizes(n_values, state_spec: StateSpec) -> list[int]:
     return sizes
 
 
-def _curvature_bound(d: SpectralDecomposition, psi, rows) -> np.ndarray:
+def _curvature_bound(eigenvalues: np.ndarray, W: np.ndarray) -> np.ndarray:
     """M >= |f''| at every t, for f = C^2 = 4|z|^2 and z = p q* the product of the
-    amplitudes p, q of the two site rows ``rows`` (0-based) of the pure state ``psi``;
-    one M per member of a stacked decomposition.
+    amplitudes p, q of a pure state read out by the two rows of W (dynamics._readout)
+    on the spectrum ``eigenvalues``; one M per member of a stacked spectrum.
 
-    z is a sum of w_pk w*_ql e^{-i (lam_k - lam_l) t}, with w = V[rows] diag(V^dag psi),
-    so |z^(j)| <= Z_j = sum_kl |w_pk| |w_ql| |lam_k - lam_l|^j; and
+    z is a sum of w_pk w*_ql e^{-i (lam_k - lam_l) t}, w = W, so |z^(j)| <= Z_j =
+    sum_kl |w_pk| |w_ql| |lam_k - lam_l|^j; and
     f'' = 4 (z'' z* + 2 |z'|^2 + z z''*) gives M = 8 (Z_0 Z_2 + Z_1^2).  Since
     Z_1^2 <= M / 8, C = 2|z| also has |C'| <= 2 Z_1 <= sqrt(M / 2).
     """
-    w = np.abs(dynamics._readout(d, psi, rows))
-    lam = d.eigenvalues
+    w, lam = np.abs(W), eigenvalues
     gaps = np.abs(lam[..., :, None] - lam[..., None, :])
     z0, z1, z2 = ((w[..., 0, None, :] @ gaps ** j @ w[..., 1, :, None])[..., 0, 0]
                   for j in range(3))
@@ -571,12 +570,7 @@ def _screen_phases(eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
     then its cos and sin are taken in float32."""
     angles = np.multiply.outer(eigenvalues, times)
     angles -= np.rint(angles / graphs.TWO_PI) * graphs.TWO_PI
-    angles = angles.astype(np.float32)
-    phases = np.empty(angles.shape, dtype=np.complex64)
-    np.cos(angles, out=phases.real)
-    np.sin(angles, out=phases.imag)
-    np.negative(phases.imag, out=phases.imag)
-    return phases
+    return dynamics._exp_minus_i(angles.astype(np.float32))
 
 
 def _screen_rounding(eigenvalues: np.ndarray, W: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -690,7 +684,8 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     GraphSpec("tri", n)  # the site guard, before the stack is built
     d = spectral_decompose(graphs.hamiltonian(graphs.triangular_chain(n, thetas)))
     slack = 4 * max(CROSS_CHECK_TOL, 4 * _check_phases(d, times, label))
-    W, bound = dynamics._readout(d, psi, rows), _curvature_bound(d, psi, rows)
+    W = dynamics._readout(d, psi, rows)
+    bound = _curvature_bound(d.eigenvalues, W)
     size, top = times.size, bound.max()
     step = math.sqrt(8.0 * COARSE_SLACK / top) / grid.dt if top > 0 else math.inf
     stride = max(1, int(min(size - 1, step)))

@@ -9,21 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import SpectralDecomposition, check_density_matrix, evolve_density
+from .dynamics import SpectralDecomposition, check_density_matrix, check_sites, evolve_density
 
 PSD_TOL = 1e-10
 
 
 def _clamp01(x: float) -> float:
     return min(max(float(x), 0.0), 1.0)
-
-
-def _site_pair_indices(n: int, i: int, j: int) -> tuple[int, int]:
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"site pair ({i}, {j}) out of range 1..{n}")
-    if i == j:
-        raise ValueError(f"pair sites must differ, got i = j = {i}")
-    return i - 1, j - 1
 
 
 def _sqrtm_psd(M: np.ndarray) -> np.ndarray:
@@ -41,7 +33,7 @@ def concurrence_pair_fast(rho, i: int, j: int) -> float:
     doubly-excited element of the reduced pair matrix is zero.
     """
     rho = np.asarray(rho, dtype=complex)
-    a, b = _site_pair_indices(rho.shape[0], i, j)
+    a, b = check_sites(rho.shape[0], i, j)
     return _clamp01(2.0 * abs(rho[a, b]))
 
 

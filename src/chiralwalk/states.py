@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import check_pure_state
+from .dynamics import check_pure_state, check_sites
 
 
 def _mixing_weight(n: int, b) -> float:
@@ -19,22 +19,18 @@ def _mixing_weight(n: int, b) -> float:
 
 def localized(n: int, i: int) -> np.ndarray:
     """Excitation fully at site i."""
-    if not 1 <= i <= n:
-        raise IndexError(f"site index {i} out of range 1..{n}")
+    (a,) = check_sites(n, i)
     psi = np.zeros(n, dtype=complex)
-    psi[i - 1] = 1.0
+    psi[a] = 1.0
     return psi
 
 
 def spatial_pair(n: int, i: int, j: int, phi: float) -> np.ndarray:
     """State (|i> - e^{i phi} |j>)/sqrt(2); phi = pi gives (|i> + |j>)/sqrt(2)."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"sites ({i}, {j}) out of range 1..{n}")
-    if i == j:
-        raise ValueError(f"pair sites must differ, got i = j = {i}")
+    a, b = check_sites(n, i, j)
     psi = np.zeros(n, dtype=complex)
-    psi[i - 1] = 1.0 / np.sqrt(2.0)
-    psi[j - 1] = -np.exp(1j * float(phi)) / np.sqrt(2.0)
+    psi[a] = 1.0 / np.sqrt(2.0)
+    psi[b] = -np.exp(1j * float(phi)) / np.sqrt(2.0)
     return psi
 
 

@@ -184,6 +184,14 @@ COMMANDS = {
                                  "pair:1,2", *CONCURRENCE, "--t", "0:1:0.5"],
     "reject-pair-site": ["trace", *TRI5, "--state", "pair:1,9", *CONCURRENCE,
                          "--t", "0:1:0.5"],
+    "reject-pair-equal": ["trace", *TRI5, "--state", "pair:2,2", *CONCURRENCE,
+                          "--t", "0:1:0.5"],
+    "reject-localized-site": ["trace", *TRI5, "--state", "localized:0", "--measure",
+                              "occupation:1", "--t", "0:1:0.5"],
+    "reject-concurrence-equal": ["trace", *TRI5, *PAIR, "--measure", "concurrence:5,5",
+                                 "--t", "0:1:0.5"],
+    "reject-concurrence-site": ["trace", *TRI5, *PAIR, "--measure", "concurrence:0,5",
+                                "--t", "0:1:0.5"],
     "reject-graph-kind": ["graph-export", "--graph", "blob:3"],
     "reject-tri-size": ["graph-export", "--graph", "tri:2"],
     "reject-cycle-size": ["graph-export", "--graph", "cycle:2"],

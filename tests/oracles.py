@@ -32,7 +32,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from chiralwalk.dynamics import NORM_TOL, check_density_matrix, check_pure_state
+from chiralwalk.dynamics import NORM_TOL, check_density_matrix, check_pure_state, check_sites
 from chiralwalk.experiments import (
     GraphSpec,
     PeakResult,
@@ -44,7 +44,7 @@ from chiralwalk.experiments import (
     top_peaks,
 )
 from chiralwalk.graphs import reduce_phase
-from chiralwalk.measures import PSD_TOL, _clamp01, _site_pair_indices, _sqrtm_psd, fidelity
+from chiralwalk.measures import PSD_TOL, _clamp01, _sqrtm_psd, fidelity
 from chiralwalk.svgplot import _COLORS, _fmt, _ticks
 
 
@@ -191,7 +191,7 @@ def reduced_pair(rho, i: int, j: int) -> np.ndarray:
     holds exactly one excitation.
     """
     rho = check_density_matrix(rho)
-    a, b = _site_pair_indices(rho.shape[0], i, j)
+    a, b = check_sites(rho.shape[0], i, j)
     out = np.zeros((4, 4), dtype=complex)
     out[0, 0] = 1.0 - rho[a, a].real - rho[b, b].real
     out[1, 1] = rho[a, a]

@@ -557,7 +557,7 @@ class TestSiteAmplitudes:
         with pytest.raises(ValueError, match=message):
             dynamics.site_amplitudes(chiral5, stack, [0.0, 1.0])
 
-    @pytest.mark.parametrize("rows", [[5], [-1], [[0, 1]]])
+    @pytest.mark.parametrize("rows", [[5], [-1], [[0, 1]], [0.5], [True]])
     def test_rejects_bad_rows(self, chiral5, rows):
         with pytest.raises(IndexError):
             dynamics.site_amplitudes(chiral5, states.localized(5, 1), [0.0], rows)

@@ -125,6 +125,10 @@ class TestConcurrenceTrace:
         for k, t in enumerate(series.times):
             expected = measures.concurrence_pair_fast(evolve_density(d, rho0, t), 2, 3)
             assert series.values[k] == pytest.approx(expected, abs=1e-12)
+        numpy_pair = concurrence_trace(GraphSpec("tri", 5, PI / 2), BELL, TimeGrid(0, 1, 0.5),
+                                       (np.int64(2), np.int64(3)))
+        assert numpy_pair.label == series.label == "concurrence:2,3"
+        assert np.array_equal(numpy_pair.values, series.values)
 
     def test_mixed_initial_state_supported(self):
         series = concurrence_trace(
@@ -135,7 +139,8 @@ class TestConcurrenceTrace:
 
     def test_rejects_bad_pairs(self):
         gspec, grid = GraphSpec("tri", 5, PI / 2), TimeGrid(0, 1, 0.5)
-        for pair, error in (((0, 5), IndexError), ((5, 5), ValueError), ((4, 9), IndexError)):
+        for pair, error in (((0, 5), IndexError), ((5, 5), ValueError), ((4, 9), IndexError),
+                            ((1.5, 2), IndexError), ((True, 2), IndexError)):
             with pytest.raises(error):
                 concurrence_trace(gspec, BELL, grid, pair)
 
@@ -192,8 +197,9 @@ class TestOccupationTrace:
         assert series.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_site_validation(self):
-        with pytest.raises(IndexError):
-            occupation_trace(GraphSpec("tri", 5, 0.0), BELL, TimeGrid(0, 1, 0.5), site=9)
+        for site in (9, 2.7, True):
+            with pytest.raises(IndexError):
+                occupation_trace(GraphSpec("tri", 5, 0.0), BELL, TimeGrid(0, 1, 0.5), site=site)
 
 
 class TestTransferFidelityTrace:
@@ -272,6 +278,11 @@ class TestPeaks:
     @settings(max_examples=200, deadline=None)
     def test_top_peaks_matches_scan(self, series, count):
         assert top_peaks(series, count) == oracles.top_peaks_scan(series, count)
+
+    @pytest.mark.parametrize("count", [-1, 2.5, True])
+    def test_top_peaks_rejects_bad_counts(self, count):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            top_peaks(_series([0.0, 1.0, 0.0, 1.0, 0.0]), count)
 
     @given(_peak_series(min_size=1))
     @example(_series([1.0, 0.5, 0.0]))  # maximum at the start
@@ -572,7 +583,7 @@ class TestPrunedLongTimeSearch:
         psi = states.spatial_pair(n, 1, 2, phi)
         rows = [n - 2, n - 1]
         w = d.eigenvectors[rows] * (d.eigenvectors.conj().T @ psi)
-        bound = experiments._curvature_bound(d, psi, rows)
+        bound = experiments._curvature_bound(d.eigenvalues, dynamics._readout(d, psi, rows))
         for t in times:
             (a, b), (a1, b1), (a2, b2) = (
                 w @ ((-1j * d.eigenvalues) ** j * np.exp(-1j * d.eigenvalues * t))
@@ -590,10 +601,13 @@ class TestPrunedLongTimeSearch:
     def test_stacked_curvature_bound_is_each_members(self, n, thetas, phi):
         psi, rows = _pair_state(n, phi), [n - 2, n - 1]
         graphs_ = [GraphSpec("tri", n, theta) for theta in thetas]
-        stacked = experiments._curvature_bound(
-            experiments.spectral_decompose(np.stack([graphs.hamiltonian(g.build())
-                                                     for g in graphs_])), psi, rows)
-        lone = [experiments._curvature_bound(g.decompose(), psi, rows) for g in graphs_]
+
+        def bound(d):
+            return experiments._curvature_bound(d.eigenvalues, dynamics._readout(d, psi, rows))
+
+        stacked = bound(experiments.spectral_decompose(
+            np.stack([graphs.hamiltonian(g.build()) for g in graphs_])))
+        lone = [bound(g.decompose()) for g in graphs_]
         assert np.allclose(stacked, lone, rtol=1e-12, atol=0)
 
 

@@ -25,6 +25,8 @@ class TestLocalized:
             states.localized(5, 6)
         with pytest.raises(IndexError):
             states.localized(5, 0)
+        with pytest.raises(IndexError):
+            states.localized(5, True)
 
 
 class TestSpatialPair:
@@ -55,6 +57,8 @@ class TestSpatialPair:
     def test_rejects_out_of_range(self):
         with pytest.raises(IndexError):
             states.spatial_pair(5, 1, 6, 0.0)
+        with pytest.raises(IndexError):
+            states.spatial_pair(5, True, 2, 0.0)
 
 
 class TestWerner:
