@@ -30,13 +30,11 @@ from .measures import (
     fidelity,
     pts_bures,
 )
+from .specs import GraphSpec, StateSpec, TimeGrid
 from .experiments import (
-    GraphSpec,
     PeakResult,
     ScalingResult,
-    StateSpec,
     SweepRecord,
-    TimeGrid,
     TraceSeries,
     bures_trace,
     concurrence_matrix_snapshots,
@@ -53,4 +51,5 @@ from .experiments import (
     werner_trace,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above and the submodules they bind, but for io and specs.
+__all__ = [name for name in dir() if not name.startswith("_") and name not in ("io", "specs")]

@@ -2,18 +2,21 @@
 
 Every run writes the requested CSV output plus a JSON manifest that captures
 the resolved parameters; ``chiralwalk rerun MANIFEST`` replays a manifest and
-reproduces the CSV byte for byte.  Flags and manifests pass the same load step
-(``load``), which parses them into specs; the library functions the runner
-calls check those values before they compute.  Exit codes: 0 success, 1
-numerical or runtime failure or an unwritable output, 2 usage error, whether
-the load step or a library function rejects the value.
+reproduces the CSV byte for byte.  ``_resolve`` turns flags into the
+manifest's parameters, through the text forms of ``specs``; flags and
+manifests then pass the same load step (``load``), which reads them into
+specs, and the library functions the runner calls check those values before
+they compute.  This module holds the argument parser, the load step's
+runners and the output names; every spec's text, manifest and comment forms
+are in ``specs``.  Exit codes: 0 success, 1 numerical or runtime failure or
+an unwritable output, 2 usage error, whether the load step or a library
+function rejects the value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -21,151 +24,21 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, graphs, io, svgplot
-from .experiments import GraphSpec, StateSpec, TimeGrid, as_number, parse_phase
-
-
-# ---------------------------------------------------------------------------
-# flag parsing
-
-
-def parse_graph(text: str, theta: float, magnitude: float) -> GraphSpec:
-    parts = str(text).split(":")
-    if len(parts) != 2:
-        raise ValueError(f"cannot parse graph {text!r}; expected KIND:N")
-    return GraphSpec(parts[0], int(parts[1]), theta, magnitude)
-
-
-def parse_state(text: str) -> StateSpec:
-    s = str(text).strip()
-    if s.startswith("{"):
-        return StateSpec.from_dict(json.loads(s))
-    parts = s.split(":")
-    if parts[0] == "localized" and len(parts) == 2:
-        return StateSpec("localized", site=int(parts[1]))
-    if parts[0] == "pair" and len(parts) in (2, 3):
-        ij = parts[1].split(",")
-        if len(ij) != 2:
-            raise ValueError(f"pair state needs two sites, got {parts[1]!r}")
-        phi = parse_phase(parts[2]) if len(parts) == 3 else math.pi
-        return StateSpec("pair", i=int(ij[0]), j=int(ij[1]), phi=phi)
-    if parts[0] == "werner" and len(parts) == 2:
-        return StateSpec("werner", b=float(parts[1]))
-    raise ValueError(
-        f"cannot parse state {text!r}; expected localized:I, pair:I,J[:PHI], werner:B, or JSON"
-    )
-
-
-def parse_grid(text: str) -> TimeGrid:
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise ValueError(f"cannot parse grid {text!r}; expected START:END:DT")
-    return TimeGrid(float(parts[0]), float(parts[1]), float(parts[2]))
-
-
-# Bounds the candidate list grid:K builds, and the manifest records, at about
-# 32 MB of Python floats and 24 MB of manifest text.
-MAX_THETA_GRID = 10**6
-
-
-def parse_theta_candidates(text: str) -> list[float]:
-    """Comma list of phases, or ``grid:K`` for K points evenly over (-pi, pi]."""
-    s = str(text).strip()
-    if s.startswith("grid:"):
-        k = int(s[5:])
-        if k < 1:
-            raise ValueError(f"grid size must be positive, got {k}")
-        if k > MAX_THETA_GRID:
-            raise ValueError(f"grid of {k} phases exceeds the candidate guard {MAX_THETA_GRID}")
-        return [-math.pi + 2 * math.pi * step / k for step in range(1, k + 1)]
-    values = [parse_phase(t) for t in s.split(",") if t != ""]
-    if not values:
-        raise ValueError("need at least one theta candidate")
-    return values
-
-
-def parse_int_list(text: str) -> list[int]:
-    s = str(text).strip()
-    if ":" in s:
-        parts = s.split(":")
-        if len(parts) == 2:
-            lo, hi, step = int(parts[0]), int(parts[1]), 2
-        elif len(parts) == 3:
-            lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2])
-        else:
-            raise ValueError(f"cannot parse size list {text!r}")
-        if step < 1 or hi < lo:
-            raise ValueError(f"bad size range {text!r}")
-        # Both ends are checked as sweep sizes are, so the site guard bounds the list.
-        GraphSpec("tri", hi)
-        GraphSpec("tri", lo).build()
-        return list(range(lo, hi + 1, step))
-    return [int(x) for x in s.split(",") if x != ""]
-
-
-def check_name(name) -> str:
-    """An output basename: non-empty, not '.' or '..', without path separators."""
-    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-        raise ValueError(
-            f"output name must be a plain file name without '/' or '\\', got {name!r}"
-        )
-    return name
-
-
-# ---------------------------------------------------------------------------
-# measures: the parse of a measure's argument, and its trace function
-
-
-def _is_int(text: str) -> bool:
-    """Whether ``text`` is an optional '-' and ASCII digits only: str.isdigit
-    and int also take other scripts' digits, which outputs would echo."""
-    digits = text.removeprefix("-")
-    return digits.isascii() and digits.isdigit()
-
-
-def _no_arg(arg: str) -> tuple:
-    if arg:
-        raise ValueError(f"measure takes no argument, got {arg!r}")
-    return (), ""
-
-
-def _concurrence_arg(arg: str) -> tuple:
-    if not arg:
-        return (None,), ""
-    pair = arg.split(",")
-    if len(pair) != 2 or not all(_is_int(p) for p in pair):
-        raise ValueError(f"concurrence pair must be I,J, got {arg!r}")
-    i, j = int(pair[0]), int(pair[1])
-    return ((i, j),), f"{i},{j}"
-
-
-def _occupation_arg(arg: str) -> tuple:
-    if not _is_int(arg):
-        raise ValueError(f"occupation needs a site index, got {arg!r}")
-    return (int(arg),), str(int(arg))
-
-
-def _transfer_arg(arg: str) -> tuple:
-    return (parse_phase(arg) if arg else None,), arg
-
-
-# Measure kind -> (parse, trace).  A parse takes the argument after the colon
-# and returns the trace's arguments after (graph, state, grid), and the
-# argument's canonical text, with each integer as str(int) writes it ('03' as
-# '3'), so that equal traces record equal measures.  The trace checks the
-# values against the graph and state.  Traces are named rather than bound, so
-# the function called is the one experiments holds when a run is loaded.
-MEASURES = {
-    "concurrence": (_concurrence_arg, "concurrence_trace"),
-    "occupation": (_occupation_arg, "occupation_trace"),
-    "pts-bures": (_no_arg, "bures_trace"),
-    "werner-fidelity": (_no_arg, "werner_trace"),
-    "transfer-fidelity": (_transfer_arg, "transfer_fidelity_trace"),
-}
+from .specs import (GraphSpec, StateSpec, TimeGrid, as_number, parse_int_list, parse_measure,
+                    parse_phase, parse_real, parse_theta_candidates)
 
 
 # ---------------------------------------------------------------------------
 # the load step: one function per subcommand parses its manifest parameters and
 # returns its runner, run(out_dir, name) -> output file names
+
+
+def check_name(name) -> str:
+    """An output basename: non-empty, not '.' or '..', without path separators."""
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValueError(f"output name must be a plain file name without '/' or '\\', "
+                         f"got {name!r}")
+    return name
 
 
 def _list(params: dict, key: str) -> list:
@@ -186,22 +59,6 @@ def _n_values(params: dict) -> list[int]:
     return [as_number(n, "n_values", int) for n in _list(params, "n_values")]
 
 
-def _graph_comment(g: GraphSpec) -> str:
-    return (f"graph: {g.kind}:{g.n} theta={io.format_number(g.theta)} "
-            f"magnitude={io.format_number(g.magnitude)}")
-
-
-def _state_comment(s: StateSpec) -> str:
-    d = s.to_dict()
-    return "state: " + " ".join(
-        [d.pop("kind")] + [f"{k}={io.format_number(v)}" for k, v in d.items()])
-
-
-def _grid_comment(grid: TimeGrid) -> str:
-    return (f"grid: start={io.format_number(grid.t_start)} end={io.format_number(grid.t_end)} "
-            f"dt={io.format_number(grid.dt)}")
-
-
 def _write(out_dir: Path, name: str, tables, plot=None) -> list[str]:
     """Write each (stem, comments, header, rows) of ``tables`` as STEM.csv, then
     the SVG text ``plot()`` as NAME.svg if ``plot`` is given; returns the file
@@ -218,24 +75,16 @@ def _write(out_dir: Path, name: str, tables, plot=None) -> list[str]:
 
 def _trace(params: dict):
     graph, state = GraphSpec.from_dict(params["graph"]), StateSpec.from_dict(params["state"])
-    measure = str(params["measure"])
-    # The measure is echoed into the CSV comments, where a line break would end them.
-    if any(c.isspace() or not c.isprintable() for c in measure):
-        raise ValueError(f"measure must hold no whitespace or control characters, got {measure!r}")
-    kind, _, arg = measure.partition(":")
-    if kind not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
-    parse, trace = MEASURES[kind]
-    trace_args, arg = parse(arg)
+    trace, trace_args, measure = parse_measure(params["measure"])
     # The canonical form goes into the outputs and, through params, the manifest.
-    measure = params["measure"] = f"{kind}:{arg}" if arg else kind
+    params["measure"] = measure
     grid = TimeGrid.from_dict(params["grid"])
     trace, svg = getattr(experiments, trace), _svg(params)
 
     def run(out_dir: Path, name: str) -> list[str]:
         series = trace(graph, state, grid, *trace_args)
-        comments = ["chiralwalk trace", _graph_comment(graph), _state_comment(state),
-                    f"measure: {measure}", _grid_comment(grid)]
+        comments = ["chiralwalk trace", graph.comment(), state.comment(), f"measure: {measure}",
+                    grid.comment()]
         rows = np.column_stack((series.times, series.values))
         plot = (lambda: svgplot.line_plot(
             [(series.label, series.times, series.values)],
@@ -291,8 +140,8 @@ def _scaling(params: dict):
         result = experiments.scaling_sweep(n_values, theta, state, grid)
         comments = [
             "chiralwalk scaling",
-            f"theta={io.format_number(theta)} {_state_comment(state)}",
-            _grid_comment(grid),
+            f"theta={io.format_number(theta)} {state.comment()}",
+            grid.comment(),
             f"fit: slope={io.format_number(result.slope)} "
             f"intercept={io.format_number(result.intercept)} "
             f"r_squared={io.format_number(result.r_squared)}",
@@ -318,8 +167,8 @@ def _snapshots(params: dict):
         mats = experiments.concurrence_matrix_snapshots(graph, state, times)
         header = [f"c{j + 1}" for j in range(graph.n)]
         tables = [
-            (f"{name}-t{k}", ["chiralwalk snapshots", _graph_comment(graph),
-                              _state_comment(state), f"t={io.format_number(t)}"], header, mat)
+            (f"{name}-t{k}", ["chiralwalk snapshots", graph.comment(), state.comment(),
+                              f"t={io.format_number(t)}"], header, mat)
             for k, (t, mat) in enumerate(zip(times, mats))
         ]
         plot = (lambda: svgplot.heatmap_grid(
@@ -342,7 +191,7 @@ def _graph_export(params: dict):
         n = g.n_vertices
         header = [f"{part}{j + 1}" for j in range(n) for part in ("re", "im")]
         rows = np.stack([H.real, H.imag], axis=-1).reshape(n, 2 * n)
-        comments = ["chiralwalk graph-export", _graph_comment(graph),
+        comments = ["chiralwalk graph-export", graph.comment(),
                     "columns interleave re,im per vertex"]
         return [f"{name}.graph.json"] + _write(
             out_dir, name, [(f"{name}.matrix", comments, header, rows)])
@@ -377,10 +226,6 @@ def load(command, params: dict):
     return COMMANDS[command](params), name
 
 
-# ---------------------------------------------------------------------------
-# argument parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chiralwalk",
@@ -395,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="sample a measure over a time grid")
     p.add_argument("--graph", required=True, help="KIND:N, e.g. tri:5")
     p.add_argument("--theta", default="0", help="chiral phase (radians or Npi)")
-    p.add_argument("--magnitude", type=float, default=1.0)
+    p.add_argument("--magnitude", default="1")
     p.add_argument("--state", required=True, help="localized:I | pair:I,J[:PHI] | werner:B")
     p.add_argument("--measure", required=True,
                    help="concurrence[:I,J] | pts-bures | occupation:I | "
@@ -408,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("cqw", "ctqw"), required=True)
     p.add_argument("--n", required=True, dest="n_values", help="sizes, e.g. 5:33:2 or 5,7,9")
     p.add_argument("--phi", default="pi")
-    p.add_argument("--horizon", type=float, default=experiments.LONG_TIME_HORIZON)
-    p.add_argument("--dt", type=float, default=experiments.LONG_TIME_DT)
+    p.add_argument("--horizon", default=experiments.LONG_TIME_HORIZON)
+    p.add_argument("--dt", default=experiments.LONG_TIME_DT)
     p.add_argument("--theta-candidates",
                    help="comma list of phases, or grid:K for K points over (-pi, pi] "
                         "(cqw mode)")
@@ -434,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph-export", help="write a graph and its matrix")
     p.add_argument("--graph", required=True)
     p.add_argument("--theta", default="0")
-    p.add_argument("--magnitude", type=float, default=1.0)
+    p.add_argument("--magnitude", default="1")
     add_common(p, "graph")
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
@@ -444,61 +289,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _state_flag(text: str | None) -> StateSpec:
-    return experiments.TRANSFER_STATE if text is None else parse_state(text)
-
-
 def _resolve(args: argparse.Namespace) -> dict:
-    # Turn raw flags into the manifest parameter dict; load() checks it.
-    cmd = args.command
-    if cmd == "trace":
-        return {
-            "graph": parse_graph(args.graph, parse_phase(args.theta), args.magnitude).to_dict(),
-            "state": parse_state(args.state).to_dict(),
-            "measure": args.measure,
-            "grid": parse_grid(args.grid).to_dict(),
-            "svg": args.svg,
-            "name": args.name,
-        }
-    if cmd == "table":
-        return {
-            "mode": args.mode,
-            "n_values": parse_int_list(args.n_values),
-            "phi": parse_phase(args.phi),
-            "horizon": args.horizon,
-            "dt": args.dt,
+    """The manifest parameters of the parsed flags, each flag read once through
+    its text form in specs, whichever subcommand has it; load() checks them."""
+    flags, params = vars(args), {"name": args.name}
+    if "graph" in flags:  # the phase and magnitude flags are the graph's
+        params["graph"] = GraphSpec.from_text(args.graph, args.theta,
+                                              flags.get("magnitude", "1")).to_dict()
+    elif "theta" in flags:
+        params["theta"] = parse_phase(args.theta)
+    if "state" in flags:
+        params["state"] = (experiments.TRANSFER_STATE if args.state is None
+                           else StateSpec.from_text(args.state)).to_dict()
+    if "measure" in flags:
+        params["measure"] = args.measure
+    if "grid" in flags:
+        params["grid"] = (experiments.SCALING_GRID if args.grid is None
+                          else TimeGrid.from_text(args.grid)).to_dict()
+    if "n_values" in flags:
+        params["n_values"] = parse_int_list(args.n_values)
+    if "times" in flags:
+        params["times"] = [parse_real(t, "time") for t in args.times.split(",") if t != ""]
+    if "svg" in flags:
+        params["svg"] = args.svg
+    if args.command == "table":
+        params.update(
+            mode=args.mode, phi=parse_phase(args.phi),
+            horizon=parse_real(args.horizon, "horizon"), dt=parse_real(args.dt, "dt"),
             # An explicit list in ctqw mode goes to load(), which rejects it.
-            "theta_candidates": (
-                parse_theta_candidates(args.theta_candidates)
-                if args.theta_candidates is not None
-                else [0.0] if args.mode == "ctqw" else list(experiments.THETA_CANDIDATES)
-            ),
-            "name": f"table-{args.mode}" if args.name is None else args.name,
-        }
-    if cmd == "scaling":
-        return {
-            "theta": parse_phase(args.theta),
-            "n_values": parse_int_list(args.n_values),
-            "state": _state_flag(args.state).to_dict(),
-            "grid": (experiments.SCALING_GRID if args.grid is None
-                     else parse_grid(args.grid)).to_dict(),
-            "svg": args.svg,
-            "name": args.name,
-        }
-    if cmd == "snapshots":
-        return {
-            "graph": parse_graph(args.graph, parse_phase(args.theta), 1.0).to_dict(),
-            "state": _state_flag(args.state).to_dict(),
-            "times": [float(x) for x in args.times.split(",") if x != ""],
-            "svg": args.svg,
-            "name": args.name,
-        }
-    if cmd == "graph-export":
-        return {
-            "graph": parse_graph(args.graph, parse_phase(args.theta), args.magnitude).to_dict(),
-            "name": args.name,
-        }
-    raise AssertionError(cmd)
+            theta_candidates=(parse_theta_candidates(args.theta_candidates)
+                              if args.theta_candidates is not None
+                              else [0.0] if args.mode == "ctqw"
+                              else list(experiments.THETA_CANDIDATES)),
+            name=f"table-{args.mode}" if args.name is None else args.name)
+    return params
 
 
 # A token with one of these starts is a negative value (-0.4pi, -1:1:0.5, -1,2).

@@ -216,9 +216,8 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
     psi0 = np.asarray(psi0, dtype=complex)
     if rows is not None:
         rows = np.asarray(rows)
-        if not rows.size:
-            rows = rows.astype(int)
-        if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= d.n)):
+        if (rows.ndim != 1 or not rows.size or rows.dtype.kind not in "iu"
+                or np.any((rows < 0) | (rows >= d.n))):
             raise IndexError(f"rows must be a 1-d list of integer site indices in 0..{d.n - 1}")
     W = np.stack([_readout(d, check_pure_state(psi, d.n), rows) for psi in np.atleast_2d(psi0)])
     r, size = W.shape[1], times.size

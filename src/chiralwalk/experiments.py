@@ -7,7 +7,7 @@ same numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +20,8 @@ from .dynamics import (
     spectral_decompose,
 )
 from .graphs import PHASE_RESOLUTION
+from .specs import GraphSpec, StateSpec, TimeGrid
 
-# Bounds the output bytes of a trace, which grow with the grid: 16 bytes per
-# readout row and time in the m r x T complex amplitudes of an m-member
-# ensemble (160 MB per row at the bound) and about 24 bytes per row of CSV
-# text.  The phases of site_amplitudes take n sqrt(T) values on a uniform grid
-# (n x 3163 at the bound).
-MAX_GRID_POINTS = 10**7
-# Bounds the n x n complex Hamiltonian and eigenvectors at 268 MB each.
-MAX_SITES = 4096
 PEAK_NOISE_FLOOR = 0.01
 LONG_TIME_HORIZON = 500.0
 LONG_TIME_DT = 0.02
@@ -44,173 +37,6 @@ COARSE_SLACK = 0.1
 # points are read one candidate at a time.
 CANDIDATE_SLICE = 16
 CROSS_CHECK_TOL = 1e-10
-# Graph kind -> the kind outputs record; "complete" is another name for "pentagram".
-GRAPH_KINDS = {"tri": "tri", "cycle": "cycle", "pentagram": "pentagram",
-               "complete": "pentagram"}
-
-
-# ---------------------------------------------------------------------------
-# parameter specs and their manifest form
-
-
-def parse_phase(text) -> float:
-    """Parse an angle given in radians ('1.64', or a number) or as 'Npi' shorthand ('0.5pi')."""
-    s = str(text).strip().lower().replace(" ", "")
-    factor = 1.0
-    if s.endswith("pi"):
-        s = s[:-2]
-        factor = math.pi
-        if s in ("", "+"):
-            s = "1"
-        elif s == "-":
-            s = "-1"
-    try:
-        value = float(s) * factor
-    except ValueError:
-        raise ValueError(f"cannot parse phase {text!r}; use radians or e.g. '0.75pi'")
-    if not math.isfinite(value):
-        raise ValueError(f"phase must be finite, got {text!r}")
-    return value
-
-
-def as_number(value, what: str, kind: type = float):
-    """A manifest value as ``kind`` (int or float); TypeError for text, bools, or a
-    float where an int is due, so that no value is silently converted."""
-    allowed = int if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        expected = "an integer" if kind is int else "a number"
-        raise TypeError(f"{what} must be {expected}, got {value!r}")
-    return kind(value)
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """Which graph to walk on: kind in {tri, cycle, pentagram}; "complete" is
-    read as "pentagram"."""
-
-    kind: str
-    n: int
-    theta: float = 0.0
-    magnitude: float = 1.0
-
-    def __post_init__(self):
-        if not (isinstance(self.kind, str) and self.kind in GRAPH_KINDS):
-            raise ValueError(
-                f"unknown graph kind {self.kind!r}; expected one of {', '.join(GRAPH_KINDS)}"
-            )
-        object.__setattr__(self, "kind", GRAPH_KINDS[self.kind])
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"graph size must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if not self.n <= MAX_SITES:
-            raise ValueError(f"graph of {self.n} sites exceeds the site guard {MAX_SITES}")
-        # Only the triangular chain has a hopping magnitude; elsewhere it would
-        # be recorded in outputs without having been used.
-        if self.kind != "tri" and self.magnitude != 1.0:
-            raise ValueError(
-                f"magnitude applies to tri graphs only, got {self.magnitude} for {self.kind!r}"
-            )
-
-    def build(self) -> graphs.WeightedGraph:
-        if self.kind == "tri":
-            return graphs.triangular_chain(self.n, self.theta, self.magnitude)
-        if self.kind == "cycle":
-            return graphs.cycle_graph(self.n, self.theta)
-        return graphs.complete_graph(self.n, self.theta)
-
-    def decompose(self) -> SpectralDecomposition:
-        return spectral_decompose(graphs.hamiltonian(self.build()))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> GraphSpec:
-        # Manifests written before magnitudes existed have no "magnitude" key.
-        return cls(d["kind"], as_number(d["n"], "n", int), parse_phase(d["theta"]),
-                   as_number(d.get("magnitude", 1.0), "magnitude"))
-
-
-@dataclass(frozen=True)
-class StateSpec:
-    """Initial state: localized:site, pair:i,j:phi, or werner:b."""
-
-    kind: str
-    site: int = 1
-    i: int = 1
-    j: int = 2
-    phi: float = math.pi
-    b: float = 1.0
-
-    def ensemble(self, n: int) -> tuple[tuple[float, np.ndarray], ...]:
-        """Weights and pure members {w_m, psi_m}; a pure state is ((1.0, psi),)."""
-        if self.kind == "localized":
-            return ((1.0, states.localized(n, self.site)),)
-        if self.kind == "pair":
-            return ((1.0, states.spatial_pair(n, self.i, self.j, self.phi)),)
-        if self.kind == "werner":
-            return states.werner_ensemble(n, self.b)
-        raise ValueError(f"unknown state kind {self.kind!r}")
-
-    def build_density(self, n: int) -> np.ndarray:
-        if self.kind == "werner":
-            return states.werner(n, self.b)
-        ((_, psi),) = self.ensemble(n)
-        return states.density_from_pure(psi)
-
-    def to_dict(self) -> dict:
-        if self.kind == "localized":
-            return {"kind": "localized", "site": self.site}
-        if self.kind == "pair":
-            return {"kind": "pair", "i": self.i, "j": self.j, "phi": self.phi}
-        return {"kind": "werner", "b": self.b}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> StateSpec:
-        kind = d["kind"]
-        if kind == "localized":
-            return cls(kind, site=as_number(d["site"], "site", int))
-        if kind == "pair":
-            return cls(kind, i=as_number(d["i"], "i", int), j=as_number(d["j"], "j", int),
-                       phi=parse_phase(d["phi"]))
-        if kind == "werner":
-            return cls(kind, b=as_number(d["b"], "b"))
-        raise ValueError(f"unknown state kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform sampling grid on [t_start, t_end] with step dt."""
-
-    t_start: float
-    t_end: float
-    dt: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValueError("grid endpoints must be finite")
-        if not self.t_start < self.t_end:
-            raise ValueError(f"empty grid: t_start {self.t_start} >= t_end {self.t_end}")
-        if not self.dt > 0:
-            raise ValueError(f"grid step must be positive, got {self.dt}")
-        # With the point-count guard, this keeps the rounded times strictly increasing.
-        if not self.dt > 2 * np.spacing(max(abs(self.t_start), abs(self.t_end))):
-            raise ValueError(f"grid step {self.dt} is below the float resolution of the endpoints")
-        if (self.t_end - self.t_start) / self.dt > MAX_GRID_POINTS:
-            raise ValueError("grid would exceed the point-count guard")
-
-    def __len__(self) -> int:
-        return int(math.floor((self.t_end - self.t_start) / self.dt + 1e-9)) + 1
-
-    def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(len(self))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> TimeGrid:
-        return cls(*(as_number(d[key], key) for key in ("t_start", "t_end", "dt")))
 
 
 # The pair state (1, 2) with phase pi, whose transfer the paper follows, and

@@ -6,11 +6,14 @@ Usage: python tests/audit_outputs.py SRC_DIR OUT_DIR
 Each command below runs as ``python -m chiralwalk`` in a fresh process with
 ``PYTHONPATH=SRC_DIR``, writing into ``OUT_DIR/<label>``; every manifest it
 writes is then replayed with ``rerun`` into ``OUT_DIR/<label>.rerun``.  The
-script prints, per run, its exit code and last stderr line, then one SHA-256
-per output file.  Manifests are hashed without ``wall_time_s`` and
+script prints a header line naming Python, numpy, the BLAS library and its
+thread count, then, per run, its exit code and last stderr line and one
+SHA-256 per output file.  Manifests are hashed without ``wall_time_s`` and
 ``version``, the two fields that differ between equal runs.  Run it on two
 trees and diff the printouts: equal digests mean byte-identical outputs.
 It exits 1 if a rerun does not reproduce its run byte for byte.
+``tests/audit_digests.txt`` holds the printout for the tree it is committed
+with, so ``git diff`` names every output a change moves.
 
 ``compare`` reads two such output directories.  It parses every CSV of both
 and prints, per CSV whose bytes differ, the largest difference between its
@@ -204,7 +207,23 @@ COMMANDS = {
                                     "--t", "0:1:0.5"],
     "reject-table-2-points": ["table", "--mode", "cqw", "--n", "5", "--horizon", "0.02"],
     "reject-snapshots-nan": ["snapshots", "--times", "nan"],
+    # Number text has one rule: int() and float() would read '1_1' as 11 and
+    # a fullwidth digit as its ASCII one.
+    "reject-graph-underscore": ["graph-export", "--graph", "tri:1_1"],
+    "reject-graph-fullwidth": ["graph-export", "--graph", "tri:\uff15"],
+    "reject-localized-fullwidth": ["trace", *TRI5, "--state", "localized:\uff11", "--measure",
+                                   "occupation:1", "--t", "0:1:0.5"],
+    "reject-n-underscore": ["table", "--mode", "cqw", "--n", "5,1_1", "--horizon", "20"],
+    "reject-grid-underscore": ["trace", *TRI5, *PAIR, *CONCURRENCE, "--t", "0:1_0:5"],
+    "reject-theta-underscore": ["trace", *TRI5, "--theta", "1_0", *PAIR, *CONCURRENCE,
+                                "--t", "0:1:0.5"],
+    "reject-json-phase-underscore": ["trace", *TRI5, "--state",
+                                     '{"kind": "pair", "i": 1, "j": 2, "phi": "1_0"}',
+                                     *CONCURRENCE, "--t", "0:1:0.5"],
 }
+# Each run's BLAS threads, so that the digests do not depend on the machine's
+# core count.
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def digest(path: Path) -> str:
@@ -286,6 +305,18 @@ def compare(root_a: Path, root_b: Path) -> int:
     return 1 if failed else 0
 
 
+def environment() -> str:
+    """The header line: what the digests' bits depend on besides the source."""
+    import platform
+
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{k}={v}" for k, v in THREADS.items())
+    return (f"# python {platform.python_version()} numpy {numpy.__version__} "
+            f"blas {blas.get('name')} {blas.get('version')} threads {threads}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "compare":
         return compare(Path(argv[1]), Path(argv[2]))
@@ -296,7 +327,8 @@ def main(argv: list[str]) -> int:
     if root.exists() and any(root.iterdir()):
         print(f"{root} is not empty", file=sys.stderr)
         return 2
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    env = {**os.environ, **THREADS, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    print(environment())
     mismatches = []
     for label, args in COMMANDS.items():
         out = root / label

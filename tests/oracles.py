@@ -33,18 +33,10 @@ import numpy as np
 import scipy.linalg
 
 from chiralwalk.dynamics import NORM_TOL, check_density_matrix, check_pure_state, check_sites
-from chiralwalk.experiments import (
-    GraphSpec,
-    PeakResult,
-    StateSpec,
-    SweepRecord,
-    TimeGrid,
-    concurrence_trace,
-    global_max,
-    top_peaks,
-)
+from chiralwalk.experiments import PeakResult, SweepRecord, concurrence_trace, global_max, top_peaks
 from chiralwalk.graphs import reduce_phase
 from chiralwalk.measures import PSD_TOL, _clamp01, _sqrtm_psd, fidelity
+from chiralwalk.specs import GraphSpec, StateSpec, TimeGrid
 from chiralwalk.svgplot import _COLORS, _fmt, _ticks
 
 

@@ -14,9 +14,6 @@ import pytest
 import oracles
 from chiralwalk import dynamics, graphs, measures, states
 from chiralwalk.experiments import (
-    GraphSpec,
-    StateSpec,
-    TimeGrid,
     bures_trace,
     concurrence_trace,
     first_peak,
@@ -24,6 +21,7 @@ from chiralwalk.experiments import (
     scaling_sweep,
     werner_trace,
 )
+from chiralwalk.specs import GraphSpec, StateSpec, TimeGrid
 
 PI = math.pi
 BELL = StateSpec("pair", i=1, j=2, phi=PI)

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import chiralwalk
-from chiralwalk import cli, experiments, graphs, measures, states
+from chiralwalk import cli, dynamics, experiments, graphs, measures, specs, states
 from chiralwalk.dynamics import evolve_density
-from chiralwalk.experiments import GraphSpec, StateSpec, TimeGrid, concurrence_trace
+from chiralwalk.experiments import concurrence_trace
 from chiralwalk.io import format_number, version_string
+from chiralwalk.specs import GraphSpec, StateSpec, TimeGrid
 
 
 class TestPhaseParsing:
@@ -37,68 +38,68 @@ class TestPhaseParsing:
         ],
     )
     def test_accepts(self, text, expected):
-        assert cli.parse_phase(text) == pytest.approx(expected, abs=1e-15)
+        assert specs.parse_phase(text) == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("text", ["piip", "0.5tau", "", "pi0.5", "nan"])
     def test_rejects(self, text):
         with pytest.raises(ValueError):
-            cli.parse_phase(text)
+            specs.parse_phase(text)
 
 
 class TestSpecParsing:
     def test_graph_kinds(self):
-        g = cli.parse_graph("tri:5", 0.1, 1.0)
+        g = specs.GraphSpec.from_text("tri:5", 0.1, 1.0)
         assert (g.kind, g.n, g.theta) == ("tri", 5, 0.1)
-        assert cli.parse_graph("complete:4", 0.0, 1.0).kind == "pentagram"
+        assert specs.GraphSpec.from_text("complete:4", 0.0, 1.0).kind == "pentagram"
         with pytest.raises(ValueError):
-            cli.parse_graph("blob:5", 0.0, 1.0)
+            specs.GraphSpec.from_text("blob:5", 0.0, 1.0)
         with pytest.raises(ValueError):
-            cli.parse_graph("tri", 0.0, 1.0)
+            specs.GraphSpec.from_text("tri", 0.0, 1.0)
 
     def test_state_flag_forms(self):
-        s = cli.parse_state("pair:1,2:pi")
+        s = specs.StateSpec.from_text("pair:1,2:pi")
         assert (s.kind, s.i, s.j) == ("pair", 1, 2)
         assert s.phi == pytest.approx(math.pi)
-        assert cli.parse_state("localized:3").site == 3
-        assert cli.parse_state("werner:-0.25").b == -0.25
-        assert cli.parse_state("pair:2,4").phi == pytest.approx(math.pi)
+        assert specs.StateSpec.from_text("localized:3").site == 3
+        assert specs.StateSpec.from_text("werner:-0.25").b == -0.25
+        assert specs.StateSpec.from_text("pair:2,4").phi == pytest.approx(math.pi)
 
     def test_state_json_forms(self):
-        s = cli.parse_state('{"kind": "pair", "i": 1, "j": 2, "phi": "0.75pi"}')
+        s = specs.StateSpec.from_text('{"kind": "pair", "i": 1, "j": 2, "phi": "0.75pi"}')
         assert s.phi == pytest.approx(0.75 * math.pi)
-        assert cli.parse_state('{"kind": "localized", "site": 2}').site == 2
-        assert cli.parse_state('{"kind": "werner", "b": 0.5}').b == 0.5
+        assert specs.StateSpec.from_text('{"kind": "localized", "site": 2}').site == 2
+        assert specs.StateSpec.from_text('{"kind": "werner", "b": 0.5}').b == 0.5
         with pytest.raises(ValueError):
-            cli.parse_state('{"kind": "ghz"}')
+            specs.StateSpec.from_text('{"kind": "ghz"}')
 
     def test_state_rejects_malformed(self):
         for text in ["pair:1", "pair:1,2,3:pi", "blob:1", "localized"]:
             with pytest.raises(ValueError):
-                cli.parse_state(text)
+                specs.StateSpec.from_text(text)
 
     def test_grid(self):
-        g = cli.parse_grid("0:10:0.005")
+        g = specs.TimeGrid.from_text("0:10:0.005")
         assert (g.t_start, g.t_end, g.dt) == (0.0, 10.0, 0.005)
         with pytest.raises(ValueError):
-            cli.parse_grid("0:10")
+            specs.TimeGrid.from_text("0:10")
 
     def test_int_list(self):
-        assert cli.parse_int_list("5:9:2") == [5, 7, 9]
-        assert cli.parse_int_list("5:9") == [5, 7, 9]
-        assert cli.parse_int_list("4,8,6") == [4, 8, 6]
+        assert specs.parse_int_list("5:9:2") == [5, 7, 9]
+        assert specs.parse_int_list("5:9") == [5, 7, 9]
+        assert specs.parse_int_list("4,8,6") == [4, 8, 6]
         with pytest.raises(ValueError):
-            cli.parse_int_list("9:5")
+            specs.parse_int_list("9:5")
 
     def test_theta_candidates(self):
-        assert cli.parse_theta_candidates("-0.5pi,0.5pi") == [-math.pi / 2, math.pi / 2]
-        grid = cli.parse_theta_candidates("grid:8")
+        assert specs.parse_theta_candidates("-0.5pi,0.5pi") == [-math.pi / 2, math.pi / 2]
+        grid = specs.parse_theta_candidates("grid:8")
         assert len(grid) == 8
         assert grid[-1] == pytest.approx(math.pi)
         assert all(-math.pi < t <= math.pi for t in grid)
         with pytest.raises(ValueError):
-            cli.parse_theta_candidates("grid:0")
+            specs.parse_theta_candidates("grid:0")
         with pytest.raises(ValueError):
-            cli.parse_theta_candidates("")
+            specs.parse_theta_candidates("")
 
     # Each list is refused before it is built: 1e8 Python numbers would not fit.
     @pytest.mark.parametrize("text, message", [
@@ -107,11 +108,11 @@ class TestSpecParsing:
     ])
     def test_size_range_is_guarded_before_it_is_built(self, text, message):
         with pytest.raises(ValueError, match=message):
-            cli.parse_int_list(text)
+            specs.parse_int_list(text)
 
     def test_theta_grid_is_guarded_before_it_is_built(self):
         with pytest.raises(ValueError, match="candidate guard"):
-            cli.parse_theta_candidates(f"grid:{cli.MAX_THETA_GRID + 1}")
+            specs.parse_theta_candidates(f"grid:{specs.MAX_THETA_GRID + 1}")
 
 
 class TestTraceCommand:
@@ -161,7 +162,7 @@ class TestTraceCommand:
             "--measure", "concurrence", "--t", "0:1:0.5", "--out", str(tmp_path),
         ])
         manifest = json.loads((tmp_path / "trace.manifest.json").read_text())
-        assert manifest["parameters"]["graph"]["theta"] == cli.parse_phase("0.75pi")
+        assert manifest["parameters"]["graph"]["theta"] == specs.parse_phase("0.75pi")
         assert manifest["subcommand"] == "trace"
         assert "version" in manifest and "wall_time_s" in manifest
 
@@ -706,6 +707,31 @@ USAGE_ERRORS = {
     "graph-export-tri-2": ("graph-export", ["--graph", "tri:2"], {"graph": TRI2}),
     "graph-export-tri-300000": ("graph-export", ["--graph", "tri:300000"],
                                 {"graph": {**TRI2, "n": 300000}}),
+    # Number text has one rule: int() and float() would read '1_1' as 11 and
+    # a fullwidth digit as its ASCII one.
+    "graph-size-underscore": ("trace", ["--graph", "tri:1_1"], {"graph": {**TRI2, "n": "1_1"}}),
+    "graph-size-fullwidth-digit": ("trace", ["--graph", "tri:\uff15"],
+                                   {"graph": {**TRI2, "n": "\uff15"}}),
+    "localized-fullwidth-digit": ("trace", ["--state", "localized:\uff11"],
+                                  {"state": {"kind": "localized", "site": "\uff11"}}),
+    "table-n-underscore": ("table", ["--n", "5,1_1"], {"n_values": [5, "1_1"]}),
+    "trace-grid-underscore": ("trace", ["--t", "0:1_0:5"],
+                              {"grid": {"t_start": 0.0, "t_end": "1_0", "dt": 5.0}}),
+    "theta-underscore": ("trace", ["--theta", "1_0"],
+                         {"graph": {**TRI2, "n": 5, "theta": "1_0"}}),
+    "theta-inner-space": ("trace", ["--theta", "1 0"], {"graph": {**TRI2, "n": 5, "theta": "1 0"}}),
+    "scaling-theta-underscore": ("scaling", ["--theta", "1_0"], {"theta": "1_0"}),
+    "pair-phase-underscore": ("trace", ["--state", "pair:1,2:1_0"],
+                              {"state": {"kind": "pair", "i": 1, "j": 2, "phi": "1_0"}}),
+    "occupation-underscore": ("trace", ["--measure", "occupation:1_0"],
+                              {"measure": "occupation:1_0"}),
+    "magnitude-underscore": ("trace", ["--magnitude", "1_0"],
+                             {"graph": {**TRI2, "n": 5, "magnitude": "1_0"}}),
+    "table-horizon-underscore": ("table", ["--horizon", "1_0"], {"horizon": "1_0"}),
+    "table-theta-grid-underscore": ("table", ["--theta-candidates", "grid:1_6"],
+                                    {"theta_candidates": ["1_0"]}),
+    "snapshots-time-underscore": ("snapshots", ["--times", "1_0"], {"times": ["1_0"]}),
+    "graph-size-plus": ("graph-export", ["--graph", "tri:+5"], {"graph": {**TRI2, "n": "+5"}}),
 }
 
 
@@ -823,7 +849,9 @@ def test_bad_state_is_rejected_before_the_eigensolve(tmp_path, monkeypatch):
     def refuse(H):
         raise AssertionError("decomposed before the state was checked")
 
-    monkeypatch.setattr(experiments, "spectral_decompose", refuse)
+    # GraphSpec.decompose calls it through dynamics, the table search through experiments.
+    for module in (dynamics, experiments):
+        monkeypatch.setattr(module, "spectral_decompose", refuse)
     code, stderr = run_cli(["trace", "--graph", "tri:512", "--state", "pair:1,600",
                             "--measure", "concurrence", "--t", "0:1:0.5",
                             "--out", str(tmp_path / "out")])
@@ -955,7 +983,7 @@ def test_werner_fidelity_uses_the_given_graph(tmp_path, graph, magnitude):
         ]) == 0
         return np.loadtxt(tmp_path / "w.csv", delimiter=",", comments="#", skiprows=6)[:, 1]
 
-    gspec = cli.parse_graph(graph, 0.3, float(magnitude))
+    gspec = specs.GraphSpec.from_text(graph, 0.3, magnitude)
     d = gspec.decompose()
     rho0, target = states.werner(5, 0.5), states.target_werner(5, 0.5)
     expected = [measures.fidelity(evolve_density(d, rho0, t), target)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from chiralwalk import dynamics, graphs, states
-from chiralwalk.experiments import GraphSpec, TimeGrid
+from chiralwalk.specs import GraphSpec, TimeGrid
 
 S37 = math.sqrt(37.0)
 CHIRAL5_SPECTRUM = np.array(
@@ -557,10 +557,15 @@ class TestSiteAmplitudes:
         with pytest.raises(ValueError, match=message):
             dynamics.site_amplitudes(chiral5, stack, [0.0, 1.0])
 
-    @pytest.mark.parametrize("rows", [[5], [-1], [[0, 1]], [0.5], [True]])
+    @pytest.mark.parametrize("rows", [[5], [-1], [[0, 1]], [0.5], [True], []])
     def test_rejects_bad_rows(self, chiral5, rows):
-        with pytest.raises(IndexError):
-            dynamics.site_amplitudes(chiral5, states.localized(5, 1), [0.0], rows)
+        # An empty list too, on an empty grid, one time and three, for a
+        # state and a 2-member stack.
+        stack = np.array([states.localized(5, 1), states.localized(5, 2)])
+        for times in ([], [0.0], [0.0, 0.5, 1.0]):
+            for psi in (stack[0], stack):
+                with pytest.raises(IndexError, match="rows must be"):
+                    dynamics.site_amplitudes(chiral5, psi, times, rows)
 
     def test_peak_memory_does_not_grow_with_grid(self):
         # Two readout rows of a 71-site chain over 200 001 times: the output

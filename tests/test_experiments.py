@@ -10,9 +10,6 @@ import oracles
 from chiralwalk import dynamics, experiments, graphs, measures, states
 from chiralwalk.dynamics import evolve_density
 from chiralwalk.experiments import (
-    GraphSpec,
-    StateSpec,
-    TimeGrid,
     TraceSeries,
     bures_trace,
     concurrence_matrix_snapshots,
@@ -28,6 +25,7 @@ from chiralwalk.experiments import (
     transfer_fidelity_trace,
     werner_trace,
 )
+from chiralwalk.specs import GraphSpec, StateSpec, TimeGrid
 
 PI = math.pi
 BELL = StateSpec("pair", i=1, j=2, phi=PI)
@@ -698,7 +696,9 @@ class TestInputsRejectedBeforeCompute:
         def refuse(H):
             raise AssertionError("decomposed before the inputs were checked")
 
-        monkeypatch.setattr(experiments, "spectral_decompose", refuse)
+        # GraphSpec.decompose calls it through dynamics, the table search through experiments.
+        for module in (dynamics, experiments):
+            monkeypatch.setattr(module, "spectral_decompose", refuse)
 
     @pytest.mark.parametrize("horizon,dt", [(0.01, 0.02), (0.02, 0.02), (0.9, 0.5)])
     def test_optimize_theta_needs_3_grid_points(self, horizon, dt):
@@ -831,9 +831,35 @@ class TestSnapshots:
             assert np.abs(C - expected).max() < 1e-12
 
 
+# Real initial states, for which U_{pi - theta}(t) = conj(U_theta(t)) = U_{-theta}(-t)
+# leaves every measure unchanged.
+REAL_STATES = {
+    "pair-pi": StateSpec("pair", i=1, j=2, phi=PI),
+    "pair-0": StateSpec("pair", i=1, j=2, phi=0.0),
+    "localized": StateSpec("localized", site=2),
+    "werner": StateSpec("werner", b=0.4),
+}
+
+
+def _every_measure(graph, state, grid):
+    """Each trace that applies to ``state``, by name."""
+    n = graph.n
+    traces = {
+        "concurrence": concurrence_trace(graph, state, grid),
+        "concurrence-1-n": concurrence_trace(graph, state, grid, (1, n)),
+        "occupation": occupation_trace(graph, state, grid, n),
+        "transfer-fidelity": transfer_fidelity_trace(graph, state, grid),
+        "pts-bures": bures_trace(graph, state, grid),
+    }
+    if state.kind == "werner":
+        traces["werner-fidelity"] = werner_trace(graph, state, grid)
+    return traces
+
+
 class TestSupplementSymmetry:
-    """theta and pi - theta generate conjugate propagators, so every
-    amplitude-magnitude observable coincides for real initial states."""
+    """theta and pi - theta generate conjugate propagators, as do theta at t
+    and -theta at -t, so every amplitude-magnitude observable coincides for
+    real initial states."""
 
     @given(st.floats(-math.pi, math.pi, allow_nan=False))
     @settings(max_examples=15, deadline=None)
@@ -858,6 +884,26 @@ class TestSupplementSymmetry:
         a = concurrence_trace(GraphSpec("tri", 5, PI / 4), spec, grid)
         b = concurrence_trace(GraphSpec("tri", 5, 3 * PI / 4), spec, grid)
         assert np.abs(a.values - b.values).max() > 0.01
+
+    @given(st.sampled_from(["tri", "cycle", "complete"]), st.integers(4, 9),
+           st.floats(-PI, PI), st.sampled_from(sorted(REAL_STATES)))
+    @settings(max_examples=25, deadline=None)
+    def test_supplementary_phase_gives_equal_values(self, kind, n, theta, state):
+        grid = TimeGrid(0.0, 6.0, 0.05)
+        state = REAL_STATES[state]
+        a = _every_measure(GraphSpec(kind, n, theta), state, grid)
+        b = _every_measure(GraphSpec(kind, n, PI - theta), state, grid)
+        for name in a:
+            assert np.abs(a[name].values - b[name].values).max() <= 1e-12, name
+
+    @given(st.integers(4, 9), st.floats(-PI, PI), st.sampled_from(sorted(REAL_STATES)))
+    @settings(max_examples=25, deadline=None)
+    def test_negated_phase_runs_time_backward_on_tri(self, n, theta, state):
+        state = REAL_STATES[state]
+        forward = _every_measure(GraphSpec("tri", n, theta), state, TimeGrid(0.0, 6.0, 0.05))
+        backward = _every_measure(GraphSpec("tri", n, -theta), state, TimeGrid(-6.0, 0.0, 0.05))
+        for name in forward:
+            assert np.abs(forward[name].values - backward[name].values[::-1]).max() <= 1e-12, name
 
 
 class TestGraphSpec:

@@ -219,6 +219,24 @@ class TestBuilders:
         assert np.abs(Hm - H.T).max() < 1e-12
         assert np.abs(Hm - H.conj()).max() < 1e-12
 
+    # Every kind carries one weight and a zero diagonal, so pi - theta gives
+    # -conj(H); reversing the sites of the triangular chain negates theta.
+    @given(st.sampled_from(sorted(KIND_MINIMUM)), st.integers(3, 12),
+           st.floats(-math.pi, math.pi))
+    def test_supplementary_phase_gives_minus_the_conjugate(self, kind, n, theta):
+        H = graphs.hamiltonian(build(kind, n, theta))
+        supplement = graphs.hamiltonian(build(kind, n, math.pi - theta))
+        assert np.abs(supplement + H.conj()).max() <= 1e-15
+
+    @given(st.integers(3, 12), st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True),
+           st.floats(0.25, 4.0))
+    def test_site_reversal_negates_the_tri_phase(self, n, theta, magnitude):
+        # Exact: both carry the bits of exp(i theta), on mirrored triangles.
+        # At theta = pi the reduction sends -pi to pi, which breaks the mirror.
+        H = graphs.hamiltonian(graphs.triangular_chain(n, theta, magnitude))
+        negated = graphs.hamiltonian(graphs.triangular_chain(n, -theta, magnitude))
+        assert np.array_equal(H[::-1, ::-1], negated)
+
 
 class TestExport:
     def test_json_dict_shape(self):
