@@ -457,16 +457,17 @@ def _coarse_concurrence(eigenvalues: np.ndarray, W: np.ndarray,
 
 
 def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: float = -math.inf):
-    """The end-pair concurrence of the pure state ``psi`` on tri:n at each phase in
-    ``thetas``, read where a maximum that can win may lie: an iterator of one
-    TraceSeries, or None, per phase, and the rounding slack.
+    """The refined peak (a global_max value) of the end-pair concurrence of the pure
+    state ``psi`` on tri:n at each phase in ``thetas``, each from a read of the
+    grid points where a maximum that can win may lie: a list of one peak, or
+    -inf, per phase, and the rounding slack.
 
-    ``best`` is a refined peak (a global_max value) already found, or -inf.  A
-    phase gets None only if the refined peak of its full trace lies more than
-    the slack below ``best``, or below that of another phase of this stack, so
-    that it cannot win.  Every other phase's series holds its grid maximum
-    with both grid neighbours, so global_max finds on it the grid point,
-    earliest-wins tie-break and parabola of the full trace, up to rounding.
+    ``best`` is a refined peak already found, or -inf.  A phase gets -inf only
+    if the refined peak of its full trace lies more than the slack below
+    ``best``, or below that of another phase of this stack, so that it cannot
+    win.  Every other phase's read holds its grid maximum with both grid
+    neighbours, so its peak is the grid point, earliest-wins tie-break and
+    parabola of its full trace, up to rounding.
 
     The Hamiltonians are built as one (len(thetas), n, n) stack, by
     graphs.hamiltonian on the chain built with the whole phase list, and
@@ -489,13 +490,13 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     An interval is live if U reaches both the member's largest screened value
     less err and the slack, as it may then hold the member's grid maximum, and
     ``best`` less the overshoot and four slacks, as a grid point in it may then
-    carry a refined peak near ``best``.  When a member's series is taken, its
-    live intervals, padded by one grid point on each side, and the points
-    after the last stride are read on every grid point by one site_amplitudes
-    call.  A member whose every interval is live, and every member of a
-    stride-1 search, so reads the whole grid and gets its full trace.  A
-    member whose read values all lie more than the overshoot and three slacks
-    below ``best`` gets None: its grid maximum is one of them, or lies in an
+    carry a refined peak near ``best``.  Each member's live intervals, padded
+    by one grid point on each side, and the points after the last stride are
+    read on every grid point by one site_amplitudes call.  A member whose
+    every interval is live, and every member of a stride-1 search, so reads
+    the whole grid and gets the peak of its full trace bit for bit.  A member
+    whose read values all lie more than the overshoot and three slacks below
+    ``best`` gets -inf: its grid maximum is one of them, or lies in an
     interval that is not live and so lower still.  Otherwise that maximum was
     read.
 
@@ -540,21 +541,16 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
         segments[:, -1] = at[-1] < size - 1
         low = best - 3 * slack - overshoot
     pad = np.arange(-1, stride + 2)  # a segment's grid points, padded by one on each side
-
-    def series(k):
-        if not segments[k].any():  # no value read: none can reach low[k]
-            return None
+    found = [-math.inf] * len(thetas)
+    for k in np.flatnonzero(segments.any(axis=1)):  # a member with no live segment is out
         points = slice(None)  # every interval live: the whole grid
         if not segments[k, :-1].all():
             points = np.zeros(size, dtype=bool)
             points[np.clip(at[segments[k]][:, None] + pad, 0, size - 1)] = True
-        p, q = site_amplitudes(d.member(k), psi, times[points], rows)
-        values = _concurrence(p, q)
-        if not values.max() >= low[k]:
-            return None
-        return TraceSeries(times[points], values, label=label)
-
-    return map(series, range(len(thetas))), slack
+        values = _concurrence(*site_amplitudes(d.member(k), psi, times[points], rows))
+        if values.max() >= low[k]:
+            found[k] = global_max(TraceSeries(times[points], values, label=label)).value
+    return found, slack
 
 
 def optimize_theta(
@@ -566,15 +562,17 @@ def optimize_theta(
 ) -> SweepRecord:
     """Best chiral phase for long-time transfer of the pair state (1, 2).
 
-    Runs a global-max search over the grid on [0, horizon] for every candidate
-    theta and keeps the winner; exact value ties break toward smaller |theta|,
-    then toward the positive sign.  With several candidates, they are first
-    searched as stacks of up to CANDIDATE_SLICE (_candidate_series), each
-    stack against the best refined peak of the stacks before it, and read
-    only where a maximum may lie that comes within the rounding slack of the
-    best.  Only the candidates whose refined peak comes within the slack of
-    the best are traced in full, and compared on their full traces, so the
-    winner and its record are those of a full scan of every candidate.
+    The winner is the candidate theta with the largest refined peak (a
+    global_max value) over the grid on [0, horizon].  Peaks within the
+    rounding slack of the largest tie with it, and a tie breaks toward smaller
+    |theta|, then toward the positive sign, so the time-reversal twins theta
+    and pi - theta of a real pair state read as the smaller |theta|.  With
+    several candidates, they are searched as stacks of up to CANDIDATE_SLICE
+    (_candidate_series), each stack against the best peak of the stacks before
+    it, and read only where a maximum may lie that comes within the slack of
+    the best.  Only the winner is traced in full (concurrence_trace), which
+    gives the record's time, value and runner-up peaks; a lone candidate is
+    traced without a search.
     """
     grid = _peak_grid(TimeGrid(0.0, horizon, dt))
     candidates = tuple(map(float, theta_candidates))
@@ -583,27 +581,21 @@ def optimize_theta(
     for theta in candidates:  # every phase is checked before any candidate runs
         graphs.reduce_phase(theta)
     state = StateSpec("pair", i=1, j=2, phi=phi)
+    theta = candidates[0]
     if len(candidates) > 1:
         ((_, psi),) = state.ensemble(n)
         peaks, slack = [], 0.0
         for first in range(0, len(candidates), CANDIDATE_SLICE):
-            stack, rounding = _candidate_series(
+            found, rounding = _candidate_series(
                 n, psi, candidates[first:first + CANDIDATE_SLICE], grid,
                 max(peaks, default=-math.inf))
-            peaks += [-math.inf if s is None else global_max(s).value for s in stack]
+            peaks += found
             slack = max(slack, rounding)
-            del stack  # freed before the next stack is read
         top = max(peaks)
-        candidates = tuple(theta for value, theta in zip(peaks, candidates)
-                           if value + slack >= top)
-    best = None
-    for theta in candidates:
-        series = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
-        peak = global_max(series)
-        key = (peak.value, -abs(theta), theta)
-        if best is None or key > best[0]:
-            best = key, peak, series
-    (_, _, theta), peak, series = best
+        tied = [t for value, t in zip(peaks, candidates) if value + slack >= top]
+        theta = min(tied, key=lambda t: (abs(t), -t))
+    series = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
+    peak = global_max(series)
     return SweepRecord(n, theta, peak.t_peak, peak.value, top_peaks(series))
 
 
@@ -621,8 +613,9 @@ def sweep_table(
     dt: float = LONG_TIME_DT,
     theta_candidates=THETA_CANDIDATES,
 ) -> list[SweepRecord]:
-    """One SweepRecord per chain size, in the order given; theta_candidates
-    (0.0,) gives the plain walk."""
+    """One SweepRecord per chain size, in the order given, each from one stacked
+    search and one full trace (optimize_theta); theta_candidates (0.0,) gives
+    the plain walk."""
     sizes = _chain_sizes(n_values, StateSpec("pair", i=1, j=2, phi=phi))
     candidates = tuple(theta_candidates)
     return [optimize_theta(n, phi, candidates, horizon, dt) for n in sizes]

@@ -5,8 +5,9 @@ are the measure, whose flag and manifest forms are one text
 (``parse_measure``), and the flag lists of chain sizes and theta candidates.
 
 Number text has one rule: an integer is an optional '-' and ASCII digits
-(``parse_int``), a real number is ASCII text without '_' that float() reads
-(``parse_real``), and a phase is a real number or 'Npi' (``parse_phase``).
+(``parse_int``), a real number is ASCII text without '_' or surrounding
+whitespace that float() reads (``parse_real``), and a phase is a real number
+or 'Npi', with spaces allowed around it and before 'pi' (``parse_phase``).
 Other manifest numbers must be JSON numbers (``as_number``).
 """
 
@@ -44,10 +45,11 @@ def parse_int(text, what: str) -> int:
 
 
 def parse_real(text, what: str) -> float:
-    """``text`` as float() reads it, if it is ASCII and holds no '_'."""
+    """``text`` as float() reads it, if it is ASCII, holds no '_' and has no
+    whitespace around it."""
     s = str(text)
     try:
-        if s.isascii() and "_" not in s:
+        if s.isascii() and "_" not in s and s == s.strip():
             return float(s)
     except ValueError:
         pass

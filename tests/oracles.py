@@ -33,7 +33,14 @@ import numpy as np
 import scipy.linalg
 
 from chiralwalk.dynamics import NORM_TOL, check_density_matrix, check_pure_state, check_sites
-from chiralwalk.experiments import PeakResult, SweepRecord, concurrence_trace, global_max, top_peaks
+from chiralwalk.experiments import (
+    CROSS_CHECK_TOL,
+    PeakResult,
+    SweepRecord,
+    concurrence_trace,
+    global_max,
+    top_peaks,
+)
 from chiralwalk.graphs import reduce_phase
 from chiralwalk.measures import PSD_TOL, _clamp01, _sqrtm_psd, fidelity
 from chiralwalk.specs import GraphSpec, StateSpec, TimeGrid
@@ -313,18 +320,23 @@ def global_max_scan(series):
 
 def optimize_theta_scan(n: int, phi: float, theta_candidates, horizon: float, dt: float):
     """optimize_theta by a full scan: one concurrence_trace over every grid point
-    and its global_max per candidate; the largest value wins, and exact ties
-    break toward smaller |theta|, then toward the positive sign."""
+    and its global_max per candidate.  Every peak within the slack
+    4 max(CROSS_CHECK_TOL, 4 ulp(max|lambda| max|t|)), the largest over the
+    candidates, of the largest peak ties with it, and the tie breaks toward
+    smaller |theta|, then toward the positive sign."""
     grid = TimeGrid(0.0, horizon, dt)
     state = StateSpec("pair", i=1, j=2, phi=phi)
-    best = None
+    t_max = float(np.abs(grid.times()).max())
+    scans, slack = [], 0.0
     for theta in map(float, theta_candidates):
-        series = concurrence_trace(GraphSpec("tri", n, theta), state, grid)
-        peak = global_max(series)
-        key = (peak.value, -abs(theta), theta)
-        if best is None or key > best[0]:
-            best = key, peak, series
-    (_, _, theta), peak, series = best
+        graph = GraphSpec("tri", n, theta)
+        series = concurrence_trace(graph, state, grid)
+        scans.append((theta, global_max(series), series))
+        spacing = math.ulp(float(np.abs(graph.decompose().eigenvalues).max()) * t_max)
+        slack = max(slack, 4 * max(CROSS_CHECK_TOL, 4 * spacing))
+    top = max(peak.value for _, peak, _ in scans)
+    theta, peak, series = min((scan for scan in scans if scan[1].value + slack >= top),
+                              key=lambda scan: (abs(scan[0]), -scan[0]))
     return SweepRecord(n, theta, peak.t_peak, peak.value, top_peaks(series))
 
 

@@ -45,6 +45,13 @@ class TestPhaseParsing:
         with pytest.raises(ValueError):
             specs.parse_phase(text)
 
+    @pytest.mark.parametrize("text", [" 1", "1 ", "\t1", "1\n", " 1 "])
+    def test_only_phases_allow_surrounding_whitespace(self, text):
+        for parse in (specs.parse_int, specs.parse_real):
+            with pytest.raises(ValueError, match="must be"):
+                parse(text, "x")
+        assert specs.parse_phase(text) == 1.0
+
 
 class TestSpecParsing:
     def test_graph_kinds(self):
@@ -425,6 +432,19 @@ class TestTableCommand:
         assert row[4:8] == [format_number(x) for p in rec.top_peaks[runner_ups]
                             for x in (p.t_peak, p.value)]
 
+    def test_time_reversal_twins_read_the_smaller_phase(self, tmp_path):
+        # 0.3 and pi - 0.3 trace the same values up to rounding (their peaks
+        # differ by 3.3e-16): the row reads 0.3, and every other cell is the
+        # lone 0.3 run's.
+        rows = []
+        for name, candidates in (("twins", "0.3,2.8415926535897933"), ("lone", "0.3")):
+            assert cli.main(["table", "--mode", "cqw", "--n", "9", "--horizon", "100",
+                             "--theta-candidates", candidates, "--out", str(tmp_path),
+                             "--name", name]) == 0
+            rows.append((tmp_path / f"{name}.csv").read_text().splitlines()[-1])
+        assert rows[0].split(",")[3] == "0.3"
+        assert rows[0] == rows[1]
+
     def test_table_rerun_reproduces_csv_bytes(self, tmp_path):
         cli.main(["table", "--mode", "ctqw", "--n", "5", "--horizon", "20",
                   "--out", str(tmp_path)])
@@ -732,6 +752,19 @@ USAGE_ERRORS = {
                                     {"theta_candidates": ["1_0"]}),
     "snapshots-time-underscore": ("snapshots", ["--times", "1_0"], {"times": ["1_0"]}),
     "graph-size-plus": ("graph-export", ["--graph", "tri:+5"], {"graph": {**TRI2, "n": "+5"}}),
+    # Integers and reals alike refuse whitespace around the number.
+    "table-n-inner-space": ("table", ["--n", "5, 7"], {"n_values": [5, " 7"]}),
+    "pair-site-space": ("trace", ["--state", "pair:1, 2"],
+                        {"state": {"kind": "pair", "i": 1, "j": " 2", "phi": math.pi}}),
+    "werner-b-space": ("trace", ["--state", "werner: 0.5"],
+                       {"state": {"kind": "werner", "b": " 0.5"}}),
+    "snapshots-times-inner-space": ("snapshots", ["--times", "1, 2"], {"times": [1.0, " 2"]}),
+    "trace-grid-space": ("trace", ["--t", "0: 1:0.5"],
+                         {"grid": {"t_start": 0.0, "t_end": " 1", "dt": 0.5}}),
+    "table-horizon-space": ("table", ["--horizon", " 4"], {"horizon": " 4"}),
+    "table-dt-trailing-space": ("table", ["--dt", "0.5 "], {"dt": "0.5 "}),
+    "magnitude-tab": ("trace", ["--magnitude", "\t2"],
+                      {"graph": {**TRI2, "n": 5, "magnitude": "\t2"}}),
 }
 
 
@@ -998,30 +1031,31 @@ FUZZ_FLAGS = {
     "--graph": (["tri:5", "tri:9", "cycle:5", "complete:4", "pentagram:5", "tri:3"],
                 ["tri:2", "tri:x", "blob:3", "tri", "tri:-1", "tri:300000"]),
     "--theta": (["0", "0.5pi", "-pi", "-0.4pi", "1.3"], ["x", "nan", "inf", "1e300"]),
-    "--magnitude": (["1", "2", "1e307", "1e308"], ["0", "-1", "inf", "nan", "x"]),
+    "--magnitude": (["1", "2", "1e307", "1e308"], ["0", "-1", "inf", "nan", "x", " 2"]),
     "--state": (["pair:1,2:pi", "pair:2,3", "localized:3", "werner:0.5", "werner:-1",
                  '{"kind": "werner", "b": 0.5}',
                  '{"kind": "pair", "i": 1, "j": 2, "phi": "0.5pi"}'],
                 ["pair:1,9", "pair:2,2", "localized:0", "werner:5", "werner:nan",
-                 '{"kind": "pair"}', '{"kind": "localized", "site": 2.5}', "{", "ghz"]),
+                 '{"kind": "pair"}', '{"kind": "localized", "site": 2.5}', "{", "ghz",
+                 "werner: 0.5", "pair:1, 2"]),
     "--measure": (["concurrence", "concurrence:1,3", "occupation:2", "pts-bures",
                    "werner-fidelity", "transfer-fidelity", "transfer-fidelity:0.5pi"],
                   ["concurrence:1,1", "concurrence:a,b", "occupation:9", "occupation",
                    "pts-bures:1", "transfer-fidelity:x", "entropy", ""]),
     "--t": (["0:2:0.05", "0:1:0.5", "-1:1:0.1", "0:1:5", "0:1e300:1e294"],
             ["0:0:0.1", "1:0:0.1", "0:1:-0.1", "0:1:0", "0:1e9:0.1", "nan:1:0.1", "0:2",
-             "a:b:c"]),
+             "a:b:c", "0: 2:0.05"]),
     "--mode": (["cqw", "ctqw"], ["xyz"]),
     # 5:100000000 and grid:100000000 must be rejected before their lists are
     # built, which would hold about 5e7 and 1e8 Python numbers.
     "--n": (["5", "3,4", "5:9:2", "3:5"],
-            ["1,2", "9:5", "", "x", "5:9:2:1", "5,300000", "5:100000000"]),
-    "--phi": (["pi", "0", "-0.5pi"], ["x"]),
-    "--horizon": (["10", "2"], ["0", "-1", "1e9", "nan", "x"]),
-    "--dt": (["0.5", "1"], ["0", "-1", "nan"]),
+            ["1,2", "9:5", "", "x", "5:9:2:1", "5,300000", "5:100000000", "5, 7"]),
+    "--phi": (["pi", "0", "-0.5pi", " 0.5 pi "], ["x"]),
+    "--horizon": (["10", "2"], ["0", "-1", "1e9", "nan", "x", " 10"]),
+    "--dt": (["0.5", "1"], ["0", "-1", "nan", "0.5 "]),
     "--theta-candidates": (["-0.5pi,0.5pi", "grid:4"],
                            ["grid:0", "", "x", "grid:x", "grid:100000000"]),
-    "--times": (["0.5", "0,1", "-1"], ["nan", "", "x", "inf"]),
+    "--times": (["0.5", "0,1", "-1"], ["nan", "", "x", "inf", "0, 1"]),
     "--name": (["run"], ["../x", "", ".", "a/b", "a\\b"]),
 }
 FUZZ_COMMANDS = {

@@ -361,6 +361,29 @@ class TestLongTimeSweeps:
         rec = optimize_theta(5, PI, (-2 * PI, 2 * PI), horizon=10.0)
         assert rec.theta == 2 * PI
 
+    @given(st.integers(3, 11), st.sampled_from([0.0, PI]), st.floats(-PI, PI),
+           st.booleans())
+    @example(9, PI, 0.3, False)  # peaks 3.3e-16 apart, the larger at pi - 0.3
+    @settings(max_examples=25, deadline=None)
+    def test_time_reversal_twins_pick_the_smaller_magnitude(self, n, phi, theta, swap):
+        # For a real pair state, theta and pi - theta trace the same values up
+        # to rounding, so their peaks tie within the slack whichever is larger.
+        twins = (theta, PI - theta)
+        rec = optimize_theta(n, phi, twins[::-1] if swap else twins, 40.0, 0.02)
+        assert rec.theta == min(twins, key=lambda t: (abs(t), -t))
+        assert rec == optimize_theta(n, phi, (rec.theta,), 40.0, 0.02)
+
+    @pytest.mark.parametrize("candidates", [
+        (0.3,), (0.3, PI - 0.3), (PI / 2 - 2 * PI, PI / 2), tuple(np.linspace(-PI, PI, 40)),
+    ])
+    def test_one_full_trace_per_row(self, monkeypatch, candidates):
+        traced = []
+        real = experiments.concurrence_trace
+        monkeypatch.setattr(experiments, "concurrence_trace",
+                            lambda graph, *args: traced.append(graph.theta) or real(graph, *args))
+        rec = optimize_theta(7, PI, candidates, 30.0, 0.02)
+        assert traced == [rec.theta]
+
     def test_negative_branch_reproduces_reference_row(self):
         # The two chiral branches hold near-tied maxima; the negative branch
         # alone peaks at (55.4, 0.999), auditable through top_peaks when the
@@ -425,16 +448,15 @@ class TestPrunedLongTimeSearch:
         assert abs(rec.concurrence - ref.concurrence) <= 1e-12
         assert rec.top_peaks == ref.top_peaks
         grid, state = TimeGrid(0.0, horizon, dt), StateSpec("pair", i=1, j=2, phi=phi)
-        stack, slack = experiments._candidate_series(n, _pair_state(n, phi), candidates, grid)
-        fulls = [concurrence_trace(GraphSpec("tri", n, theta), state, grid) for theta in candidates]
-        top = max(global_max(full).value for full in fulls)
-        for sparse, full in zip(stack, fulls, strict=True):
-            if sparse is None:  # dropped: its refined peak cannot win
-                assert global_max(full).value < top - slack
-                continue
-            # kept: it carries its own grid maximum, and so its refined peak
-            assert sparse.times[np.argmax(sparse.values)] == full.times[np.argmax(full.values)]
-            assert abs(global_max(sparse).value - global_max(full).value) <= 1e-12
+        peaks, slack = experiments._candidate_series(n, _pair_state(n, phi), candidates, grid)
+        fulls = [global_max(concurrence_trace(GraphSpec("tri", n, theta), state, grid)).value
+                 for theta in candidates]
+        top = max(fulls)
+        for peak, full in zip(peaks, fulls, strict=True):
+            if peak == -math.inf:  # dropped: its refined peak cannot win
+                assert full < top - slack
+            else:  # kept: the refined peak of its own grid maximum
+                assert abs(peak - full) <= 1e-12
 
     def test_an_earlier_stack_prunes_a_later_one(self, monkeypatch):
         # 17 candidates make two stacks.  The last one, alone in the second
@@ -443,14 +465,14 @@ class TestPrunedLongTimeSearch:
         grid, psi = TimeGrid(0.0, 60.0, 0.02), _pair_state(5)
         candidates = (PI / 2, *np.linspace(-3.0, 3.0, 15), 0.3)
         (alone,), _ = experiments._candidate_series(5, psi, candidates[16:], grid)
-        assert alone is not None
+        assert alone > -math.inf
         calls, traced = [], []
         search, trace = experiments._candidate_series, experiments.concurrence_trace
 
         def recorded(*args):
-            stack, slack = search(*args)
-            calls.append((args[4], list(stack)))
-            return iter(calls[-1][1]), slack
+            peaks, slack = search(*args)
+            calls.append((args[4], peaks))
+            return peaks, slack
 
         monkeypatch.setattr(experiments, "_candidate_series", recorded)
         monkeypatch.setattr(experiments, "concurrence_trace",
@@ -458,8 +480,8 @@ class TestPrunedLongTimeSearch:
         rec = optimize_theta(5, PI, candidates, grid.t_end, grid.dt)
         (first_best, first), (second_best, second) = calls
         assert first_best == -math.inf and len(first) == 16
-        assert second_best == max(global_max(s).value for s in first if s is not None)
-        assert second == [None]
+        assert second_best == max(first)
+        assert second == [-math.inf]
         assert traced == [PI / 2]
         assert rec == oracles.optimize_theta_scan(5, PI, candidates, grid.t_end, grid.dt)
 
@@ -495,20 +517,19 @@ class TestPrunedLongTimeSearch:
     def test_every_interval_live_takes_the_full_grid(self, monkeypatch):
         # Early on, the far end of tri:15 holds almost nothing, so the bound
         # M h^2 / 8 dwarfs every sample and no interval can be ruled out.  The
-        # candidate is then read on the whole grid by site_amplitudes, with the
-        # bits of its full trace.
+        # candidate is then read on the whole grid by site_amplitudes, and its
+        # refined peak has the bits of its full trace's.
         sizes = _amplitude_samples(monkeypatch)
         grid = TimeGrid(0.0, 1.0, 0.01)
-        (series,), _ = experiments._candidate_series(15, _pair_state(15), [PI / 2], grid)
+        (peak,), _ = experiments._candidate_series(15, _pair_state(15), [PI / 2], grid)
         assert sizes == [2 * len(grid)]
-        full = concurrence_trace(GraphSpec("tri", 15, PI / 2), BELL, grid)
-        assert np.array_equal(series.times, full.times)
-        assert np.array_equal(series.values, full.values)
+        full = global_max(concurrence_trace(GraphSpec("tri", 15, PI / 2), BELL, grid))
+        assert peak.hex() == full.value.hex()
 
     def test_far_fewer_samples_than_a_full_scan(self, monkeypatch):
         # (candidate, time) values read by the coarse pass, and by site_amplitudes
-        # for the live reads and the full traces of the contenders; a full scan
-        # reads 16 len(grid).
+        # for the live reads and the full trace of the winner; a full scan reads
+        # 16 len(grid).
         counts = []
         for name, size in (("_coarse_concurrence", lambda out: out[0].size),
                            ("site_amplitudes", lambda out: out.size // 2)):
@@ -525,7 +546,7 @@ class TestPrunedLongTimeSearch:
     def test_refined_peak_beats_a_larger_raw_sample(self, monkeypatch):
         # On this coarse grid theta = 0.54 has the larger grid sample and
         # theta = -0.18 the larger refined peak: candidates are ranked by their
-        # refined peaks, so only -0.18 is a contender and it wins.
+        # refined peaks, so -0.18 wins and is the only one traced.
         grid, state = TimeGrid(0.0, 20.0, 0.1), StateSpec("pair", i=1, j=2, phi=PI)
         a, b = (concurrence_trace(GraphSpec("tri", 3, theta), state, grid) for theta in (0.54, -0.18))
         assert a.values.max() > b.values.max() + 1e-3
