@@ -24,13 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, graphs, io, svgplot
-from .specs import (GraphSpec, StateSpec, TimeGrid, as_number, parse_int_list, parse_measure,
-                    parse_phase, parse_real, parse_theta_candidates)
+from .specs import (GraphSpec, StateSpec, TimeGrid, as_number, check_keys, parse_int_list,
+                    parse_measure, parse_phase, parse_real, parse_theta_candidates)
 
 
 # ---------------------------------------------------------------------------
-# the load step: one function per subcommand parses its manifest parameters and
-# returns its runner, run(out_dir, name) -> output file names
+# the load step: one function per subcommand parses its manifest parameters,
+# refusing any it does not read, and returns its runner, run(out_dir, name) ->
+# output file names
 
 
 def check_name(name) -> str:
@@ -74,6 +75,7 @@ def _write(out_dir: Path, name: str, tables, plot=None) -> list[str]:
 
 
 def _trace(params: dict):
+    check_keys(params, ("name", "graph", "state", "measure", "grid", "svg"), "trace parameter")
     graph, state = GraphSpec.from_dict(params["graph"]), StateSpec.from_dict(params["state"])
     trace, trace_args, measure = parse_measure(params["measure"])
     # The canonical form goes into the outputs and, through params, the manifest.
@@ -96,6 +98,8 @@ def _trace(params: dict):
 
 
 def _table(params: dict):
+    check_keys(params, ("name", "mode", "n_values", "phi", "horizon", "dt", "theta_candidates"),
+               "table parameter")
     mode = params["mode"]
     if mode not in ("cqw", "ctqw"):
         raise ValueError(f"table mode must be 'cqw' or 'ctqw', got {mode!r}")
@@ -131,6 +135,7 @@ def _table(params: dict):
 
 
 def _scaling(params: dict):
+    check_keys(params, ("name", "theta", "state", "n_values", "grid", "svg"), "scaling parameter")
     theta = parse_phase(params["theta"])
     state = StateSpec.from_dict(params["state"])
     n_values = _n_values(params)
@@ -159,6 +164,7 @@ def _scaling(params: dict):
 
 
 def _snapshots(params: dict):
+    check_keys(params, ("name", "graph", "state", "times", "svg"), "snapshots parameter")
     graph, state = GraphSpec.from_dict(params["graph"]), StateSpec.from_dict(params["state"])
     times = [as_number(t, "times") for t in _list(params, "times")]
     svg = _svg(params)
@@ -182,6 +188,7 @@ def _snapshots(params: dict):
 
 
 def _graph_export(params: dict):
+    check_keys(params, ("name", "graph"), "graph-export parameter")
     graph = GraphSpec.from_dict(params["graph"])
 
     def run(out_dir: Path, name: str) -> list[str]:
@@ -214,10 +221,10 @@ def load(command, params: dict):
 
     Returns the runner bound to the parsed values, ``run(out_dir, name) ->
     output file names``, and the checked output name.  A parameter that does
-    not parse raises ValueError, IndexError, KeyError or TypeError (a usage
-    error).  The library functions the runner calls check each value before
-    they compute, and raise ValueError or IndexError for a bad one, which
-    ``main`` reports as the same usage error.  A trace's measure is written
+    not parse, or that the step does not read, raises ValueError, IndexError,
+    KeyError or TypeError (a usage error).  The library functions the runner
+    calls check each value before they compute, and raise ValueError or
+    IndexError for a bad one, which ``main`` reports as the same usage error.  A trace's measure is written
     back into ``params`` in its canonical form, which the manifest records.
     """
     if command not in COMMANDS:

@@ -474,31 +474,30 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     decomposed together.  Between points h apart, f = C^2 stays below
     max(f_a, f_b) + M h^2 / 8, M from _curvature_bound, and |C'| <= L =
     sqrt(M / 2).  Each member is screened on every s-th grid point, s the
-    largest step with M (s dt)^2 / 8 <= COARSE_SLACK for the largest M, at the
-    factored times t' of _coarse_concurrence, in single precision.  A screened
-    value is within err = eps + L max|t' - t| of the grid value it stands for:
-    eps from _screen_rounding, and the drift of C between t' and its grid time
-    t.  So on the grid points between two screened points C is at most
-    U = sqrt(max(f_a, f_b) + M h^2 / 8) + err, h the largest spacing of t'.  A
-    refined peak exceeds its grid sample by at most the overshoot L dt / 8: if
-    the middle of three samples is the largest, a and b its rises over its
-    neighbours, the parabola through them rises (a - b)^2 / (8 (a + b)) <=
-    max(a, b) / 8 above it.  So each member's largest screened value less err
-    is below its grid maximum and its refined peak, and ``best`` is raised to
-    the largest of these.
+    largest step with M (s dt)^2 / 8 <= COARSE_SLACK for the largest M, or 1,
+    at the factored times t' of _coarse_concurrence, in single precision.  A
+    screened value is within err = eps + L max|t' - t| of the grid value it
+    stands for: eps from _screen_rounding, and the drift of C between t' and
+    its grid time t.  So on the grid points between two screened points C is
+    at most U = sqrt(max(f_a, f_b) + M h^2 / 8) + err, h the largest spacing
+    of t'.  A refined peak exceeds its grid sample by at most the overshoot
+    L dt / 8: if the middle of three samples is the largest, a and b its rises
+    over its neighbours, the parabola through them rises
+    (a - b)^2 / (8 (a + b)) <= max(a, b) / 8 above it.  So each member's
+    largest screened value less err is below its grid maximum and its refined
+    peak, and ``best`` is raised to the largest of these.
 
     An interval is live if U reaches both the member's largest screened value
     less err and the slack, as it may then hold the member's grid maximum, and
     ``best`` less the overshoot and four slacks, as a grid point in it may then
     carry a refined peak near ``best``.  Each member's live intervals, padded
     by one grid point on each side, and the points after the last stride are
-    read on every grid point by one site_amplitudes call.  A member whose
-    every interval is live, and every member of a stride-1 search, so reads
-    the whole grid and gets the peak of its full trace bit for bit.  A member
-    whose read values all lie more than the overshoot and three slacks below
-    ``best`` gets -inf: its grid maximum is one of them, or lies in an
-    interval that is not live and so lower still.  Otherwise that maximum was
-    read.
+    read on every grid point by one site_amplitudes call, at any stride.  A
+    member whose every interval is live so reads the whole grid and gets the
+    peak of its full trace bit for bit.  A member whose read values all lie
+    more than the overshoot and three slacks below ``best`` gets -inf: its
+    grid maximum is one of them, or lies in an interval that is not live and
+    so lower still.  Otherwise that maximum was read.
 
     Each value is off by the rounding its phases carry, within the tolerance
     the cross-check allows; the slack is four times that, for four such values
@@ -517,36 +516,32 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     step = math.sqrt(8.0 * COARSE_SLACK / top) / grid.dt if top > 0 else math.inf
     stride = max(1, int(min(size - 1, step)))
     at = np.arange(0, size, stride)
+    coarse, factored = _coarse_concurrence(d.eigenvalues, W, times[at])
+    _check_finite(coarse, label)
+    lipschitz, h = np.sqrt(bound / 2), np.diff(factored).max()
+    err = (lipschitz * np.abs(factored - times[at]).max()
+           + _screen_rounding(d.eigenvalues, W, times[at]))
+    overshoot = lipschitz * grid.dt / 8
+    peaks = coarse.max(axis=1).astype(float)
+    best = max(best, (peaks - err).max())
+    needed = np.maximum(peaks - 2 * err - slack, best - 4 * slack - overshoot - err)
+    # sqrt(max(f_a, f_b) + M h^2 / 8) >= needed holds where the larger of
+    # C_a, C_b reaches sqrt(needed^2 - M h^2 / 8), and everywhere when
+    # needed is not positive.
+    needed = np.maximum(needed, 0.0)
+    level = np.sqrt(np.maximum(needed * needed - bound * h * h / 8.0, 0.0))
+    above = coarse >= level[:, None]
     # Each member's segments: the intervals between screened points, then the
-    # tail after the last one.  A stride-1 search reads them all.
-    segments = np.ones((len(thetas), at.size), dtype=bool)
-    low = np.full(len(thetas), -math.inf)
-    if stride > 1:
-        coarse, factored = _coarse_concurrence(d.eigenvalues, W, times[at])
-        _check_finite(coarse, label)
-        lipschitz, h = np.sqrt(bound / 2), np.diff(factored).max()
-        err = (lipschitz * np.abs(factored - times[at]).max()
-               + _screen_rounding(d.eigenvalues, W, times[at]))
-        overshoot = lipschitz * grid.dt / 8
-        peaks = coarse.max(axis=1).astype(float)
-        best = max(best, (peaks - err).max())
-        needed = np.maximum(peaks - 2 * err - slack, best - 4 * slack - overshoot - err)
-        # sqrt(max(f_a, f_b) + M h^2 / 8) >= needed holds where the larger of
-        # C_a, C_b reaches sqrt(needed^2 - M h^2 / 8), and everywhere when
-        # needed is not positive.
-        needed = np.maximum(needed, 0.0)
-        level = np.sqrt(np.maximum(needed * needed - bound * h * h / 8.0, 0.0))
-        above = coarse >= level[:, None]
-        np.logical_or(above[:, :-1], above[:, 1:], out=segments[:, :-1])
-        segments[:, -1] = at[-1] < size - 1
-        low = best - 3 * slack - overshoot
+    # tail after the last one, live if it holds any grid point.
+    segments = np.empty((len(thetas), at.size), dtype=bool)
+    np.logical_or(above[:, :-1], above[:, 1:], out=segments[:, :-1])
+    segments[:, -1] = at[-1] < size - 1
+    low = best - 3 * slack - overshoot
     pad = np.arange(-1, stride + 2)  # a segment's grid points, padded by one on each side
     found = [-math.inf] * len(thetas)
     for k in np.flatnonzero(segments.any(axis=1)):  # a member with no live segment is out
-        points = slice(None)  # every interval live: the whole grid
-        if not segments[k, :-1].all():
-            points = np.zeros(size, dtype=bool)
-            points[np.clip(at[segments[k]][:, None] + pad, 0, size - 1)] = True
+        points = np.zeros(size, dtype=bool)
+        points[np.clip(at[segments[k]][:, None] + pad, 0, size - 1)] = True
         values = _concurrence(*site_amplitudes(d.member(k), psi, times[points], rows))
         if values.max() >= low[k]:
             found[k] = global_max(TraceSeries(times[points], values, label=label)).value
@@ -582,7 +577,7 @@ def optimize_theta(
         graphs.reduce_phase(theta)
     state = StateSpec("pair", i=1, j=2, phi=phi)
     theta = candidates[0]
-    if len(candidates) > 1:
+    if len(candidates) > 1:  # searching a lone candidate adds half to a ctqw table's time
         ((_, psi),) = state.ensemble(n)
         peaks, slack = [], 0.0
         for first in range(0, len(candidates), CANDIDATE_SLICE):

@@ -8,7 +8,9 @@ Number text has one rule: an integer is an optional '-' and ASCII digits
 (``parse_int``), a real number is ASCII text without '_' or surrounding
 whitespace that float() reads (``parse_real``), and a phase is a real number
 or 'Npi', with spaces allowed around it and before 'pi' (``parse_phase``).
-Other manifest numbers must be JSON numbers (``as_number``).
+No flag is stripped as a whole, so a space elsewhere is refused.  Other
+manifest numbers must be JSON numbers (``as_number``), and a manifest object
+may hold no key that nothing reads (``check_keys``).
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ def as_number(value, what: str, kind: type = float):
     return kind(value)
 
 
+def check_keys(d, keys, what: str) -> None:
+    """Refuse a manifest object ``d`` with a key outside ``keys``, which nothing
+    would read: a misspelt key, or a field of another kind.  A key left out
+    keeps its default, where it has one."""
+    unknown = [key for key in d if key not in keys] if isinstance(d, dict) else []
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown[0]!r}")
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Which graph to walk on: kind in {tri, cycle, pentagram}; "complete" is
@@ -131,6 +142,7 @@ class GraphSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> GraphSpec:
+        check_keys(d, cls.__dataclass_fields__, "graph key")
         # Manifests written before magnitudes existed have no "magnitude" key.
         return cls(d["kind"], as_number(d["n"], "n", int), parse_phase(d["theta"]),
                    as_number(d.get("magnitude", 1.0), "magnitude"))
@@ -191,7 +203,7 @@ class StateSpec:
     @classmethod
     def from_text(cls, text) -> StateSpec:
         """localized:I, pair:I,J[:PHI], werner:B, or the manifest form as JSON."""
-        s = str(text).strip()
+        s = str(text)
         if s.startswith("{"):
             return cls.from_dict(json.loads(s))
         kind, _, rest = s.partition(":")
@@ -211,7 +223,9 @@ class StateSpec:
     def from_dict(cls, d: dict) -> StateSpec:
         kind = d["kind"]  # an unknown kind has no fields, and the constructor rejects it
         fields = STATE_FIELDS.get(kind, {}) if isinstance(kind, str) else {}
-        return cls(kind, **{f: _field(number, d[f], f, False) for f, number in fields.items()})
+        spec = cls(kind, **{f: _field(number, d[f], f, False) for f, number in fields.items()})
+        check_keys(d, ["kind", *fields], f"{kind} state key")
+        return spec
 
     def comment(self) -> str:
         return "state: " + " ".join([self.kind] + [
@@ -258,6 +272,7 @@ class TimeGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> TimeGrid:
+        check_keys(d, cls.__dataclass_fields__, "grid key")
         return cls(*(as_number(d[key], key) for key in ("t_start", "t_end", "dt")))
 
     def comment(self) -> str:
@@ -319,7 +334,7 @@ def parse_measure(text) -> tuple[str, tuple, str]:
 
 def parse_int_list(text: str) -> list[int]:
     """Chain sizes: LO:HI[:STEP] (step 2 by default) or a comma list."""
-    s = str(text).strip()
+    s = str(text)
     if ":" in s:
         parts = s.split(":")
         if len(parts) not in (2, 3):
@@ -336,7 +351,7 @@ def parse_int_list(text: str) -> list[int]:
 
 def parse_theta_candidates(text: str) -> list[float]:
     """Comma list of phases, or ``grid:K`` for K points evenly over (-pi, pi]."""
-    s = str(text).strip()
+    s = str(text)
     if s.startswith("grid:"):
         k = parse_int(s[5:], "grid size")
         if k < 1:

@@ -118,6 +118,10 @@ COMMANDS = {
     # coarse intervals live.
     "table-cqw-half-live": ["table", "--mode", "cqw", "--n", "9", "--phi", "0", "--horizon",
                             "5.6", "--dt", "0.01", "--theta-candidates=-0.155,-2.852"],
+    # At dt = 0.25 no stride above 1 keeps the curvature bound within
+    # COARSE_SLACK, so the screen reads every grid point.
+    "table-cqw-stride1": ["table", "--mode", "cqw", "--n", "5,9", "--horizon", "100", "--dt",
+                          "0.25", "--theta-candidates", "grid:16"],
     "scaling-svg": ["scaling", "--n", "5:9:2", "--t", "0:5:0.01", "--svg"],
     "scaling-state": ["scaling", "--theta", "-0.5pi", "--n", "5,7", "--state",
                       "pair:1,2:0.5pi", "--t", "0:8:0.02"],
@@ -220,6 +224,10 @@ COMMANDS = {
     "reject-json-phase-underscore": ["trace", *TRI5, "--state",
                                      '{"kind": "pair", "i": 1, "j": 2, "phi": "1_0"}',
                                      *CONCURRENCE, "--t", "0:1:0.5"],
+    # A key that nothing reads: a pair state has no "b".
+    "reject-json-state-unknown-key": ["trace", *TRI5, "--state",
+                                      '{"kind": "pair", "i": 1, "j": 2, "phi": "pi", "b": 0.5}',
+                                      *CONCURRENCE, "--t", "0:1:0.5"],
 }
 # Each run's BLAS threads, so that the digests do not depend on the machine's
 # core count.

@@ -765,6 +765,24 @@ USAGE_ERRORS = {
     "table-dt-trailing-space": ("table", ["--dt", "0.5 "], {"dt": "0.5 "}),
     "magnitude-tab": ("trace", ["--magnitude", "\t2"],
                       {"graph": {**TRI2, "n": 5, "magnitude": "\t2"}}),
+    # No flag is stripped as a whole.
+    "table-n-padded": ("table", ["--n", " 5,7 "], {"n_values": " 5,7 "}),
+    "state-padded": ("trace", ["--state", " werner:0.5 "], {"state": " werner:0.5 "}),
+    "table-theta-grid-padded": ("table", ["--theta-candidates", " grid:8"],
+                                {"theta_candidates": [" grid:8"]}),
+    "trace-grid-padded": ("trace", ["--t", " 0:1:0.5"],
+                          {"grid": {"t_start": " 0", "t_end": 1.0, "dt": 0.5}}),
+    # A key that nothing reads is refused, not run at its default.
+    "graph-key-typo": ("trace", None, {"graph": {**TRI2, "n": 5, "magnitud": 2}}),
+    "svg-key-typo": ("trace", None, {"SVG": True}),
+    "pair-state-b": ("trace", ["--state", '{"kind": "pair", "i": 1, "j": 2, "phi": 3, "b": 0.5}'],
+                     {"state": {**PAIR_1_2, "b": 0.5}}),
+    "grid-key-typo": ("trace", None, {"grid": {"t_start": 0.0, "t_end": 1.0, "dt": 0.5,
+                                               "t_stop": 2.0}}),
+    "table-key-typo": ("table", None, {"horizn": 8.0}),
+    "scaling-magnitude-key": ("scaling", None, {"magnitude": 2.0}),
+    "snapshots-theta-key": ("snapshots", None, {"theta": 0.3}),
+    "graph-export-svg-key": ("graph-export", None, {"svg": True}),
 }
 
 
@@ -791,6 +809,17 @@ def test_usage_error_exits_2(case, form, tmp_path, base_manifests):
     assert re.match(r"chiralwalk( [\w-]+)?: error: ", message)
     assert all(line.startswith(("usage: ", " ")) for line in usage)
     assert files_under(tmp_path) == before
+
+
+def test_manifest_keys_left_out_keep_their_defaults(tmp_path, base_manifests):
+    # Manifests written before magnitudes existed have no "magnitude" key.
+    manifest = json.loads(json.dumps(base_manifests["trace"]))
+    del manifest["parameters"]["graph"]["magnitude"], manifest["parameters"]["svg"]
+    (tmp_path / "old.json").write_text(json.dumps(manifest))
+    assert run_cli(["rerun", str(tmp_path / "old.json"), "--out", str(tmp_path / "a")])[0] == 0
+    assert run_cli(BASE_RUNS["trace"] + ["--out", str(tmp_path / "b")])[0] == 0
+    csv_a, csv_b = (tmp_path / out / "trace.csv" for out in "ab")
+    assert csv_a.read_bytes() == csv_b.read_bytes()
 
 
 @pytest.mark.parametrize("argv,out", [

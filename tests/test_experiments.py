@@ -377,12 +377,21 @@ class TestLongTimeSweeps:
         (0.3,), (0.3, PI - 0.3), (PI / 2 - 2 * PI, PI / 2), tuple(np.linspace(-PI, PI, 40)),
     ])
     def test_one_full_trace_per_row(self, monkeypatch, candidates):
-        traced = []
-        real = experiments.concurrence_trace
-        monkeypatch.setattr(experiments, "concurrence_trace",
-                            lambda graph, *args: traced.append(graph.theta) or real(graph, *args))
-        rec = optimize_theta(7, PI, candidates, 30.0, 0.02)
-        assert traced == [rec.theta]
+        # One screen per stack of CANDIDATE_SLICE at any stride (5 or 6 at
+        # dt = 0.02 on tri:7, 1 at dt = 0.25); a lone candidate is traced
+        # without a search.
+        calls = {name: [] for name in ("concurrence_trace", "_candidate_series",
+                                       "_coarse_concurrence")}
+        for name, record in calls.items():
+            monkeypatch.setattr(experiments, name, lambda *args, real=getattr(experiments, name),
+                                record=record: record.append(args[0]) or real(*args))
+        stacks = len(candidates) > 1 and math.ceil(len(candidates) / experiments.CANDIDATE_SLICE)
+        for dt in (0.02, 0.25):
+            for record in calls.values():
+                record.clear()
+            rec = optimize_theta(7, PI, candidates, 30.0, dt)
+            assert [graph.theta for graph in calls["concurrence_trace"]] == [rec.theta]
+            assert len(calls["_candidate_series"]) == len(calls["_coarse_concurrence"]) == stacks
 
     def test_negative_branch_reproduces_reference_row(self):
         # The two chiral branches hold near-tied maxima; the negative branch
@@ -428,6 +437,11 @@ class TestPrunedLongTimeSearch:
     @example(5, [PI / 4], {"supplement"}, PI, 60.0, 0.02)  # a tie up to rounding
     @example(15, [PI / 2, -PI / 2], set(), PI, 1.0, 0.01)  # every interval live
     @example(9, [-0.155, -2.852], set(), 0.0, 5.6, 0.01)  # 48% and 60% of intervals live
+    # Stride 1: the curvature bound M is 54 to 59, so no stride of 2 keeps
+    # M (2 dt)^2 / 8 within COARSE_SLACK.
+    @example(5, [PI / 2, -PI / 2], set(), PI, 60.0, 0.25)
+    @example(9, [0.7, -1.1], {"supplement"}, PI, 100.0, 0.2)
+    @example(15, [PI / 2, -PI / 2], set(), PI, 40.0, 0.15)
     @settings(max_examples=40, deadline=None)
     def test_picks_what_the_full_scan_picks(self, n, thetas, extras, phi, horizon, dt):
         candidates = list(thetas)
