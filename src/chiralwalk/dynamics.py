@@ -160,14 +160,6 @@ def _exp_minus_i(angles: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _deviation(times: np.ndarray, block: int, lo: int, hi: int) -> np.ndarray:
-    """times[j] - (times[bB] + (times[m] - times[0])) for j = bB + m in lo:hi,
-    where B = block and lo is a multiple of B."""
-    dev = times[lo:hi] - np.repeat(times[lo:hi:block], block)[:hi - lo]
-    dev -= np.resize(times[:block] - times[0], hi - lo)
-    return dev
-
-
 def _grid_block(size: int, rows: int) -> int:
     """Block length B of a grid of ``size`` times read on ``rows`` rows.
 
@@ -196,17 +188,18 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
     Row k holds site ``rows[k]`` (0-based; default all n sites) and column j
     holds it at times[j]: the rows of psi(t_j) = U(t_j) psi, folded into W (_readout).
 
-    The times are cut into blocks of B columns (see _grid_block) and each phase
-    factored as e^{-i lam t_bB} e^{-i lam (t_m - t_0)}: n (T/B + B) sines and
-    cosines give the anchor phases and one shared fine block, once for all
-    states.  Groups of about AMPLITUDE_CHUNK columns are then written one at a
-    time, each state in turn.  A group whose every times[bB + m] is
+    The times are cut into blocks of B columns (see _grid_block), and groups of
+    w = max(1, AMPLITUDE_CHUNK // B) B columns are written one at a time, each
+    state in turn.  A group is factored if its every times[bB + m] is
     times[bB] + (times[m] - times[0]) within GRID_SPACINGS float spacings of
-    max|t|, as on any uniform grid, is the anchor-weighted readout times the
-    fine block, corrected to first order for the deviations; any other group
-    takes one phase per element.  Each state's products have the shapes of a
-    call with that state alone, so its rows are the same bits.  Memory is the
-    m x r x T output plus O(m r n sqrt(T) + n AMPLITUDE_CHUNK).
+    max|t|, as on any uniform grid: each phase is e^{-i lam t_bB} e^{-i lam
+    (t_m - t_0)}, from the anchor phases at the group's own block starts and
+    one fine block that the first factored group forms for all, and the group
+    is the anchor-weighted readout times the fine block, corrected to first
+    order for the deviations.  Any other group takes one phase per element.
+    Each state's products have the shapes of a call with that state alone, so
+    its rows are the same bits.  Memory is the m x r x T output plus the fine
+    block and one group's phases and products, O(n w).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -226,22 +219,27 @@ def site_amplitudes(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndar
     block = _grid_block(size, r)
     if not block:
         return amplitudes
-    fine = _phases(d.eigenvalues, times[:block] - times[0])
-    anchors = _phases(d.eigenvalues, times[::block])
-    # Rows r.. are the time derivative of rows ..r; they correct each column
-    # to first order for the deviation of its time from anchor + offset.
-    readouts = np.concatenate([W, -1j * W * d.eigenvalues], axis=1)
+    offsets, fine = times[:block] - times[0], None
     tol = GRID_SPACINGS * np.spacing(max(abs(times.max()), abs(times.min())))
-    per = max(1, AMPLITUDE_CHUNK // block)
-    for first in range(0, anchors.shape[1], per):
-        lo, hi = first * block, min((first + per) * block, size)
-        dev = _deviation(times, block, lo, hi)
-        exact = None if np.abs(dev).max() <= tol else _phases(d.eigenvalues, times[lo:hi])
-        for w, readout, member in zip(W, readouts, out):
-            if exact is not None:
+    width = max(1, AMPLITUDE_CHUNK // block) * block
+    for lo in range(0, size, width):
+        hi = min(lo + width, size)
+        starts = times[lo:hi:block]
+        dev = times[lo:hi] - np.repeat(starts, block)[:hi - lo]
+        dev -= np.resize(offsets, hi - lo)
+        if np.abs(dev).max() > tol:
+            exact = _phases(d.eigenvalues, times[lo:hi])
+            for w, member in zip(W, out):
                 np.matmul(w, exact, out=member[:, lo:hi])
-                continue
-            weighted = readout[:, None, :] * anchors[:, first:first + per].T
+            continue
+        if fine is None:
+            fine = _phases(d.eigenvalues, offsets)
+            # Rows r.. are the time derivative of rows ..r; they correct each
+            # column to first order for the deviation of its time from anchor + offset.
+            readouts = np.concatenate([W, -1j * W * d.eigenvalues], axis=1)
+        anchors = _phases(d.eigenvalues, starts)
+        for readout, member in zip(readouts, out):
+            weighted = readout[:, None, :] * anchors.T
             blocks = (weighted.reshape(-1, d.n) @ fine).reshape(2 * r, -1)[:, :hi - lo]
             np.multiply(blocks[r:], dev, out=blocks[r:])
             np.add(blocks[:r], blocks[r:], out=member[:, lo:hi])

@@ -437,20 +437,21 @@ def _coarse_concurrence(eigenvalues: np.ndarray, W: np.ndarray,
 
     e^{-i lam t'} = e^{-i lam times[bB]} e^{-i lam (times[j] - times[0])} holds
     exactly, so each group of blocks is one batched complex64 product of the
-    anchor-weighted readouts with the fine block (_screen_phases), over at most
-    AMPLITUDE_CHUNK columns per member (one block, if B is more).
+    readouts, weighted by the anchor phases at the group's own block starts,
+    with the fine block (_screen_phases), over at most AMPLITUDE_CHUNK columns
+    per member (one block, if B is more).
     """
     size, (m, r, n) = times.size, W.shape
     block = math.isqrt(size)
     offsets = times[:block] - times[0]
-    anchors = _screen_phases(eigenvalues, times[::block])
     fine = _screen_phases(eigenvalues, offsets)
     W = W.astype(np.complex64)
     values = np.empty((m, size), dtype=np.float32)
-    per = max(1, dynamics.AMPLITUDE_CHUNK // block)
-    for first in range(0, anchors.shape[-1], per):
-        lo, hi = first * block, min((first + per) * block, size)
-        weighted = W[:, :, None, :] * anchors[:, None, :, first:first + per].swapaxes(-1, -2)
+    width = max(1, dynamics.AMPLITUDE_CHUNK // block) * block
+    for lo in range(0, size, width):
+        hi = min(lo + width, size)
+        anchors = _screen_phases(eigenvalues, times[lo:hi:block])
+        weighted = W[:, :, None, :] * anchors[:, None].swapaxes(-1, -2)
         p, q = (weighted.reshape(m, -1, n) @ fine).reshape(m, r, -1)[..., :hi - lo].swapaxes(0, 1)
         values[:, lo:hi] = _concurrence(p, q)
     return values, np.add.outer(times[::block], offsets).ravel()[:size]

@@ -1,6 +1,7 @@
 """Digest every output of a fixed set of CLI runs, to compare two source trees.
 
 Usage: python tests/audit_outputs.py SRC_DIR OUT_DIR
+       python tests/audit_outputs.py check SRC_DIR
        python tests/audit_outputs.py compare OUT_A OUT_B
 
 Each command below runs as ``python -m chiralwalk`` in a fresh process with
@@ -15,6 +16,11 @@ It exits 1 if a rerun does not reproduce its run byte for byte.
 ``tests/audit_digests.txt`` holds the printout for the tree it is committed
 with, so ``git diff`` names every output a change moves.
 
+``check`` is the one-command byte gate: it runs the audit of SRC_DIR into a
+fresh temporary directory, prints every line of the printout that differs
+from ``tests/audit_digests.txt`` (as a diff, ``-`` committed, ``+`` this run),
+and exits 1 if any does, 0 if none.
+
 ``compare`` reads two such output directories.  It parses every CSV of both
 and prints, per CSV whose bytes differ, the largest difference between its
 numeric cells; other files are compared by digest.  It exits 1 if a file is
@@ -26,12 +32,16 @@ The file name has no ``test_`` prefix, so pytest does not collect it.
 
 from __future__ import annotations
 
+import contextlib
+import difflib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 TRI5 = ["--graph", "tri:5"]
@@ -232,6 +242,7 @@ COMMANDS = {
 # Each run's BLAS threads, so that the digests do not depend on the machine's
 # core count.
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+DIGESTS = Path(__file__).with_name("audit_digests.txt")
 
 
 def digest(path: Path) -> str:
@@ -325,16 +336,9 @@ def environment() -> str:
             f"blas {blas.get('name')} {blas.get('version')} threads {threads}")
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[0] == "compare":
-        return compare(Path(argv[1]), Path(argv[2]))
-    if len(argv) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    src, root = Path(argv[0]).resolve(), Path(argv[1]).resolve()
-    if root.exists() and any(root.iterdir()):
-        print(f"{root} is not empty", file=sys.stderr)
-        return 2
+def audit(src: Path, root: Path) -> int:
+    """Run every command of ``src`` into ``root`` and print the printout; 1 if a
+    rerun does not reproduce its run."""
     env = {**os.environ, **THREADS, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
     print(environment())
     mismatches = []
@@ -348,6 +352,34 @@ def main(argv: list[str]) -> int:
     for label in mismatches:
         print(f"RERUN MISMATCH {label}")
     return 1 if mismatches else 0
+
+
+def check(src: Path) -> int:
+    """Audit ``src`` in a temporary directory and print the lines of its printout
+    that differ from DIGESTS; 1 if any do."""
+    printout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(printout):
+        audit(src, Path(tmp).resolve())
+    committed = DIGESTS.read_text().splitlines()
+    diff = list(difflib.unified_diff(committed, printout.getvalue().splitlines(),
+                                     str(DIGESTS), "this run", n=0, lineterm=""))
+    print("\n".join(diff) if diff else f"all {len(committed)} lines equal {DIGESTS}")
+    return 1 if diff else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) == 2 and argv[0] == "check":
+        return check(Path(argv[1]).resolve())
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src, root = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if root.exists() and any(root.iterdir()):
+        print(f"{root} is not empty", file=sys.stderr)
+        return 2
+    return audit(src, root)
 
 
 if __name__ == "__main__":

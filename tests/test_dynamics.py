@@ -327,8 +327,10 @@ class TestOccupation:
 def phase_widths():
     """Yield the column count of every dynamics._phases call made inside.
 
-    site_amplitudes computes its fine block and its anchors first, so any
-    further call is a column group that took one phase per element.
+    site_amplitudes makes one call per column group of w columns: the group's
+    anchors (ceil(w / B) columns) or, if it is not factored, one phase per
+    element (w columns).  The first factored group forms the fine block (B
+    columns) first.  group_widths gives the expected list.
     """
     widths = []
     real = dynamics._phases
@@ -340,6 +342,24 @@ def phase_widths():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_phases", counting)
         yield widths
+
+
+def group_widths(size, block, exact=lambda lo, hi: False):
+    """The phase_widths of a site_amplitudes call on ``size`` times in blocks of
+    ``block`` columns, where each group lo:hi for which ``exact(lo, hi)`` holds
+    takes one phase per element."""
+    group = block * max(1, dynamics.AMPLITUDE_CHUNK // block)
+    widths, fine = [], False
+    for lo in range(0, size, group):
+        hi = min(lo + group, size)
+        if exact(lo, hi):
+            widths.append(hi - lo)
+            continue
+        if not fine:
+            widths.append(block)
+            fine = True
+        widths.append(-(-(hi - lo) // block))
+    return widths
 
 
 class TestSiteAmplitudes:
@@ -403,7 +423,7 @@ class TestSiteAmplitudes:
         times = np.cumsum(np.random.default_rng(3).uniform(0.001, 0.02, 2 * chunk + 3))
         with phase_widths() as widths:
             amp = dynamics.site_amplitudes(chiral5, psi0, times, [4, 0])
-        assert len(widths) > 3 and sum(widths[2:]) == times.size
+        assert widths == group_widths(times.size, math.isqrt(times.size), lambda lo, hi: True)
         for k in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, times.size - 1):
             psi = oracles.evolve_pure(chiral5, psi0, times[k])
             assert np.abs(amp[:, k] - psi[[4, 0]]).max() < 1e-12
@@ -472,7 +492,7 @@ class TestSiteAmplitudes:
             assert dynamics._grid_block(size, 5 if rows is None else 2) == block
             with phase_widths() as widths:
                 dynamics.site_amplitudes(chiral5, states.localized(5, 1), times, rows)
-            assert widths == [block, -(-size // block)]
+            assert widths == group_widths(size, block)
 
     def test_non_uniform_times_are_not_factored(self, chiral5):
         def widths_of(times, rows):
@@ -484,9 +504,9 @@ class TestSiteAmplitudes:
         assert widths_of(times, [0, 1]) == [10, 10]
         assert widths_of(times, None) == [25, 4]
         times[57] += 1e-9
-        assert widths_of(times, [0, 1]) == [10, 10, 100]
-        assert widths_of(times, None) == [25, 4, 100]
-        assert widths_of(np.array([0.0, 0.5, 3.0, 7.0, 7.5]), [0, 1]) == [2, 3, 5]
+        assert widths_of(times, [0, 1]) == [100]
+        assert widths_of(times, None) == [100]
+        assert widths_of(np.array([0.0, 0.5, 3.0, 7.0, 7.5]), [0, 1]) == [5]
 
     @pytest.mark.parametrize("size, at", [(100, 57), (3 * dynamics.AMPLITUDE_CHUNK + 5,
                                                      dynamics.AMPLITUDE_CHUNK + 57)])
@@ -497,11 +517,9 @@ class TestSiteAmplitudes:
         times = 0.01 * np.arange(float(size))
         times[at] += 1e-9
         block = math.isqrt(size)
-        group = block * max(1, dynamics.AMPLITUDE_CHUNK // block)
         with phase_widths() as widths:
             amp = dynamics.site_amplitudes(chiral5, psi0, times, [4, 0])
-        lo = at // group * group
-        assert widths == [block, -(-size // block), min(lo + group, size) - lo]
+        assert widths == group_widths(size, block, lambda lo, hi: lo <= at < hi)
         for k, t in enumerate(times):
             assert np.abs(amp[:, k] - oracles.evolve_pure(chiral5, psi0, t)[[4, 0]]).max() < 1e-12
 
@@ -585,6 +603,7 @@ class TestSiteAmplitudes:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            assert sum(widths[2:]) == direct
+            assert widths == group_widths(times.size, math.isqrt(times.size),
+                                          lambda lo, hi: direct == times.size)
             assert amp.shape == (2, 200_001)
             assert peak < 32e6
