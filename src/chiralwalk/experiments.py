@@ -96,15 +96,16 @@ class ScalingResult:
 
 
 def _check_phases(d: SpectralDecomposition, times: np.ndarray, label: str) -> float:
-    """Float spacing of the largest phase |lambda t| over ``times``; ArithmeticError if it
-    exceeds PHASE_RESOLUTION, while an overflowing phase is left to the finite checks."""
+    """Tolerance max(CROSS_CHECK_TOL, 4 ulp(max|lambda t|)) of the values from the phases over
+    ``times``, whose rounding each carries; ArithmeticError if that ulp exceeds PHASE_RESOLUTION,
+    while an overflowing phase is left to the finite checks."""
     top = float(np.abs(d.eigenvalues).max(initial=0.0)) * float(np.abs(times).max(initial=0.0))
     if math.isfinite(top) and math.ulp(top) > PHASE_RESOLUTION:
         raise ArithmeticError(
             f"{label}: phases lambda t reach {top:.3g}, where floats lie {math.ulp(top):.3g} "
             f"apart, more than the phase resolution {PHASE_RESOLUTION:g}"
         )
-    return math.ulp(top)
+    return max(CROSS_CHECK_TOL, 4 * math.ulp(top))
 
 
 def _check_finite(values, label: str) -> None:
@@ -133,15 +134,15 @@ def _populations(members, rows) -> np.ndarray:
 
 
 def _cross_check(values, state_spec: StateSpec, n: int, label: str, reference, tol) -> None:
-    """Numerical-health check of the ensemble path for a mixed state.
+    """Numerical-health check of the ensemble path for a Werner state, the one mixed state.
 
     Its last output must agree with ``reference(rho0)``, the same output
-    computed from the initial density matrix by the density-matrix
-    definition, within ``tol``; otherwise ArithmeticError.
+    computed from rho0 = states.werner(n, b) by the density-matrix definition,
+    within ``tol``; otherwise ArithmeticError.
     """
     if state_spec.kind != "werner":
         return
-    delta = float(np.max(np.abs(values[-1] - reference(state_spec.build_density(n)))))
+    delta = float(np.max(np.abs(values[-1] - reference(states.werner(n, state_spec.b)))))
     if not delta <= tol:
         raise ArithmeticError(
             f"{label}: the ensemble value at the last time differs from the "
@@ -159,17 +160,15 @@ def _evaluate(graph_spec: GraphSpec, state_spec: StateSpec, times: np.ndarray,
     the times ``at``, in that order, so the helpers above index a_m by
     position in ``rows``.  The phases over ``times`` must be resolved and the
     values finite.  A mixed state's last value must agree with
-    ``reference(d, rho0)`` within CROSS_CHECK_TOL or, if larger, 4 float
-    spacings of the largest phase, whose rounding every amplitude carries.
+    ``reference(d, rho0)`` within the phases' rounding tolerance (_check_phases).
     """
     n = graph_spec.n
     weights, stack = zip(*state_spec.ensemble(n))
     d = graph_spec.decompose()
-    spacing = _check_phases(d, times, label)
+    tol = _check_phases(d, times, label)
     values = measure(lambda at, rows=None: (weights, site_amplitudes(d, stack, at, rows)))
     _check_finite(values, label)
-    _cross_check(values, state_spec, n, label, lambda rho0: reference(d, rho0),
-                 max(CROSS_CHECK_TOL, 4 * spacing))
+    _cross_check(values, state_spec, n, label, lambda rho0: reference(d, rho0), tol)
     return values
 
 
@@ -315,12 +314,12 @@ def _interior_maxima(v: np.ndarray) -> np.ndarray:
     return (mid >= v[:-2]) & (mid >= v[2:])
 
 
-def first_peak(series: TraceSeries, noise_floor: float = PEAK_NOISE_FLOOR) -> PeakResult:
-    """Earliest local maximum above the noise floor, parabolically refined."""
+def first_peak(series: TraceSeries) -> PeakResult:
+    """Earliest local maximum above PEAK_NOISE_FLOOR, parabolically refined."""
     v = series.values
     if len(v) < 3:
         raise ValueError(f"need at least 3 samples, got {len(v)}")
-    hits = np.flatnonzero(_interior_maxima(v) & (v[1:-1] > noise_floor))
+    hits = np.flatnonzero(_interior_maxima(v) & (v[1:-1] > PEAK_NOISE_FLOOR))
     if not hits.size:
         return PeakResult(math.nan, math.nan, found=False)
     t, val = _refine(series.times, v, hits[:1] + 1)
@@ -333,13 +332,12 @@ def global_max(series: TraceSeries) -> PeakResult:
     return PeakResult(float(t[0]), float(val[0]))
 
 
-def top_peaks(series: TraceSeries, count: int = 3) -> tuple[PeakResult, ...]:
-    """The ``count`` highest interior local maxima, best first; earlier times win ties."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValueError(f"peak count must be a non-negative integer, got {count!r}")
+def top_peaks(series: TraceSeries) -> tuple[PeakResult, ...]:
+    """The three highest interior local maxima, best first (earlier times win ties),
+    from which a table row takes the two runner-ups besides its own peak."""
     t, val = _refine(series.times, series.values,
                      np.flatnonzero(_interior_maxima(series.values)) + 1)
-    best = np.lexsort((t, -val))[:count]
+    best = np.lexsort((t, -val))[:3]
     return tuple(PeakResult(float(t[i]), float(val[i])) for i in best)
 
 
@@ -510,7 +508,7 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     times, rows = grid.times(), [n - 2, n - 1]
     GraphSpec("tri", n)  # the site guard, before the stack is built
     d = spectral_decompose(graphs.hamiltonian(graphs.triangular_chain(n, thetas)))
-    slack = 4 * max(CROSS_CHECK_TOL, 4 * _check_phases(d, times, label))
+    slack = 4 * _check_phases(d, times, label)
     W = dynamics._readout(d, psi, rows)
     bound = _curvature_bound(d.eigenvalues, W)
     size, top = times.size, bound.max()

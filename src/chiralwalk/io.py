@@ -21,8 +21,6 @@ _NUMBER = f"%.{CSV_PRECISION}g"
 
 def format_number(x) -> str:
     """Render a number with 12 significant digits (ints stay bare)."""
-    if isinstance(x, bool):
-        return str(x).lower()
     if isinstance(x, int):
         return str(x)
     return _NUMBER % float(x)

@@ -194,12 +194,6 @@ class StateSpec:
             return ((1.0, states.spatial_pair(n, self.i, self.j, self.phi)),)
         return states.werner_ensemble(n, self.b)
 
-    def build_density(self, n: int) -> np.ndarray:
-        if self.kind == "werner":
-            return states.werner(n, self.b)
-        ((_, psi),) = self.ensemble(n)
-        return states.density_from_pure(psi)
-
     @classmethod
     def from_text(cls, text) -> StateSpec:
         """localized:I, pair:I,J[:PHI], werner:B, or the manifest form as JSON."""

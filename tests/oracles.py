@@ -346,12 +346,10 @@ def optimize_theta_scan(n: int, phi: float, theta_candidates, horizon: float, dt
 
 def csv_text_per_cell(comments: list[str], header: list[str], rows) -> str:
     """CSV text with every cell formatted on its own, as 12-significant-digit
-    '{:.12g}' floats, bare ints, lower-case bools and text as is."""
+    '{:.12g}' floats, bare ints and text as is."""
     def cell(x):
         if isinstance(x, str):
             return x
-        if isinstance(x, bool):
-            return str(x).lower()
         if isinstance(x, int):
             return str(x)
         return f"{float(x):.12g}"

@@ -783,6 +783,22 @@ USAGE_ERRORS = {
     "scaling-magnitude-key": ("scaling", None, {"magnitude": 2.0}),
     "snapshots-theta-key": ("snapshots", None, {"theta": 0.3}),
     "graph-export-svg-key": ("graph-export", None, {"svg": True}),
+    # Checks that no other deterministic test reaches; USAGE_MESSAGES pins their text.
+    "grid-start-nan": ("trace", ["--t", "nan:1:0.1"],
+                       {"grid": {"t_start": math.nan, "t_end": 1.0, "dt": 0.1}}),
+    "concurrence-three-sites": ("trace", ["--measure", "concurrence:1,2,3"],
+                                {"measure": "concurrence:1,2,3"}),
+    "pts-bures-argument": ("trace", ["--measure", "pts-bures:1"], {"measure": "pts-bures:1"}),
+    # A manifest holds sizes as a list, so the range as text is refused as no list.
+    "table-n-four-parts": ("table", ["--n", "5:9:2:1"], {"n_values": "5:9:2:1"}),
+}
+# case -> the text its message ends with, in (flag, manifest) form.
+USAGE_MESSAGES = {
+    "grid-start-nan": ("grid endpoints must be finite",) * 2,
+    "concurrence-three-sites": ("concurrence pair must be I,J, got '1,2,3'",) * 2,
+    "pts-bures-argument": ("measure takes no argument, got '1'",) * 2,
+    "table-n-four-parts": ("cannot parse size list '5:9:2:1'",
+                           "n_values must be a list, got '5:9:2:1'"),
 }
 
 
@@ -807,6 +823,8 @@ def test_usage_error_exits_2(case, form, tmp_path, base_manifests):
     assert "Traceback" not in stderr
     *usage, message = stderr.splitlines()
     assert re.match(r"chiralwalk( [\w-]+)?: error: ", message)
+    if case in USAGE_MESSAGES:
+        assert message.endswith(USAGE_MESSAGES[case][form == "manifest"])
     assert all(line.startswith(("usage: ", " ")) for line in usage)
     assert files_under(tmp_path) == before
 

@@ -146,6 +146,27 @@ class TestStackedSpectralDecompose:
         assert chiral5.orthonormality == float(np.abs(V.conj().T @ V - np.eye(5)).max())
         assert chiral5.n == 5
 
+    def test_bad_member_message_names_its_own_numbers(self, monkeypatch):
+        # A stack whose second member's eigenvector eigh gets wrong: the message
+        # gives that member's residual and orthonormality, not the first's.
+        stack = graphs.hamiltonian(graphs.triangular_chain(5, [0.1, 0.4, 0.9]))
+        eigh = np.linalg.eigh
+
+        def perturbed(H):
+            eigenvalues, V = eigh(H)
+            V = V.copy()
+            V[1, 0, 0] += 1e-3
+            return eigenvalues, V
+
+        eigenvalues, V = perturbed(stack)
+        resid = np.abs(stack[1] @ V[1] - V[1] * eigenvalues[1]).max()
+        ortho = np.abs(V[1].conj().T @ V[1] - np.eye(5)).max()
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        assert resid > 1e-4 and ortho > 1e-4
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"eigendecomposition failed: residual {resid:.3e}, orthonormality {ortho:.3e}")):
+            dynamics.spectral_decompose(stack)
+
     def test_density_matrix_check_still_takes_one_matrix(self):
         with pytest.raises(ValueError, match="square matrix"):
             dynamics.check_density_matrix(np.stack([np.eye(2) / 2] * 2))
@@ -295,6 +316,14 @@ class TestEvolveDensity:
         with pytest.raises(ValueError, match="negative"):
             dynamics.evolve_density(chiral5, bad, 1.0)
 
+    def test_rejects_a_state_of_other_size(self, chiral5):
+        with pytest.raises(ValueError, match="^dimension mismatch: state has 4 sites, expected 5$"):
+            dynamics.evolve_density(chiral5, np.eye(4) / 4, 1.0)
+
+    def test_rejects_infinite_time(self, chiral5):
+        with pytest.raises(ValueError, match="^time must be finite, got inf$"):
+            dynamics.evolve_density(chiral5, states.werner(5, 0.5), math.inf)
+
 
 class TestOccupation:
     def test_localized_density(self):
@@ -363,6 +392,10 @@ def group_widths(size, block, exact=lambda lo, hi: False):
 
 
 class TestSiteAmplitudes:
+    def test_rejects_2d_times(self, chiral5):
+        with pytest.raises(ValueError, match="^times must be a 1-d array$"):
+            dynamics.site_amplitudes(chiral5, states.localized(5, 1), np.zeros((2, 3)))
+
     def test_matches_stacked_evolve_pure(self, chiral5):
         psi0 = states.spatial_pair(5, 1, 2, math.pi)
         times = np.array([0.0, 0.31, 1.02, 9.7])

@@ -55,7 +55,7 @@ class TestWriteCsv:
 
     @given(st.lists(st.lists(cells, max_size=6), max_size=20), st.integers(1, 5))
     @example([[5, 193.85, 0.9984, "", "", "even-n"], [7, 1.5, 0.5, 2.0, 0.25, ""]], 2)
-    @example([[True, np.int64(7), np.float64(0.1)], [False, 3, 2.5]], 2)
+    @example([[np.int64(1), np.int64(7), np.float64(0.1)], [0, 3, 2.5]], 2)
     @example([[1.0], [2.0, 3.0], []], 3)
     @settings(max_examples=100, deadline=None)
     def test_mixed_rows_match_per_cell_text(self, tmp_path_factory, rows, block):

@@ -119,6 +119,10 @@ class TestTargets:
         psi = states.target_pure(5, math.pi)
         assert np.abs(psi - np.array([0, 0, 0, SQ2, SQ2])).max() < 1e-12
 
+    def test_target_pure_needs_two_sites(self):
+        with pytest.raises(ValueError, match="^need n >= 2 sites, got 1$"):
+            states.target_pure(1, 0.0)
+
     def test_target_pure_normalized(self):
         assert np.linalg.norm(states.target_pure(9, 0.3)) == pytest.approx(1.0, abs=1e-12)
 

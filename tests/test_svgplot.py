@@ -133,3 +133,8 @@ class TestSvgBytes:
         svg = (tmp_path / f"{name}.svg").read_bytes()
         ET.fromstring(svg)
         assert hashlib.sha256(svg).hexdigest() == digest
+
+
+def test_empty_heatmap_grid_is_rejected():
+    with pytest.raises(ValueError, match="^nothing to plot$"):
+        svgplot.heatmap_grid([], [])
