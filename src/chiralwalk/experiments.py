@@ -292,53 +292,53 @@ def concurrence_matrix_snapshots(
 # peak detection
 
 
-def _refine(times: np.ndarray, values: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Times and values of the parabolas through the samples around each index in ``k``.
+def _maxima(series: TraceSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every interior local maximum of the series, best first: the indices, times
+    and values, ranked by (-value, time).
 
-    An index at either end of the grid, or with a flat neighbourhood (zero
-    curvature), keeps its grid point.
+    A local maximum is a sample >= both neighbours (plateaus count).  It is
+    refined to the vertex of the parabola through it and its neighbours, or
+    keeps its grid point where they are flat (zero curvature).  The vertex is
+    capped at max(sample, 1), so a refinement never lifts a sample at or below
+    1 above 1, and a sample above 1 keeps its value.
     """
-    inner = (k > 0) & (k < len(values) - 1)
-    lo, hi = np.where(inner, k - 1, k), np.where(inner, k + 1, k)
-    y1, y2, y3 = values[lo], values[k], values[hi]
+    times, v = series.times, series.values
+    k = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])) + 1
+    y1, y2, y3 = v[k - 1], v[k], v[k + 1]
     denom = y1 - 2.0 * y2 + y3
-    flat = ~inner | (np.abs(denom) < 1e-300)
-    shift = np.divide(0.5 * (y1 - y3), denom, out=np.zeros_like(denom), where=~flat)
-    t = np.where(flat, times[k], times[k] + shift * (times[hi] - times[k]))
-    return t, np.where(flat, y2, y2 - 0.25 * (y1 - y3) * shift)
-
-
-def _interior_maxima(v: np.ndarray) -> np.ndarray:
-    # Mask over v[1:-1]: samples >= both neighbours (plateaus count).
-    mid = v[1:-1]
-    return (mid >= v[:-2]) & (mid >= v[2:])
+    shift = np.divide(0.5 * (y1 - y3), denom, out=np.zeros_like(denom),
+                      where=np.abs(denom) >= 1e-300)
+    t = times[k] + shift * (times[k + 1] - times[k])
+    val = np.minimum(y2 - 0.25 * (y1 - y3) * shift, np.maximum(y2, 1.0))
+    rank = np.lexsort((t, -val))
+    return k[rank], t[rank], val[rank]
 
 
 def first_peak(series: TraceSeries) -> PeakResult:
-    """Earliest local maximum above PEAK_NOISE_FLOOR, parabolically refined."""
-    v = series.values
-    if len(v) < 3:
-        raise ValueError(f"need at least 3 samples, got {len(v)}")
-    hits = np.flatnonzero(_interior_maxima(v) & (v[1:-1] > PEAK_NOISE_FLOOR))
+    """The earliest entry of _maxima whose sample exceeds PEAK_NOISE_FLOOR, or
+    found=False if there is none."""
+    k, t, val = _maxima(series)
+    hits = np.flatnonzero(series.values[k] > PEAK_NOISE_FLOOR)
     if not hits.size:
         return PeakResult(math.nan, math.nan, found=False)
-    t, val = _refine(series.times, v, hits[:1] + 1)
-    return PeakResult(float(t[0]), float(val[0]))
+    i = hits[np.argmin(k[hits])]
+    return PeakResult(float(t[i]), float(val[i]))
 
 
 def global_max(series: TraceSeries) -> PeakResult:
-    """Largest value over the grid (earliest wins ties), parabolically refined."""
-    t, val = _refine(series.times, series.values, np.argmax(series.values, keepdims=True))
-    return PeakResult(float(t[0]), float(val[0]))
+    """The best of the first entry of _maxima and the two end samples, which are not
+    refined; the earliest wins among equals."""
+    _, t, val = _maxima(series)
+    ends = [(-series.values[k], series.times[k]) for k in (0, -1)]
+    value, t_peak = min([*zip(-val[:1], t[:1]), *ends])
+    return PeakResult(float(t_peak), float(-value))
 
 
 def top_peaks(series: TraceSeries) -> tuple[PeakResult, ...]:
-    """The three highest interior local maxima, best first (earlier times win ties),
-    from which a table row takes the two runner-ups besides its own peak."""
-    t, val = _refine(series.times, series.values,
-                     np.flatnonzero(_interior_maxima(series.values)) + 1)
-    best = np.lexsort((t, -val))[:3]
-    return tuple(PeakResult(float(t[i]), float(val[i])) for i in best)
+    """The first three entries of _maxima, from which a table row takes the two
+    runner-ups besides its own peak, so no runner-up lies above global_max."""
+    _, t, val = _maxima(series)
+    return tuple(PeakResult(float(t[i]), float(val[i])) for i in range(min(3, t.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +456,7 @@ def _coarse_concurrence(eigenvalues: np.ndarray, W: np.ndarray,
 
 
 def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: float = -math.inf):
-    """The refined peak (a global_max value) of the end-pair concurrence of the pure
+    """The peak (a global_max value) of the end-pair concurrence of the pure
     state ``psi`` on tri:n at each phase in ``thetas``, each from a read of the
     grid points where a maximum that can win may lie: a list of one peak, or
     -inf, per phase, and the rounding slack.
@@ -464,9 +464,10 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     ``best`` is a refined peak already found, or -inf.  A phase gets -inf only
     if the refined peak of its full trace lies more than the slack below
     ``best``, or below that of another phase of this stack, so that it cannot
-    win.  Every other phase's read holds its grid maximum with both grid
-    neighbours, so its peak is the grid point, earliest-wins tie-break and
-    parabola of its full trace, up to rounding.
+    win.  Every other phase's read holds, with both grid neighbours, each local
+    maximum whose sample comes within the overshoot and four slacks of
+    ``best``, so its peak is that of its full trace, up to rounding, wherever
+    that peak comes within four slacks of ``best``.
 
     The Hamiltonians are built as one (len(thetas), n, n) stack, by
     graphs.hamiltonian on the chain built with the whole phase list, and
@@ -483,20 +484,19 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     L dt / 8: if the middle of three samples is the largest, a and b its rises
     over its neighbours, the parabola through them rises
     (a - b)^2 / (8 (a + b)) <= max(a, b) / 8 above it.  So each member's
-    largest screened value less err is below its grid maximum and its refined
-    peak, and ``best`` is raised to the largest of these.
+    largest screened value less err is below its grid maximum and its peak,
+    and ``best`` is raised to the largest of these.
 
-    An interval is live if U reaches both the member's largest screened value
-    less err and the slack, as it may then hold the member's grid maximum, and
-    ``best`` less the overshoot and four slacks, as a grid point in it may then
-    carry a refined peak near ``best``.  Each member's live intervals, padded
-    by one grid point on each side, and the points after the last stride are
-    read on every grid point by one site_amplitudes call, at any stride.  A
-    member whose every interval is live so reads the whole grid and gets the
-    peak of its full trace bit for bit.  A member whose read values all lie
-    more than the overshoot and three slacks below ``best`` gets -inf: its
-    grid maximum is one of them, or lies in an interval that is not live and
-    so lower still.  Otherwise that maximum was read.
+    One bar serves every member: an interval is live if U reaches ``best``
+    less the overshoot and four slacks, as a grid point in it may then carry
+    a refined peak near ``best``.  Each member's live intervals, padded by one
+    grid point on each side, and the points after the last stride are read on
+    every grid point by one site_amplitudes call, at any stride.  A member
+    whose every interval is live so reads the whole grid and gets the peak of
+    its full trace bit for bit.  A member whose read values all lie more than
+    the overshoot and three slacks below ``best`` gets -inf: every sample is
+    one of them, or lies in an interval that is not live and so lower still,
+    and no refined peak lies more than the overshoot above its sample.
 
     Each value is off by the rounding its phases carry, within the tolerance
     the cross-check allows; the slack is four times that, for four such values
@@ -521,13 +521,11 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     err = (lipschitz * np.abs(factored - times[at]).max()
            + _screen_rounding(d.eigenvalues, W, times[at]))
     overshoot = lipschitz * grid.dt / 8
-    peaks = coarse.max(axis=1).astype(float)
-    best = max(best, (peaks - err).max())
-    needed = np.maximum(peaks - 2 * err - slack, best - 4 * slack - overshoot - err)
+    best = max(best, (coarse.max(axis=1) - err).max())
     # sqrt(max(f_a, f_b) + M h^2 / 8) >= needed holds where the larger of
     # C_a, C_b reaches sqrt(needed^2 - M h^2 / 8), and everywhere when
     # needed is not positive.
-    needed = np.maximum(needed, 0.0)
+    needed = np.maximum(best - 4 * slack - overshoot - err, 0.0)
     level = np.sqrt(np.maximum(needed * needed - bound * h * h / 8.0, 0.0))
     above = coarse >= level[:, None]
     # Each member's segments: the intervals between screened points, then the
@@ -556,17 +554,18 @@ def optimize_theta(
 ) -> SweepRecord:
     """Best chiral phase for long-time transfer of the pair state (1, 2).
 
-    The winner is the candidate theta with the largest refined peak (a
-    global_max value) over the grid on [0, horizon].  Peaks within the
-    rounding slack of the largest tie with it, and a tie breaks toward smaller
-    |theta|, then toward the positive sign, so the time-reversal twins theta
-    and pi - theta of a real pair state read as the smaller |theta|.  With
-    several candidates, they are searched as stacks of up to CANDIDATE_SLICE
+    The winner is the candidate theta with the largest peak (a global_max
+    value) over the grid on [0, horizon].  Peaks within the rounding slack of
+    the largest tie with it, and a tie breaks toward smaller |theta|, then
+    toward the positive sign, so the time-reversal twins theta and pi - theta
+    of a real pair state read as the smaller |theta|.  With several
+    candidates, they are searched as stacks of up to CANDIDATE_SLICE
     (_candidate_series), each stack against the best peak of the stacks before
     it, and read only where a maximum may lie that comes within the slack of
-    the best.  Only the winner is traced in full (concurrence_trace), which
-    gives the record's time, value and runner-up peaks; a lone candidate is
-    traced without a search.
+    the best.  Only the winner is traced in full (concurrence_trace): its
+    global_max gives the record's time and value, and its top_peaks, from the
+    same ranked maxima, the runner-ups.  A lone candidate is traced without a
+    search.
     """
     grid = _peak_grid(TimeGrid(0.0, horizon, dt))
     candidates = tuple(map(float, theta_candidates))

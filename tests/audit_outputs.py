@@ -132,6 +132,9 @@ COMMANDS = {
     # COARSE_SLACK, so the screen reads every grid point.
     "table-cqw-stride1": ["table", "--mode", "cqw", "--n", "5,9", "--horizon", "100", "--dt",
                           "0.25", "--theta-candidates", "grid:16"],
+    # Near t = 844 the parabola through three samples peaks above 1.
+    "table-cqw-above-one": ["table", "--mode", "cqw", "--n", "5", "--horizon", "2000", "--dt",
+                            "0.25"],
     "scaling-svg": ["scaling", "--n", "5:9:2", "--t", "0:5:0.01", "--svg"],
     "scaling-state": ["scaling", "--theta", "-0.5pi", "--n", "5,7", "--state",
                       "pair:1,2:0.5pi", "--t", "0:8:0.02"],

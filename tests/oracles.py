@@ -273,49 +273,47 @@ def transfer_fidelity_pure(psi_t, target) -> float:
 
 
 def _parabola_peak(times, values, k: int) -> tuple[float, float]:
-    """Vertex of the parabola through samples k-1, k, k+1 (grid point if flat)."""
+    """Vertex of the parabola through samples k-1, k, k+1 (grid point if flat),
+    its value capped at max(values[k], 1)."""
     y1, y2, y3 = values[k - 1], values[k], values[k + 1]
     denom = y1 - 2.0 * y2 + y3
     if abs(denom) < 1e-300:
         return float(times[k]), float(values[k])
     shift = 0.5 * (y1 - y3) / denom
     dt = times[k + 1] - times[k]
-    return float(times[k] + shift * dt), float(y2 - 0.25 * (y1 - y3) * shift)
+    return float(times[k] + shift * dt), float(min(y2 - 0.25 * (y1 - y3) * shift, max(y2, 1.0)))
+
+
+def _local_maxima(series):
+    """(k, refined peak) of every interior sample >= both neighbours, one by one."""
+    v = series.values
+    return [(k, PeakResult(*_parabola_peak(series.times, v, k))) for k in range(1, len(v) - 1)
+            if v[k] >= v[k - 1] and v[k] >= v[k + 1]]
+
+
+def _ranked(peaks):
+    """Best first; the earlier time wins among equal values."""
+    return sorted(peaks, key=lambda p: (-p.value, p.t_peak))
 
 
 def first_peak_scan(series, noise_floor: float):
-    """Earliest interior sample >= both neighbours and above the floor, one by one."""
-    v = series.values
-    for k in range(1, len(v) - 1):
-        if v[k] >= v[k - 1] and v[k] >= v[k + 1] and v[k] > noise_floor:
-            t, val = _parabola_peak(series.times, v, k)
-            return PeakResult(t, val)
+    """Earliest refined interior local maximum whose sample is above the floor."""
+    for k, peak in _local_maxima(series):
+        if series.values[k] > noise_floor:
+            return peak
     return PeakResult(math.nan, math.nan, found=False)
 
 
 def top_peaks_scan(series, count: int):
-    """Every interior local maximum refined one by one, sorted by (-value, t)."""
-    v = series.values
-    found = []
-    for k in range(1, len(v) - 1):
-        if v[k] >= v[k - 1] and v[k] >= v[k + 1]:
-            t, val = _parabola_peak(series.times, v, k)
-            found.append(PeakResult(t, val))
-    found.sort(key=lambda p: (-p.value, p.t_peak))
-    return tuple(found[:count])
+    """Every refined interior local maximum, sorted by (-value, t)."""
+    return tuple(_ranked(peak for _, peak in _local_maxima(series))[:count])
 
 
 def global_max_scan(series):
-    """Earliest largest sample, found one by one; refined unless at either end."""
-    v = series.values
-    k = 0
-    for i in range(1, len(v)):
-        if v[i] > v[k]:
-            k = i
-    if k == 0 or k == len(v) - 1:
-        return PeakResult(float(series.times[k]), float(v[k]))
-    t, val = _parabola_peak(series.times, v, k)
-    return PeakResult(t, val)
+    """Best of every refined interior local maximum and the two end samples, which
+    are not refined."""
+    ends = [PeakResult(float(series.times[k]), float(series.values[k])) for k in (0, -1)]
+    return _ranked(ends + [peak for _, peak in _local_maxima(series)])[0]
 
 
 def optimize_theta_scan(n: int, phi: float, theta_candidates, horizon: float, dt: float):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -431,6 +432,23 @@ class TestTableCommand:
         assert (rec.t == horizon) == (runner_ups.start == 0)
         assert row[4:8] == [format_number(x) for p in rec.top_peaks[runner_ups]
                             for x in (p.t_peak, p.value)]
+
+    @pytest.mark.parametrize("flags", [
+        # At n = 5 the largest grid sample refines to 0.990772 at t = 8.76,
+        # below the refined peak 0.992504 at t = 92.28 of a lower sample.
+        ["--n", "5,9", "--horizon", "100", "--theta-candidates", "grid:16"],
+        ["--n", "5", "--horizon", "500"],
+        # The parabola through three samples near t = 844 peaks above 1.
+        ["--n", "5", "--horizon", "2000"],
+    ])
+    def test_no_row_below_its_runner_ups_or_above_one(self, tmp_path, flags):
+        assert cli.main(["table", "--mode", "cqw", *flags, "--dt", "0.25",
+                         "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "table-cqw.csv").read_text().splitlines()
+        for row in csv.DictReader(line for line in lines if not line.startswith("#")):
+            assert float(row["concurrence"]) <= 1
+            assert float(row["c2"]) <= float(row["concurrence"])
+            assert float(row["c3"]) <= float(row["concurrence"])
 
     def test_time_reversal_twins_read_the_smaller_phase(self, tmp_path):
         # 0.3 and pi - 0.3 trace the same values up to rounding (their peaks
