@@ -293,15 +293,10 @@ def concurrence_matrix_snapshots(
 
 
 def _maxima(series: TraceSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every interior local maximum of the series, best first: the indices, times
-    and values, ranked by (-value, time).
-
-    A local maximum is a sample >= both neighbours (plateaus count).  It is
-    refined to the vertex of the parabola through it and its neighbours, or
-    keeps its grid point where they are flat (zero curvature).  The vertex is
-    capped at max(sample, 1), so a refinement never lifts a sample at or below
-    1 above 1, and a sample above 1 keeps its value.
-    """
+    """Every interior local maximum, a sample >= both neighbours (plateaus count),
+    best first: indices, times and values, ranked by (-value, time).  Each is
+    refined to the vertex of the parabola through it and its neighbours (its grid
+    point where they are flat), capped at 1, the largest concurrence."""
     times, v = series.times, series.values
     k = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])) + 1
     y1, y2, y3 = v[k - 1], v[k], v[k + 1]
@@ -309,14 +304,13 @@ def _maxima(series: TraceSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shift = np.divide(0.5 * (y1 - y3), denom, out=np.zeros_like(denom),
                       where=np.abs(denom) >= 1e-300)
     t = times[k] + shift * (times[k + 1] - times[k])
-    val = np.minimum(y2 - 0.25 * (y1 - y3) * shift, np.maximum(y2, 1.0))
+    val = np.minimum(y2 - 0.25 * (y1 - y3) * shift, 1.0)
     rank = np.lexsort((t, -val))
     return k[rank], t[rank], val[rank]
 
 
 def first_peak(series: TraceSeries) -> PeakResult:
-    """The earliest entry of _maxima whose sample exceeds PEAK_NOISE_FLOOR, or
-    found=False if there is none."""
+    """The earliest entry of _maxima whose sample exceeds PEAK_NOISE_FLOOR, if any."""
     k, t, val = _maxima(series)
     hits = np.flatnonzero(series.values[k] > PEAK_NOISE_FLOOR)
     if not hits.size:
@@ -326,8 +320,7 @@ def first_peak(series: TraceSeries) -> PeakResult:
 
 
 def global_max(series: TraceSeries) -> PeakResult:
-    """The best of the first entry of _maxima and the two end samples, which are not
-    refined; the earliest wins among equals."""
+    """Best of the first entry of _maxima and the two end samples; earliest wins ties."""
     _, t, val = _maxima(series)
     ends = [(-series.values[k], series.times[k]) for k in (0, -1)]
     value, t_peak = min([*zip(-val[:1], t[:1]), *ends])
@@ -464,10 +457,9 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     ``best`` is a refined peak already found, or -inf.  A phase gets -inf only
     if the refined peak of its full trace lies more than the slack below
     ``best``, or below that of another phase of this stack, so that it cannot
-    win.  Every other phase's read holds, with both grid neighbours, each local
-    maximum whose sample comes within the overshoot and four slacks of
-    ``best``, so its peak is that of its full trace, up to rounding, wherever
-    that peak comes within four slacks of ``best``.
+    win.  Every other phase's peak is never above that of its full trace, up
+    to rounding, and equals it wherever that comes within four slacks of
+    ``best``.
 
     The Hamiltonians are built as one (len(thetas), n, n) stack, by
     graphs.hamiltonian on the chain built with the whole phase list, and
@@ -487,16 +479,21 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     largest screened value less err is below its grid maximum and its peak,
     and ``best`` is raised to the largest of these.
 
-    One bar serves every member: an interval is live if U reaches ``best``
-    less the overshoot and four slacks, as a grid point in it may then carry
-    a refined peak near ``best``.  Each member's live intervals, padded by one
+    One bar, ``best``, serves every member: an interval is live if U reaches
+    it less the overshoot and four slacks, as a grid point in it may then
+    carry a refined peak near ``best``.  Each member's live intervals, padded by one
     grid point on each side, and the points after the last stride are read on
-    every grid point by one site_amplitudes call, at any stride.  A member
-    whose every interval is live so reads the whole grid and gets the peak of
-    its full trace bit for bit.  A member whose read values all lie more than
-    the overshoot and three slacks below ``best`` gets -inf: every sample is
-    one of them, or lies in an interval that is not live and so lower still,
-    and no refined peak lies more than the overshoot above its sample.
+    every grid point by one site_amplitudes call, at any stride.  Its peak is
+    the best of the read's end samples and of the maxima read with both grid
+    neighbours, not of a run's outer point: that lies in an interval that is
+    not live, and its neighbour across the gap could lift its parabola.  Each
+    maximum whose sample reaches that level is so read, which gives the full
+    trace's peak wherever that comes within four slacks of ``best``, and bit
+    for bit where every interval is live.  A member whose read values all lie
+    more than the overshoot and three slacks below ``best`` gets -inf: every
+    sample is one of them, or lies in an interval that is not live and so
+    lower still, and no refined peak lies more than the overshoot above its
+    sample.
 
     Each value is off by the rounding its phases carry, within the tolerance
     the cross-check allows; the slack is four times that, for four such values
@@ -539,9 +536,12 @@ def _candidate_series(n: int, psi: np.ndarray, thetas, grid: TimeGrid, best: flo
     for k in np.flatnonzero(segments.any(axis=1)):  # a member with no live segment is out
         points = np.zeros(size, dtype=bool)
         points[np.clip(at[segments[k]][:, None] + pad, 0, size - 1)] = True
-        values = _concurrence(*site_amplitudes(d.member(k), psi, times[points], rows))
+        read = np.flatnonzero(points)
+        values = _concurrence(*site_amplitudes(d.member(k), psi, times[read], rows))
         if values.max() >= low[k]:
-            found[k] = global_max(TraceSeries(times[points], values, label=label)).value
+            j, _, val = _maxima(TraceSeries(times[read], values, label=label))
+            whole = val[read[j + 1] - read[j - 1] == 2]  # both grid neighbours read
+            found[k] = max(whole.max(initial=-math.inf), values[0], values[-1])
     return found, slack
 
 
@@ -563,9 +563,8 @@ def optimize_theta(
     (_candidate_series), each stack against the best peak of the stacks before
     it, and read only where a maximum may lie that comes within the slack of
     the best.  Only the winner is traced in full (concurrence_trace): its
-    global_max gives the record's time and value, and its top_peaks, from the
-    same ranked maxima, the runner-ups.  A lone candidate is traced without a
-    search.
+    global_max and top_peaks, from the same ranked maxima, give the record's
+    time, value and runner-ups.  A lone candidate is traced without a search.
     """
     grid = _peak_grid(TimeGrid(0.0, horizon, dt))
     candidates = tuple(map(float, theta_candidates))

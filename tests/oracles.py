@@ -274,14 +274,14 @@ def transfer_fidelity_pure(psi_t, target) -> float:
 
 def _parabola_peak(times, values, k: int) -> tuple[float, float]:
     """Vertex of the parabola through samples k-1, k, k+1 (grid point if flat),
-    its value capped at max(values[k], 1)."""
+    its value capped at 1."""
     y1, y2, y3 = values[k - 1], values[k], values[k + 1]
     denom = y1 - 2.0 * y2 + y3
     if abs(denom) < 1e-300:
         return float(times[k]), float(values[k])
     shift = 0.5 * (y1 - y3) / denom
     dt = times[k + 1] - times[k]
-    return float(times[k] + shift * dt), float(min(y2 - 0.25 * (y1 - y3) * shift, max(y2, 1.0)))
+    return float(times[k] + shift * dt), float(min(y2 - 0.25 * (y1 - y3) * shift, 1.0))
 
 
 def _local_maxima(series):
